@@ -240,6 +240,11 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
     seeds = SeedsBlock(**raw.get("seeds", {}))
     if seeds.n_trajectories < 1:
         raise ConfigError("[seeds] n_trajectories must be >= 1")
+    if preset == "trajectory" and seeds.n_trajectories > 1:
+        raise ConfigError(
+            "[seeds] n_trajectories must be 1 for preset 'trajectory', which "
+            f"writes a single unraveling; got {seeds.n_trajectories}"
+        )
     output = OutputBlock(**raw.get("output", {}))
     if output.formats != "csv":
         raise ConfigError(f"[output] unsupported format {output.formats!r}")

@@ -1,20 +1,28 @@
 """Time evolution: Schrodinger integration, Lindblad dynamics, steady states,
 and Monte Carlo wave-function (quantum-jump) trajectories.
 
-The Liouvillian is materialized as a dense superoperator acting on the
-column-stacked vectorization of rho.  Master-equation propagation defaults to
-the spectral decomposition of the (time-independent) Liouvillian, which is
+The Liouvillian is a sparse (CSR) superoperator acting on the column-stacked
+vectorization of rho.  H, a and sigma_- all conserve k = (m - m') mod n, where
+m and m' are the photon numbers of the row and column of rho, so L is
+block-diagonal in k (a weak symmetry).  The steady state lies in the k = 0
+block and is found by sparse LU on that block alone; the spectral propagator
+eigendecomposes a block only when an operator has support in it.
+Master-equation propagation defaults to that spectral decomposition, which is
 exact at the sample times; fixed-step RK4 and an adaptive scheme are kept as
 alternatives.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import norm as sparse_norm
+from scipy.sparse.linalg import splu
 
 from .hilbert import (
     DensityMatrix,
@@ -42,6 +50,8 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-8
+
+log = logging.getLogger("bundlejc")
 
 
 class TruncationError(RuntimeError):
@@ -84,8 +94,10 @@ def schrodinger_evolve(
 ) -> np.ndarray:
     """Integrate i dpsi/dt = H psi; returns amplitudes at each grid time.
 
-    No renormalization is applied: norm drift beyond 1e-5 aborts, because it
-    means the step size was too coarse for the spectral range of H.
+    scheme="spectral" is exact at the grid times (eigh of H); "adaptive" is
+    DOP853 and "fixed_rk4" a fixed-step loop.  No renormalization is applied:
+    norm drift beyond 1e-5 aborts, because it means the step size was too
+    coarse for the spectral range of H.
     """
     cfg = cfg or IntegratorConfig()
     if not H.is_hermitian(1e-10):
@@ -107,6 +119,11 @@ def schrodinger_evolve(
             atol=cfg.abs_tol,
         )
         history = sol.y.T.copy()
+    elif cfg.scheme == "spectral":
+        evals, evecs = np.linalg.eigh(mat)
+        c0 = evecs.conj().T @ psi
+        phases = np.exp(-1j * np.outer(t_grid - t_grid[0], evals))
+        history = (phases * c0) @ evecs.T
     else:
         scale = float(np.max(np.abs(np.linalg.eigvalsh(mat)))) or 1.0
         dt = cfg.dt if cfg.dt is not None else 0.01 / scale
@@ -132,63 +149,110 @@ def schrodinger_evolve(
     return history
 
 
+class _CSR(sp.csr_array):
+    """CSR array that reports the bytes it stores (data, indices, indptr)."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense superoperator on column-stacked rho."""
+    """Sparse superoperator on column-stacked rho.
+
+    sectors[k] holds the vec indices of the entries rho[i, j] whose photon
+    numbers satisfy (m_i - m_j) mod n = k; mat has no entry between sectors.
+    """
 
     dims: SpaceDims
-    mat: np.ndarray
+    mat: _CSR
+    sectors: tuple[np.ndarray, ...]
 
     def apply(self, rho_mat: np.ndarray) -> np.ndarray:
         d = self.dims.total_dim
         return unvec(self.mat @ vec(rho_mat), d)
 
+    def block(self, k: int) -> sp.csr_array:
+        idx = self.sectors[k]
+        return self.mat[idx][:, idx]
 
-def _dissipator_super(op: np.ndarray) -> np.ndarray:
-    d = op.shape[0]
-    eye = np.eye(d)
-    opdop = op.conj().T @ op
-    return (
-        np.kron(op.conj(), op)
-        - 0.5 * np.kron(eye, opdop)
-        - 0.5 * np.kron(opdop.T, eye)
-    )
+
+def _sectors(dims: SpaceDims, n: int) -> tuple[np.ndarray, ...]:
+    m = np.arange(dims.total_dim) // 2
+    k = vec((m[:, None] - m[None, :]) % n)
+    return tuple(np.flatnonzero(k == sector) for sector in range(n))
+
+
+def _kron_coo(x: np.ndarray, y: np.ndarray):
+    """COO triplets (rows, cols, values) of kron(x, y), from the nonzeros only."""
+    rx, cx = np.nonzero(x)
+    ry, cy = np.nonzero(y)
+    n = y.shape[0]
+    rows = (rx[:, None] * n + ry).ravel()
+    cols = (cx[:, None] * n + cy).ravel()
+    vals = (x[rx, cx][:, None] * y[ry, cy]).ravel()
+    return rows, cols, vals
 
 
 def build_liouvillian(p: ModelParams) -> Liouvillian:
-    """L(rho) = -i[H_I, rho] + kappa D[a] rho + gamma D[sigma_-] rho."""
+    """L(rho) = -i[H_I, rho] + kappa D[a] rho + gamma D[sigma_-] rho.
+
+    Written as L rho = G rho + rho G^dag + sum_c rate_c C rho C^dag with
+    G = -i H_I - (1/2) sum_c rate_c C^dag C, and assembled in COO form from
+    the nonzeros of the d x d operators: vec(X rho Y) = kron(Y^T, X) vec(rho).
+    """
     dims = p.dims
-    h = build_H_I(p).mat
-    eye = np.eye(dims.total_dim)
-    lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    if p.kappa > 0:
-        lmat = lmat + p.kappa * _dissipator_super(fock_annihilation(dims).mat)
-    if p.gamma > 0:
-        lmat = lmat + p.gamma * _dissipator_super(tls_operator("sigma_minus", dims).mat)
-    return Liouvillian(dims, lmat)
+    d = dims.total_dim
+    jumps = [
+        (p.kappa, fock_annihilation(dims).mat),
+        (p.gamma, tls_operator("sigma_minus", dims).mat),
+    ]
+    jumps = [(rate, c) for rate, c in jumps if rate > 0]
+    g = -1j * build_H_I(p).mat
+    for rate, c in jumps:
+        g = g - 0.5 * rate * (c.conj().T @ c)
+    eye = np.eye(d)
+    terms = [_kron_coo(eye, g), _kron_coo(g.conj(), eye)]
+    terms += [_kron_coo(c.conj(), rate * c) for rate, c in jumps]
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
+    lmat = _CSR((vals, (rows, cols)), shape=(d * d, d * d))
+    lmat.eliminate_zeros()
+    return Liouvillian(dims, lmat, _sectors(dims, p.n))
 
 
 class LiouvillePropagator:
-    """Spectral form of exp(L t); one eigendecomposition, cheap reuse.
+    """Spectral form of exp(L t), one eigendecomposition per symmetry sector.
 
-    Propagates arbitrary (not necessarily trace-one) operators, which is what
-    the regression pathway for two-time correlators needs.
+    A sector is decomposed the first time an operator with support in it is
+    propagated, and reused afterwards.  Propagates arbitrary (not necessarily
+    trace-one) operators, which is what the regression pathway for two-time
+    correlators needs.
     """
 
     def __init__(self, L: Liouvillian):
         self.L = L
-        self._evals, self._evecs = np.linalg.eig(L.mat)
-        self._inv = np.linalg.inv(self._evecs)
+        self._spectra: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _spectrum(self, k: int):
+        if k not in self._spectra:
+            evals, evecs = np.linalg.eig(self.L.block(k).toarray())
+            self._spectra[k] = (evals, evecs, np.linalg.inv(evecs))
+        return self._spectra[k]
 
     def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:
         """Returns an array of operators exp(L tau) op, one per tau."""
         d = self.L.dims.total_dim
-        c0 = self._inv @ vec(op_mat)
+        v = vec(op_mat)
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        out = np.empty((len(taus), d, d), dtype=complex)
-        for i, tau in enumerate(taus):
-            out[i] = unvec(self._evecs @ (np.exp(self._evals * tau) * c0), d)
-        return out
+        out = np.zeros((len(taus), d * d), dtype=complex)
+        for k, idx in enumerate(self.L.sectors):
+            part = v[idx]
+            if not np.any(part):
+                continue
+            evals, evecs, inv = self._spectrum(k)
+            out[:, idx] = (np.exp(np.outer(taus, evals)) * (inv @ part)) @ evecs.T
+        return out.reshape((len(taus), d, d)).transpose(0, 2, 1)
 
 
 def _check_density_history(history, trace_tol=1e-7, herm_tol=1e-9, eig_floor=-1e-7):
@@ -230,7 +294,7 @@ def lindblad_evolve(
         )
         history = np.array([unvec(col, d) for col in sol.y.T])
     else:
-        scale = float(np.abs(L.mat).sum(axis=1).max()) or 1.0
+        scale = float(abs(L.mat).sum(axis=1).max()) or 1.0
         dt = cfg.dt if cfg.dt is not None else 0.01 / scale
         y = vec(rho0.mat)
         history = np.empty((len(t_grid), d, d), dtype=complex)
@@ -261,31 +325,38 @@ def _truncation_tail(rho_mat: np.ndarray, dims: SpaceDims) -> float:
 def steady_state(L: Liouvillian, tail_tol: float | None = TAIL_TOL) -> DensityMatrix:
     """Unique stationary density matrix of L.
 
-    Solves the vectorized linear system with one row replaced by the trace
-    constraint.  If the solution does not satisfy L rho = 0, the null space is
-    inspected to distinguish a degenerate steady state from a solver failure.
+    The steady state lies in the k = 0 sector.  Its block is solved by sparse
+    LU with one row replaced by the trace constraint.  If the solution does
+    not satisfy L rho = 0, the null space of the block is inspected densely to
+    distinguish a degenerate steady state from a solver failure.
     """
     d = L.dims.total_dim
-    a = L.mat.copy()
-    trace_row = vec(np.eye(d))
-    a[0, :] = trace_row
-    b = np.zeros(d * d, dtype=complex)
+    idx = L.sectors[0]
+    block = L.block(0)
+    trace_row = vec(np.eye(d))[idx]
+    a = sp.vstack([sp.csr_array(trace_row[None, :]), block[1:]], format="csc")
+    b = np.zeros(len(idx), dtype=complex)
     b[0] = 1.0
-    l_scale = np.linalg.norm(L.mat)
+    l_scale = sparse_norm(L.mat)
+    x = np.zeros(d * d, dtype=complex)
     try:
-        x = np.linalg.solve(a, b)
+        x[idx] = splu(a).solve(b)
         residual = np.linalg.norm(L.mat @ x)
-    except np.linalg.LinAlgError:
-        x, residual = None, np.inf
+    except RuntimeError:  # SuperLU: the factor is exactly singular
+        residual = np.inf
 
-    if x is None or residual > 1e-9 * l_scale:
-        # fall back to an explicit null-space computation
-        _, svals, vh = np.linalg.svd(L.mat)
+    if not residual <= 1e-9 * l_scale:
+        log.warning(
+            "steady state: sparse LU residual %.3e on the k=0 block; "
+            "falling back to a dense SVD null space",
+            residual,
+        )
+        _, svals, vh = np.linalg.svd(block.toarray())
         null_dim = int(np.sum(svals < 1e-10 * svals[0]))
         if null_dim != 1:
             raise RuntimeError(f"degenerate steady state: null-space dimension {null_dim}")
-        x = vh[-1].conj()
-        x = x / (trace_row @ x)
+        x0 = vh[-1].conj()
+        x[idx] = x0 / (trace_row @ x0)
         residual = np.linalg.norm(L.mat @ x)
         if residual > 1e-9 * l_scale:
             raise RuntimeError(f"steady-state residual too large: {residual:.3e}")

@@ -11,7 +11,7 @@ from numpy.linalg import matrix_power
 
 from .dynamics import LiouvillePropagator, build_liouvillian, steady_state
 from .hilbert import DensityMatrix, Operator, StateVector, fock_annihilation
-from .model import ModelParams, dressed_state
+from .model import ModelParams, dressed, dressed_state
 
 __all__ = [
     "CorrelationCurve",
@@ -53,11 +53,14 @@ def dressed_population(
 
 def dressed_populations(state: StateVector | DensityMatrix, p: ModelParams) -> np.ndarray:
     """All P_{|m>|+->} as an (n_max+1, 2) array, columns ordered (+, -)."""
-    out = np.empty((p.n_max + 1, 2))
-    for m in range(p.n_max + 1):
-        out[m, 0] = dressed_population(state, p, m, "+")
-        out[m, 1] = dressed_population(state, p, m, "-")
-    return out
+    d = dressed(p)
+    # rows (g, e), columns (+, -): the TLS amplitudes of |+> and |->
+    u = np.array([[d.c_minus, -d.c_plus], [d.c_plus, d.c_minus]])
+    if isinstance(state, StateVector):
+        return np.abs(state.amp.reshape(-1, 2) @ u) ** 2
+    rho = state.mat.reshape(p.n_max + 1, 2, p.n_max + 1, 2)
+    blocks = np.einsum("msmt->mst", rho)
+    return np.einsum("sb,mst,tb->mb", u, blocks, u).real
 
 
 def g_equal_time(rho: DensityMatrix, ell: int) -> float:

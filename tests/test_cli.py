@@ -91,6 +91,13 @@ class TestParse:
         with pytest.raises(ConfigError, match="preset"):
             parse_config(MINIMAL, "nope")
 
+    def test_trajectory_rejects_ensemble(self):
+        # the preset writes one unraveling; an ensemble size must not be ignored
+        bad = DISSIPATIVE + "\n[seeds]\nn_trajectories = 5\n"
+        with pytest.raises(ConfigError, match=r"\[seeds\] n_trajectories"):
+            parse_config(bad, "trajectory")
+        assert parse_config(bad, "steadyscan").seeds.n_trajectories == 5
+
     def test_round_trip_is_fixed_point(self):
         cfg = parse_config(DISSIPATIVE + "\n[scan]\nmin = -30\nmax = 30\n", "steadyscan")
         text = resolved_config_text(cfg)
@@ -190,6 +197,14 @@ class TestMain:
         assert run_cli(["trajectory", "--config", cfg_file, "--out", out2]) == 0
         for name in ("trajectory_populations.csv", "trajectory_jumps.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_trajectory_ensemble_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(DISSIPATIVE + "\n[seeds]\nn_trajectories = 5\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["trajectory", "--config", cfg_file, "--out", out_dir]) == 1
+        assert "n_trajectories" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_seed_override_changes_jumps(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"

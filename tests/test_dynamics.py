@@ -1,5 +1,10 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from scipy.stats import kstest
 
 from bundlejc.dynamics import (
@@ -34,6 +39,24 @@ def decay_params(kappa=0.0, gamma=0.0, n_max=4):
         n=1, j=0.0, omega_l=0.0, delta_n=0.0, delta_a=0.0,
         kappa=kappa, gamma=gamma, n_max=n_max,
     )
+
+
+def dense_liouvillian(p):
+    """Oracle: the Lindblad superoperator built densely with numpy kron."""
+    d = p.dims.total_dim
+    eye = np.eye(d)
+    h = build_H_I(p).mat
+    lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for rate, op in (
+        (p.kappa, fock_annihilation(p.dims).mat),
+        (p.gamma, tls_operator("sigma_minus", p.dims).mat),
+    ):
+        if rate > 0:
+            odo = op.conj().T @ op
+            lmat = lmat + rate * (
+                np.kron(op.conj(), op) - 0.5 * np.kron(eye, odo) - 0.5 * np.kron(odo.T, eye)
+            )
+    return lmat
 
 
 def random_density(dims, seed):
@@ -128,7 +151,7 @@ class TestSteadyState:
         L = build_liouvillian(dissipative_n2)
         rho = steady_state(L)
         rho.validate()
-        assert np.max(np.abs(L.apply(rho.mat))) < 1e-8 * np.linalg.norm(L.mat)
+        assert np.max(np.abs(L.apply(rho.mat))) < 1e-8 * scipy.sparse.linalg.norm(L.mat)
 
     def test_agrees_with_long_time_evolution(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
@@ -137,10 +160,31 @@ class TestSteadyState:
         late = lindblad_evolve(L, rho0, np.array([0.0, 400.0]))[-1]
         np.testing.assert_allclose(late, rho_ss.mat, atol=1e-7)
 
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_matches_dense_null_vector(self, point, request):
+        p = request.getfixturevalue(point)
+        d = p.dims.total_dim
+        _, _, vh = np.linalg.svd(dense_liouvillian(p))
+        null = unvec(vh[-1].conj(), d)
+        rho = steady_state(build_liouvillian(p))
+        np.testing.assert_allclose(rho.mat, null / np.trace(null), rtol=0, atol=1e-12)
+
+    def test_fallback_logged_before_degenerate_error(self, caplog):
+        # no decay, drive or coupling: every Fock-state population is stationary,
+        # so the k=0 block is exactly singular and LU cannot factor it
+        p = ModelParams(n=2, j=0.0, omega_l=0.0, delta_n=0.3, delta_a=0.5, n_max=4)
+        L = build_liouvillian(p)
+        with caplog.at_level(logging.WARNING, logger="bundlejc"):
+            with pytest.raises(RuntimeError, match="degenerate steady state"):
+                steady_state(L)
+        fallback = [r for r in caplog.records if "SVD" in r.getMessage()]
+        assert len(fallback) == 1
+        assert fallback[0].levelno == logging.WARNING
+        assert fallback[0].name == "bundlejc"
+        assert "residual" in fallback[0].getMessage()
+
     def test_truncation_guard(self, dissipative_n2):
         # same physical point with a clearly undersized Fock space
-        from dataclasses import replace
-
         small = replace(dissipative_n2, n_max=3)
         with pytest.raises(TruncationError):
             steady_state(build_liouvillian(small))
@@ -168,6 +212,25 @@ class TestSchrodinger:
         np.testing.assert_allclose(
             np.abs(history[:, i_e]) ** 2, np.sin(1.3 * t_grid) ** 2, atol=1e-8
         )
+
+    def test_spectral_matches_expm(self, unitary_n2):
+        h = build_H_I(unitary_n2)
+        psi0 = basis_state(unitary_n2.dims, 0, 0)
+        t_grid = np.linspace(0.0, 0.5, 6)
+        # dt steers only the RK4 loop; a spectral run must not be bound by it
+        spectral = schrodinger_evolve(
+            h, psi0, t_grid, IntegratorConfig(scheme="spectral", dt=0.5)
+        )
+        exact = np.array([scipy.linalg.expm(-1j * h.mat * t) @ psi0.amp for t in t_grid])
+        np.testing.assert_allclose(spectral, exact, rtol=0, atol=1e-10)
+
+    def test_spectral_matches_adaptive(self, unitary_n2):
+        h = build_H_I(unitary_n2)
+        psi0 = basis_state(unitary_n2.dims, 0, 0)
+        t_grid = np.linspace(0.0, 0.5, 6)
+        spectral = schrodinger_evolve(h, psi0, t_grid, IntegratorConfig(scheme="spectral"))
+        adaptive = schrodinger_evolve(h, psi0, t_grid, IntegratorConfig(scheme="adaptive"))
+        np.testing.assert_allclose(adaptive, spectral, rtol=0, atol=1e-7)
 
     def test_adaptive_matches_fixed(self, unitary_n2):
         h = build_H_I(unitary_n2)
@@ -197,8 +260,6 @@ class TestSchrodinger:
 
 class TestMcwf:
     def test_no_decay_matches_schrodinger(self, unitary_n2):
-        from dataclasses import replace
-
         p = replace(unitary_n2, kappa=0.0, gamma=0.0)
         psi0 = basis_state(p.dims, 0, 0)
         rec = mcwf_trajectory(p, psi0, 0.2, seed=1, sample_dt=0.05)
@@ -304,3 +365,66 @@ class TestPropagator:
         from_prop = prop.propagate(rho0.mat, taus)
         from_evolve = lindblad_evolve(L, rho0, taus)
         np.testing.assert_allclose(from_prop, from_evolve, atol=1e-10)
+
+
+def oracle_point(n, kappa, gamma):
+    return ModelParams(
+        n=n, j=0.3, omega_l=2.0, delta_n=-1.5, delta_a=0.4,
+        kappa=kappa, gamma=gamma, n_max=6,
+    )
+
+
+class TestSectoredLiouvillian:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kappa,gamma", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.2), (1.0, 0.2)])
+    def test_matches_dense_kron(self, n, kappa, gamma):
+        p = oracle_point(n, kappa, gamma)
+        dense = dense_liouvillian(p)
+        # the two sum the same terms in a different order: equal to a few ulps
+        np.testing.assert_allclose(
+            build_liouvillian(p).mat.toarray(),
+            dense,
+            rtol=0,
+            atol=4 * np.finfo(float).eps * np.abs(dense).max(),
+        )
+
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_off_sector_blocks_vanish(self, point, request):
+        p = request.getfixturevalue(point)
+        L = build_liouvillian(p)
+        assert len(L.sectors) == p.n
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate(L.sectors)), np.arange(p.dims.total_dim**2)
+        )
+        dense = L.mat.toarray()
+        for k, rows in enumerate(L.sectors):
+            for k2, cols in enumerate(L.sectors):
+                if k != k2:
+                    assert not np.any(dense[np.ix_(rows, cols)])
+
+    def test_reports_stored_bytes(self, dissipative_n2):
+        mat = build_liouvillian(dissipative_n2).mat
+        assert mat.nbytes == mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        assert mat.nbytes < 1_000_000
+
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_propagator_matches_expm(self, point, request):
+        p = request.getfixturevalue(point)
+        L = build_liouvillian(p)
+        d = p.dims.total_dim
+        rho = random_density(p.dims, seed=11).mat
+        assert all(np.any(vec(rho)[idx]) for idx in L.sectors)
+        taus = [0.0, 0.7, 4.0]
+        got = LiouvillePropagator(L).propagate(rho, taus)
+        lmat = dense_liouvillian(p)
+        for tau, out in zip(taus, got):
+            exact = unvec(scipy.linalg.expm(lmat * tau) @ vec(rho), d)
+            np.testing.assert_allclose(out, exact, rtol=0, atol=1e-9)
+
+    def test_regression_operator_decomposes_k0_only(self, dissipative_n3):
+        L = build_liouvillian(dissipative_n3)
+        prop = LiouvillePropagator(L)
+        rho = steady_state(L).mat
+        a3 = np.linalg.matrix_power(fock_annihilation(dissipative_n3.dims).mat, 3)
+        prop.propagate(a3 @ rho @ a3.conj().T, [1.0, 2.0])
+        assert list(prop._spectra) == [0]

@@ -69,6 +69,23 @@ class TestDressedPopulations:
             d.c_plus**2, abs=1e-12
         )
 
+    def test_vectorised_matches_per_element(self, unitary_n2):
+        rng = np.random.default_rng(4)
+        d = unitary_n2.dims.total_dim
+        psi = StateVector(
+            unitary_n2.dims, rng.normal(size=d) + 1j * rng.normal(size=d)
+        ).normalized()
+        for state in (psi, psi.to_density_matrix()):
+            per_element = np.array(
+                [
+                    [dressed_population(state, unitary_n2, m, br) for br in "+-"]
+                    for m in range(unitary_n2.n_max + 1)
+                ]
+            )
+            np.testing.assert_allclose(
+                dressed_populations(state, unitary_n2), per_element, rtol=0, atol=1e-14
+            )
+
     def test_density_matrix_agrees_with_state_vector(self, unitary_n2):
         psi = basis_state(unitary_n2.dims, 2, 1)
         rho = psi.to_density_matrix()
