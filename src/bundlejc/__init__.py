@@ -57,6 +57,7 @@ from .observables import (
     g2_bundle_delayed,
     g_equal_time,
     photon_distribution,
+    sweep,
     tau_min,
 )
 

@@ -1,8 +1,9 @@
-"""Reproduction harness: config parsing, experiment presets, parameter sweeps,
-and CSV/JSON dataset emission.
+"""Reproduction harness: config parsing, the experiment preset registry, and
+CSV/JSON dataset emission.
 
 Config files are INI-style with sections [model], [scan], [integrator],
-[seeds], [output].  Unknown sections or keys are rejected.  Every run writes
+[seeds], [output]; the keys of each section are the fields of the dataclass it
+fills.  Unknown sections or keys are rejected.  Every run writes
 one CSV per dataset plus a JSON metadata sidecar holding the fully resolved
 configuration and derived quantities, so a dataset can be regenerated from its
 sidecar alone.
@@ -17,8 +18,9 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from . import __version__
 from .dynamics import (
     IntegratorConfig,
     LiouvillePropagator,
-    TAIL_TOL,
     TruncationError,
     build_liouvillian,
     mcwf_trajectory,
@@ -51,29 +52,9 @@ from .observables import (
     g2_bundle_delayed,
     g_equal_time,
     photon_distribution,
+    sweep,
     tau_min,
 )
-
-PRESETS = (
-    "superrabi",
-    "steadyscan",
-    "trajectory",
-    "g2tau",
-    "jcregime",
-    "resonances",
-    "custom",
-)
-
-# preset -> needs decay rates
-_DISSIPATIVE = {
-    "superrabi": False,
-    "steadyscan": True,
-    "trajectory": True,
-    "g2tau": True,
-    "jcregime": True,
-    "resonances": False,
-    "custom": True,
-}
 
 
 class ConfigError(ValueError):
@@ -96,18 +77,12 @@ class ScanBlock:
 
 
 @dataclass(frozen=True)
-class IntegratorBlock:
-    scheme: str = "fixed_rk4"
-    dt: float | None = None
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+class IntegratorBlock(IntegratorConfig):
+    """Integration controls plus the horizon and sampling step of the
+    time-resolved presets (None selects the preset's default)."""
+
     t_final: float | None = None
     sample_dt: float | None = None
-
-    def config(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            scheme=self.scheme, dt=self.dt, rel_tol=self.rel_tol, abs_tol=self.abs_tol
-        )
 
 
 @dataclass(frozen=True)
@@ -132,57 +107,34 @@ class ExperimentConfig:
     output: OutputBlock
 
 
-_SCHEMA = {
-    "model": {
-        "n": int,
-        "j": float,
-        "omega_l": float,
-        "delta_n": float,
-        "delta_a": str,  # float or the literal 'resonance'
-        "kappa": float,
-        "gamma": float,
-        "n_max": int,
-    },
-    "scan": {
-        "variable": str,
-        "min": float,
-        "max": float,
-        "points": int,
-        "mu_values": str,
-        "bundle_n": int,
-        "tau_points": int,
-        "tau_max": float,
-    },
-    "integrator": {
-        "scheme": str,
-        "dt": float,
-        "rel_tol": float,
-        "abs_tol": float,
-        "t_final": float,
-        "sample_dt": float,
-    },
-    "seeds": {"base_seed": int, "n_trajectories": int},
-    "output": {"directory": str, "formats": str},
-}
+def _scalar_type(hint):
+    """The type a key parses to: int for `int | None`, else the hint itself."""
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
 
-_MODEL_DEFAULTS = {"delta_a": "resonance", "kappa": 0.0, "gamma": 0.0, "n_max": 15}
+
+# section -> key -> type, from the fields of the block each section fills
+_SCHEMA = {
+    section: {key: _scalar_type(hint) for key, hint in get_type_hints(block).items()}
+    for section, block in get_type_hints(ExperimentConfig).items()
+    if section != "preset"
+}
 
 
 def _convert(section, key, raw, typ):
+    if (section, key) == ("model", "delta_a") and raw == "resonance":
+        return raw  # resolved once the rest of [model] is known
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw
+        if typ is tuple:  # [scan] mu_values: comma-separated integers
+            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        return typ(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from exc
 
 
 def parse_config(text: str, preset: str) -> ExperimentConfig:
     """Parse and fully resolve an experiment config; rejects unknown keys."""
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}; expected one of {PRESETS}")
+    if preset not in REGISTRY:
+        raise ConfigError(f"unknown preset {preset!r}; expected one of {tuple(REGISTRY)}")
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -199,30 +151,19 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             raw[section][key] = _convert(section, key, value, _SCHEMA[section][key])
 
-    model_raw = raw.get("model", {})
-    for req in ("n", "j", "omega_l", "delta_n"):
-        if req not in model_raw:
-            raise ConfigError(f"[model] missing required key {req!r}")
-    merged = dict(_MODEL_DEFAULTS) | model_raw
-    delta_a_raw = merged.pop("delta_a")
+    model_raw = dict(raw.get("model", {}))
+    delta_a = model_raw.pop("delta_a", "resonance")
+    for f in fields(ModelParams):
+        if f.default is MISSING and f.name != "delta_a" and f.name not in model_raw:
+            raise ConfigError(f"[model] missing required key {f.name!r}")
     try:
-        model = ModelParams(delta_a=0.0, **merged)
+        model = ModelParams(delta_a=0.0 if delta_a == "resonance" else delta_a, **model_raw)
     except ValueError as exc:
         raise ConfigError(f"[model] {exc}") from exc
-    if isinstance(delta_a_raw, str) and delta_a_raw.strip() == "resonance":
+    if delta_a == "resonance":
         model = replace(model, delta_a=resonance_detuning(model))
-    else:
-        model = replace(model, delta_a=_convert("model", "delta_a", delta_a_raw, float))
 
-    scan_raw = dict(raw.get("scan", {}))
-    if "mu_values" in scan_raw:
-        try:
-            scan_raw["mu_values"] = tuple(
-                int(tok) for tok in str(scan_raw["mu_values"]).split(",") if tok.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[scan] mu_values: {exc}") from exc
-    scan = ScanBlock(**scan_raw)
+    scan = ScanBlock(**raw.get("scan", {}))
     if scan.points < 2:
         raise ConfigError("[scan] points must be >= 2")
     if scan.variable != "delta_a":
@@ -234,7 +175,6 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
 
     try:
         integrator = IntegratorBlock(**raw.get("integrator", {}))
-        integrator.config()  # validates scheme/tolerances
     except ValueError as exc:
         raise ConfigError(f"[integrator] {exc}") from exc
     seeds = SeedsBlock(**raw.get("seeds", {}))
@@ -249,7 +189,7 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
     if output.formats != "csv":
         raise ConfigError(f"[output] unsupported format {output.formats!r}")
 
-    if _DISSIPATIVE[preset] and model.kappa <= 0:
+    if REGISTRY[preset].dissipative and model.kappa <= 0:
         raise ConfigError(f"[model] preset {preset!r} needs kappa > 0")
     return ExperimentConfig(
         preset=preset,
@@ -264,49 +204,22 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
 def resolved_config_text(cfg: ExperimentConfig) -> str:
     """Canonical INI rendering of a resolved config; reparses to itself."""
     cp = configparser.ConfigParser(interpolation=None)
-    m = cfg.model
-    cp["model"] = {
-        "n": str(m.n),
-        "j": repr(m.j),
-        "omega_l": repr(m.omega_l),
-        "delta_n": repr(m.delta_n),
-        "delta_a": repr(m.delta_a),
-        "kappa": repr(m.kappa),
-        "gamma": repr(m.gamma),
-        "n_max": str(m.n_max),
-    }
-    s = cfg.scan
-    cp["scan"] = {
-        "variable": s.variable,
-        "min": repr(s.min),
-        "max": repr(s.max),
-        "points": str(s.points),
-        "mu_values": ",".join(str(mu) for mu in s.mu_values),
-        "tau_points": str(s.tau_points),
-        "tau_max": repr(s.tau_max),
-    }
-    if s.bundle_n is not None:
-        cp["scan"]["bundle_n"] = str(s.bundle_n)
-    i = cfg.integrator
-    cp["integrator"] = {
-        "scheme": i.scheme,
-        "rel_tol": repr(i.rel_tol),
-        "abs_tol": repr(i.abs_tol),
-    }
-    if i.dt is not None:
-        cp["integrator"]["dt"] = repr(i.dt)
-    if i.t_final is not None:
-        cp["integrator"]["t_final"] = repr(i.t_final)
-    if i.sample_dt is not None:
-        cp["integrator"]["sample_dt"] = repr(i.sample_dt)
-    cp["seeds"] = {
-        "base_seed": str(cfg.seeds.base_seed),
-        "n_trajectories": str(cfg.seeds.n_trajectories),
-    }
-    cp["output"] = {"directory": cfg.output.directory, "formats": cfg.output.formats}
+    for section in _SCHEMA:
+        cp[section] = {
+            key: _render(value)
+            for key, value in asdict(getattr(cfg, section)).items()
+            if value is not None
+        }
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
+
+
+def _render(value) -> str:
+    """Config-file form of a field value; reparses to the same value."""
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 def _fmt(x) -> str:
@@ -353,7 +266,7 @@ def _sidecar(cfg: ExperimentConfig, out_dir: Path, name: str, extra: dict) -> Pa
     meta = {
         "preset": cfg.preset,
         "library_version": __version__,
-        "unit": "kappa" if _DISSIPATIVE[cfg.preset] else "j",
+        "unit": "kappa" if REGISTRY[cfg.preset].dissipative else "j",
         "resolved_config": resolved_config_text(cfg),
         "model": asdict(cfg.model),
         "seeds": asdict(cfg.seeds),
@@ -375,58 +288,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _scan_point(m: ModelParams, delta_a: float) -> tuple:
-    """One steady-state evaluation; returns observables plus a failure flag."""
-    p = replace(m, delta_a=float(delta_a))
-    m_top = min(3 * p.n, p.n_max)
-    try:
-        rho = steady_state(build_liouvillian(p), tail_tol=None)
-        pops = photon_distribution(rho)
-        tail = float(pops[-1])
-        gs = []
-        correlation_ok = True
-        for ell in (2, 3, 4):
-            try:
-                gs.append(g_equal_time(rho, ell))
-            except ValueError:
-                gs.append(float("nan"))
-                correlation_ok = False
-        flags = []
-        if tail >= TAIL_TOL:
-            flags.append("truncation")
-        if not correlation_ok:
-            flags.append("correlation_undefined")
-        return (delta_a, *pops[: m_top + 1], *gs, tail, ";".join(flags))
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        nan = float("nan")
-        return (delta_a, *([nan] * (m_top + 1)), nan, nan, nan, nan, f"solver: {exc}")
-
-
-def sweep(cfg: ExperimentConfig, threads: int = 1):
-    """Steady-state observables over the delta_a grid.
-
-    Per-point failures are recorded in the trailing flag column and the sweep
-    continues; row order is ascending in delta_a regardless of threading.
-    """
-    m = cfg.model
-    grid = cfg.scan.grid()
-    m_top = min(3 * m.n, m.n_max)
-    header = (
-        ["delta_a"]
-        + [f"P{k}" for k in range(m_top + 1)]
-        + ["g2", "g3", "g4", "tail_population", "flag"]
-    )
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda da: _scan_point(m, da), grid))
-    else:
-        rows = [_scan_point(m, da) for da in grid]
-    return header, rows
-
-
-def _run_superrabi(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+def _run_superrabi(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
     m = cfg.model
     eff = omega_eff_mollow(m)
     t_final = cfg.integrator.t_final
@@ -437,7 +299,7 @@ def _run_superrabi(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
         n_pts = max(2, int(round(t_final / cfg.integrator.sample_dt)) + 1)
     t_grid = np.linspace(0.0, t_final, n_pts)
     psi0 = dressed_state(m, 0, "+")
-    history = schrodinger_evolve(build_H_I(m), psi0, t_grid, cfg.integrator.config())
+    history = schrodinger_evolve(build_H_I(m), psi0, t_grid, cfg.integrator)
     v_top = dressed_state(m, 0, "+").amp
     v_bot = dressed_state(m, m.n, "-").amp
     p_top = np.abs(history @ v_top.conj()) ** 2
@@ -451,7 +313,7 @@ def _run_superrabi(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 
 def _run_steadyscan(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
-    header, rows = sweep(cfg, threads=threads)
+    header, rows = sweep(cfg.model, cfg.scan.grid(), threads=threads)
     csv_path = out_dir / "steadyscan.csv"
     _write_csv(csv_path, header, rows)
     n_flagged = sum(1 for r in rows if r[-1])
@@ -468,7 +330,7 @@ def _run_steadyscan(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[
     return [csv_path, meta]
 
 
-def _run_trajectory(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+def _run_trajectory(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
     m = cfg.model
     t_final = cfg.integrator.t_final if cfg.integrator.t_final is not None else 50.0 / m.kappa
     sample_dt = (
@@ -500,7 +362,7 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     return [pop_path, jump_path, meta]
 
 
-def _run_g2tau(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+def _run_g2tau(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
     m = cfg.model
     n_bundle = cfg.scan.bundle_n if cfg.scan.bundle_n is not None else m.n
     prop = LiouvillePropagator(build_liouvillian(m))
@@ -539,7 +401,7 @@ def _run_g2tau(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     return [csv_path, meta]
 
 
-def _run_jcregime(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+def _run_jcregime(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
     m = cfg.model
     eig = jc_eigensystem(m)
     rows = []
@@ -559,7 +421,7 @@ def _run_jcregime(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     return [csv_path, meta]
 
 
-def _run_resonances(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+def _run_resonances(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
     m = cfg.model
     rows = [(m.n, 1, resonant_branch(m), resonance_detuning(m))]
     for mu in cfg.scan.mu_values:
@@ -571,7 +433,7 @@ def _run_resonances(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     return [csv_path, meta]
 
 
-def _run_custom(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+def _run_custom(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
     m = cfg.model
     rho = steady_state(build_liouvillian(m))
     pops = photon_distribution(rho)
@@ -587,20 +449,31 @@ def _run_custom(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     return [csv_path, meta]
 
 
+class Preset(NamedTuple):
+    """run(cfg, out_dir, threads) writes the datasets and sidecar and returns
+    their paths; a dissipative preset needs kappa > 0 and is in units of kappa,
+    the others in units of J."""
+
+    run: Callable[[ExperimentConfig, Path, int], list[Path]]
+    dissipative: bool
+
+
+REGISTRY = {
+    "superrabi": Preset(_run_superrabi, dissipative=False),
+    "steadyscan": Preset(_run_steadyscan, dissipative=True),
+    "trajectory": Preset(_run_trajectory, dissipative=True),
+    "g2tau": Preset(_run_g2tau, dissipative=True),
+    "jcregime": Preset(_run_jcregime, dissipative=True),
+    "resonances": Preset(_run_resonances, dissipative=False),
+    "custom": Preset(_run_custom, dissipative=True),
+}
+
+
 def run_preset(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
     """Execute a preset; returns the paths written (datasets + sidecar)."""
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runners = {
-        "superrabi": lambda: _run_superrabi(cfg, out_dir),
-        "steadyscan": lambda: _run_steadyscan(cfg, out_dir, threads),
-        "trajectory": lambda: _run_trajectory(cfg, out_dir),
-        "g2tau": lambda: _run_g2tau(cfg, out_dir),
-        "jcregime": lambda: _run_jcregime(cfg, out_dir),
-        "resonances": lambda: _run_resonances(cfg, out_dir),
-        "custom": lambda: _run_custom(cfg, out_dir),
-    }
-    return runners[cfg.preset]()
+    return REGISTRY[cfg.preset].run(cfg, out_dir, threads)
 
 
 def main(argv=None) -> int:
@@ -608,7 +481,7 @@ def main(argv=None) -> int:
         prog="bundlejc",
         description="n-photon Jaynes-Cummings bundle-emission simulator",
     )
-    parser.add_argument("preset", choices=PRESETS)
+    parser.add_argument("preset", choices=tuple(REGISTRY))
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--out", help="output directory (overrides [output] directory)")
     parser.add_argument("--seed", type=int, help="override [seeds] base_seed")

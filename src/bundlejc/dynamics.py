@@ -7,9 +7,9 @@ m and m' are the photon numbers of the row and column of rho, so L is
 block-diagonal in k (a weak symmetry).  The steady state lies in the k = 0
 block and is found by sparse LU on that block alone; the spectral propagator
 eigendecomposes a block only when an operator has support in it.
-Master-equation propagation defaults to that spectral decomposition, which is
-exact at the sample times; fixed-step RK4 and an adaptive scheme are kept as
-alternatives.
+H and L do not depend on time, so both equations of motion are propagated
+through an eigendecomposition, which is exact at the sample times; the
+adaptive DOP853 scheme is kept as an independent check.
 """
 
 from __future__ import annotations
@@ -60,19 +60,18 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration controls.  dt=None means the conservative default
-    dt = 0.01 / (spectral scale of the generator)."""
+    """Integration controls.  "spectral" propagates exactly through an
+    eigendecomposition; "adaptive" is DOP853 with the given tolerances."""
 
-    scheme: str = "fixed_rk4"
-    dt: float | None = None
+    scheme: str = "spectral"
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.scheme not in ("fixed_rk4", "adaptive", "spectral"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be > 0")
+        if self.scheme not in ("spectral", "adaptive"):
+            raise ValueError(
+                f"scheme {self.scheme!r}: expected 'spectral' or 'adaptive'"
+            )
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
 
@@ -94,10 +93,10 @@ def schrodinger_evolve(
 ) -> np.ndarray:
     """Integrate i dpsi/dt = H psi; returns amplitudes at each grid time.
 
-    scheme="spectral" is exact at the grid times (eigh of H); "adaptive" is
-    DOP853 and "fixed_rk4" a fixed-step loop.  No renormalization is applied:
-    norm drift beyond 1e-5 aborts, because it means the step size was too
-    coarse for the spectral range of H.
+    scheme="spectral" (the default) is exact at the grid times (eigh of H);
+    "adaptive" is DOP853.  No renormalization is applied: norm drift beyond
+    1e-5 aborts, because it means the adaptive tolerances were too loose for
+    the spectral range of H.
     """
     cfg = cfg or IntegratorConfig()
     if not H.is_hermitian(1e-10):
@@ -108,7 +107,12 @@ def schrodinger_evolve(
         raise ValueError("psi0 must be normalized")
     mat = H.mat
 
-    if cfg.scheme == "adaptive":
+    if cfg.scheme == "spectral":
+        evals, evecs = np.linalg.eigh(mat)
+        c0 = evecs.conj().T @ psi
+        phases = np.exp(-1j * np.outer(t_grid - t_grid[0], evals))
+        history = (phases * c0) @ evecs.T
+    else:
         sol = solve_ivp(
             lambda t, y: -1j * (mat @ y),
             (t_grid[0], t_grid[-1]),
@@ -119,33 +123,12 @@ def schrodinger_evolve(
             atol=cfg.abs_tol,
         )
         history = sol.y.T.copy()
-    elif cfg.scheme == "spectral":
-        evals, evecs = np.linalg.eigh(mat)
-        c0 = evecs.conj().T @ psi
-        phases = np.exp(-1j * np.outer(t_grid - t_grid[0], evals))
-        history = (phases * c0) @ evecs.T
-    else:
-        scale = float(np.max(np.abs(np.linalg.eigvalsh(mat)))) or 1.0
-        dt = cfg.dt if cfg.dt is not None else 0.01 / scale
-        history = np.empty((len(t_grid), len(psi)), dtype=complex)
-        t = t_grid[0]
-        history[0] = psi
-        for k, t_next in enumerate(t_grid[1:], start=1):
-            span = t_next - t
-            n_steps = max(1, int(math.ceil(span / dt)))
-            h = span / n_steps
-            for _ in range(n_steps):
-                k1 = -1j * (mat @ psi)
-                k2 = -1j * (mat @ (psi + 0.5 * h * k1))
-                k3 = -1j * (mat @ (psi + 0.5 * h * k2))
-                k4 = -1j * (mat @ (psi + h * k3))
-                psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t = t_next
-            history[k] = psi
 
     drift = np.abs(np.linalg.norm(history, axis=1) - 1.0).max()
     if drift > 1e-5:
-        raise RuntimeError(f"step size too coarse: norm drift {drift:.3e}")
+        raise RuntimeError(
+            f"norm drift {drift:.3e} > 1e-5: integration tolerances too loose"
+        )
     return history
 
 
@@ -163,11 +146,14 @@ class Liouvillian:
 
     sectors[k] holds the vec indices of the entries rho[i, j] whose photon
     numbers satisfy (m_i - m_j) mod n = k; mat has no entry between sectors.
+    cavity_decay is False when kappa = 0, where nothing relaxes the photon
+    number and the steady state need not be unique.
     """
 
     dims: SpaceDims
     mat: _CSR
     sectors: tuple[np.ndarray, ...]
+    cavity_decay: bool
 
     def apply(self, rho_mat: np.ndarray) -> np.ndarray:
         d = self.dims.total_dim
@@ -218,7 +204,7 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
     lmat = _CSR((vals, (rows, cols)), shape=(d * d, d * d))
     lmat.eliminate_zeros()
-    return Liouvillian(dims, lmat, _sectors(dims, p.n))
+    return Liouvillian(dims, lmat, _sectors(dims, p.n), cavity_decay=p.kappa > 0)
 
 
 class LiouvillePropagator:
@@ -275,14 +261,14 @@ def lindblad_evolve(
     cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
     """Propagate rho0 under L; returns density matrices at each grid time."""
-    cfg = cfg or IntegratorConfig(scheme="spectral")
+    cfg = cfg or IntegratorConfig()
     t_grid = np.asarray(t_grid, dtype=float)
     d = L.dims.total_dim
     rho0.validate()
 
     if cfg.scheme == "spectral":
         history = LiouvillePropagator(L).propagate(rho0.mat, t_grid - t_grid[0])
-    elif cfg.scheme == "adaptive":
+    else:
         sol = solve_ivp(
             lambda t, y: L.mat @ y,
             (t_grid[0], t_grid[-1]),
@@ -293,25 +279,6 @@ def lindblad_evolve(
             atol=cfg.abs_tol,
         )
         history = np.array([unvec(col, d) for col in sol.y.T])
-    else:
-        scale = float(abs(L.mat).sum(axis=1).max()) or 1.0
-        dt = cfg.dt if cfg.dt is not None else 0.01 / scale
-        y = vec(rho0.mat)
-        history = np.empty((len(t_grid), d, d), dtype=complex)
-        history[0] = rho0.mat
-        t = t_grid[0]
-        for k, t_next in enumerate(t_grid[1:], start=1):
-            span = t_next - t
-            n_steps = max(1, int(math.ceil(span / dt)))
-            h = span / n_steps
-            for _ in range(n_steps):
-                k1 = L.mat @ y
-                k2 = L.mat @ (y + 0.5 * h * k1)
-                k3 = L.mat @ (y + 0.5 * h * k2)
-                k4 = L.mat @ (y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t = t_next
-            history[k] = unvec(y, d)
 
     _check_density_history(history)
     return history
@@ -327,29 +294,35 @@ def steady_state(L: Liouvillian, tail_tol: float | None = TAIL_TOL) -> DensityMa
 
     The steady state lies in the k = 0 sector.  Its block is solved by sparse
     LU with one row replaced by the trace constraint.  If the solution does
-    not satisfy L rho = 0, the null space of the block is inspected densely to
-    distinguish a degenerate steady state from a solver failure.
+    not satisfy L rho = 0, or L has no cavity decay (then LU returns one of
+    possibly many stationary states), the null space of the block is
+    inspected densely to distinguish a degenerate steady state from a solver
+    failure.
     """
     d = L.dims.total_dim
     idx = L.sectors[0]
     block = L.block(0)
     trace_row = vec(np.eye(d))[idx]
-    a = sp.vstack([sp.csr_array(trace_row[None, :]), block[1:]], format="csc")
-    b = np.zeros(len(idx), dtype=complex)
-    b[0] = 1.0
     l_scale = sparse_norm(L.mat)
     x = np.zeros(d * d, dtype=complex)
-    try:
-        x[idx] = splu(a).solve(b)
-        residual = np.linalg.norm(L.mat @ x)
-    except RuntimeError:  # SuperLU: the factor is exactly singular
-        residual = np.inf
+    residual = np.inf
+    if L.cavity_decay:
+        a = sp.vstack([sp.csr_array(trace_row[None, :]), block[1:]], format="csc")
+        b = np.zeros(len(idx), dtype=complex)
+        b[0] = 1.0
+        try:
+            x[idx] = splu(a).solve(b)
+            residual = np.linalg.norm(L.mat @ x)
+        except RuntimeError:  # SuperLU: the factor is exactly singular
+            pass
+        why = f"sparse LU residual {residual:.3e}"
+    else:
+        why = "no cavity decay, so no LU residual proves uniqueness"
 
     if not residual <= 1e-9 * l_scale:
         log.warning(
-            "steady state: sparse LU residual %.3e on the k=0 block; "
-            "falling back to a dense SVD null space",
-            residual,
+            "steady state on the k=0 block: %s; falling back to a dense SVD null space",
+            why,
         )
         _, svals, vh = np.linalg.svd(block.toarray())
         null_dim = int(np.sum(svals < 1e-10 * svals[0]))

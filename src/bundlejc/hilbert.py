@@ -25,7 +25,6 @@ __all__ = [
     "commutator",
     "expectation",
     "basis_state",
-    "fock_projector",
 ]
 
 GROUND = 0
@@ -209,11 +208,3 @@ def basis_state(dims: SpaceDims, m: int, s: int) -> StateVector:
     amp[dims.index(m, s)] = 1.0
     return StateVector(dims, amp)
 
-
-def fock_projector(m: int, dims: SpaceDims) -> Operator:
-    """|m><m| (x) I_2, the projector onto the m-photon subspace."""
-    mat = np.zeros((dims.total_dim, dims.total_dim), dtype=complex)
-    for s in (0, 1):
-        i = dims.index(m, s)
-        mat[i, i] = 1.0
-    return Operator(dims, mat)

@@ -1,15 +1,16 @@
 """Measured quantities: photon and dressed-state populations, equal-time
-high-order correlations, and time-delayed bundle correlation functions."""
+high-order correlations, time-delayed bundle correlation functions, and
+steady-state sweeps over the cavity detuning."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import matrix_power
 
-from .dynamics import LiouvillePropagator, build_liouvillian, steady_state
+from .dynamics import TAIL_TOL, LiouvillePropagator, build_liouvillian, steady_state
 from .hilbert import DensityMatrix, Operator, StateVector, fock_annihilation
 from .model import ModelParams, dressed, dressed_state
 
@@ -21,6 +22,7 @@ __all__ = [
     "g_equal_time",
     "tau_min",
     "g2_bundle_delayed",
+    "sweep",
 ]
 
 
@@ -151,3 +153,54 @@ def g2_bundle_delayed(
     return CorrelationCurve(
         kind="delayed_gN2", order=N, abscissa=tau_grid, values=values
     )
+
+
+def _scan_point(m: ModelParams, delta_a: float) -> tuple:
+    """One steady-state evaluation; returns observables plus a failure flag."""
+    p = replace(m, delta_a=float(delta_a))
+    m_top = min(3 * p.n, p.n_max)
+    try:
+        rho = steady_state(build_liouvillian(p), tail_tol=None)
+        pops = photon_distribution(rho)
+        tail = float(pops[-1])
+        gs = []
+        correlation_ok = True
+        for ell in (2, 3, 4):
+            try:
+                gs.append(g_equal_time(rho, ell))
+            except ValueError:
+                gs.append(float("nan"))
+                correlation_ok = False
+        flags = []
+        if tail >= TAIL_TOL:
+            flags.append("truncation")
+        if not correlation_ok:
+            flags.append("correlation_undefined")
+        return (delta_a, *pops[: m_top + 1], *gs, tail, ";".join(flags))
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        nan = float("nan")
+        return (delta_a, *([nan] * (m_top + 1)), nan, nan, nan, nan, f"solver: {exc}")
+
+
+def sweep(p: ModelParams, grid, threads: int = 1):
+    """Steady-state observables of p at each delta_a in grid.
+
+    Returns (header, rows): delta_a, P_0..P_min(3n, n_max), g2, g3, g4, the
+    top-level population and a flag.  Per-point failures are recorded in the
+    trailing flag column and the sweep continues; rows follow grid order
+    regardless of threading.
+    """
+    m_top = min(3 * p.n, p.n_max)
+    header = (
+        ["delta_a"]
+        + [f"P{k}" for k in range(m_top + 1)]
+        + ["g2", "g3", "g4", "tail_population", "flag"]
+    )
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(lambda da: _scan_point(p, da), grid))
+    else:
+        rows = [_scan_point(p, da) for da in grid]
+    return header, rows

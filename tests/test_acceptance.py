@@ -6,7 +6,6 @@ few minutes total.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -39,8 +38,8 @@ from bundlejc.model import (
 )
 from bundlejc.observables import (
     g2_bundle_delayed,
-    g_equal_time,
     photon_distribution,
+    sweep,
     tau_min,
 )
 
@@ -116,28 +115,18 @@ def test_criterion_3_effective_splitting(unitary_n2, unitary_n3):
     assert ok, line
 
 
-def _scan(p, grid, threads=8):
-    """Steady-state P_m and equal-time correlations over a delta_a grid.
+def _scan(p, grid):
+    """Steady-state P_m (m <= min(3n, n_max)) and equal-time g2, g3, g4 over a
+    delta_a grid.
 
     The truncation check is per-row (flag), so resonant ladder-climbing points
-    do not abort the scan."""
-
-    def point(da):
-        rho = steady_state(build_liouvillian(replace(p, delta_a=float(da))), tail_tol=None)
-        pops = photon_distribution(rho)
-        gs = []
-        for ell in (2, 3, 4):
-            try:
-                gs.append(g_equal_time(rho, ell))
-            except ValueError:
-                gs.append(float("nan"))
-        return pops, gs
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(point, grid))
-    pops = np.array([r[0] for r in results])
-    gs = np.array([r[1] for r in results])
-    return pops, gs
+    do not abort the scan; a solver failure on any row does."""
+    header, rows = sweep(p, grid, threads=8)
+    failed = [row for row in rows if "solver:" in row[-1]]
+    assert not failed, f"steady-state solver failed at {len(failed)} rows: {failed[0][-1]}"
+    table = np.array([row[:-1] for row in rows], dtype=float)
+    g2 = header.index("g2")  # columns: delta_a, P0.., g2, g3, g4, tail
+    return table[:, 1:g2], table[:, g2 : g2 + 3]
 
 
 def _has_local_extremum_near(grid, values, target, kind, step):

@@ -9,9 +9,9 @@ from bundlejc.cli import (
     main,
     parse_config,
     resolved_config_text,
-    sweep,
 )
 from bundlejc.model import resonance_detuning, resonance_detuning_higher
+from bundlejc.observables import sweep
 
 MINIMAL = """
 [model]
@@ -41,7 +41,7 @@ class TestParse:
         assert m.delta_a == pytest.approx(resonance_detuning(m))
         assert cfg.scan.points == 801
         assert cfg.seeds.base_seed == 12345
-        assert cfg.integrator.scheme == "fixed_rk4"
+        assert cfg.integrator.scheme == "spectral"
 
     def test_explicit_delta_a(self):
         cfg = parse_config(MINIMAL + "delta_a = 3.5\n", "resonances")
@@ -78,6 +78,17 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"\[integrator\]"):
             parse_config(bad, "steadyscan")
 
+    def test_removed_scheme_named(self):
+        bad = DISSIPATIVE + "\n[integrator]\nscheme = fixed_rk4\n"
+        with pytest.raises(ConfigError, match=r"\[integrator\] scheme .*spectral"):
+            parse_config(bad, "steadyscan")
+
+    def test_removed_dt_key_named(self):
+        # an old config or sidecar is refused, not reinterpreted
+        bad = DISSIPATIVE + "\n[integrator]\ndt = 0.001\n"
+        with pytest.raises(ConfigError, match="'dt'"):
+            parse_config(bad, "steadyscan")
+
     def test_unsupported_output_format(self):
         bad = DISSIPATIVE + "\n[output]\nformats = parquet\n"
         with pytest.raises(ConfigError, match="parquet"):
@@ -99,11 +110,17 @@ class TestParse:
         assert parse_config(bad, "steadyscan").seeds.n_trajectories == 5
 
     def test_round_trip_is_fixed_point(self):
-        cfg = parse_config(DISSIPATIVE + "\n[scan]\nmin = -30\nmax = 30\n", "steadyscan")
-        text = resolved_config_text(cfg)
-        again = parse_config(text, "steadyscan")
-        assert again == cfg
-        assert resolved_config_text(again) == text
+        for extra in (
+            "\n[scan]\nmin = -30\nmax = 30\n",
+            # every optional field set, and a non-default scheme
+            "\n[scan]\nbundle_n = 3\nmu_values = 2,4\n"
+            "\n[integrator]\nscheme = adaptive\nt_final = 7.5\nsample_dt = 0.25\n",
+        ):
+            cfg = parse_config(DISSIPATIVE + extra, "steadyscan")
+            text = resolved_config_text(cfg)
+            again = parse_config(text, "steadyscan")
+            assert again == cfg
+            assert resolved_config_text(again) == text
 
 
 class TestSweep:
@@ -112,7 +129,7 @@ class TestSweep:
             DISSIPATIVE + "\n[scan]\nmin = 21.28\nmax = 21.28\npoints = 2\n",
             "steadyscan",
         )
-        header, rows = sweep(cfg)
+        header, rows = sweep(cfg.model, cfg.scan.grid())
         assert header[0] == "delta_a" and header[-1] == "flag"
         assert len(rows) == 2
         assert rows[0] == rows[1]
@@ -123,8 +140,8 @@ class TestSweep:
         cfg = parse_config(
             DISSIPATIVE + "\n[scan]\nmin = 15\nmax = 25\npoints = 3\n", "steadyscan"
         )
-        _, serial = sweep(cfg, threads=1)
-        _, threaded = sweep(cfg, threads=2)
+        _, serial = sweep(cfg.model, cfg.scan.grid(), threads=1)
+        _, threaded = sweep(cfg.model, cfg.scan.grid(), threads=2)
         assert serial == threaded
 
 

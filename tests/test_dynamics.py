@@ -183,6 +183,15 @@ class TestSteadyState:
         assert fallback[0].name == "bundlejc"
         assert "residual" in fallback[0].getMessage()
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_no_cavity_decay_is_degenerate(self, dissipative_n2, gamma):
+        # kappa = 0: with gamma = 0 nothing relaxes (null space 26), with
+        # gamma > 0 the photon number mod n is conserved (null space 2); LU
+        # alone would return one stationary state of many without a word
+        L = build_liouvillian(replace(dissipative_n2, kappa=0.0, gamma=gamma))
+        with pytest.raises(RuntimeError, match="degenerate steady state"):
+            steady_state(L, tail_tol=None)
+
     def test_truncation_guard(self, dissipative_n2):
         # same physical point with a clearly undersized Fock space
         small = replace(dissipative_n2, n_max=3)
@@ -217,10 +226,7 @@ class TestSchrodinger:
         h = build_H_I(unitary_n2)
         psi0 = basis_state(unitary_n2.dims, 0, 0)
         t_grid = np.linspace(0.0, 0.5, 6)
-        # dt steers only the RK4 loop; a spectral run must not be bound by it
-        spectral = schrodinger_evolve(
-            h, psi0, t_grid, IntegratorConfig(scheme="spectral", dt=0.5)
-        )
+        spectral = schrodinger_evolve(h, psi0, t_grid, IntegratorConfig(scheme="spectral"))
         exact = np.array([scipy.linalg.expm(-1j * h.mat * t) @ psi0.amp for t in t_grid])
         np.testing.assert_allclose(spectral, exact, rtol=0, atol=1e-10)
 
@@ -232,21 +238,14 @@ class TestSchrodinger:
         adaptive = schrodinger_evolve(h, psi0, t_grid, IntegratorConfig(scheme="adaptive"))
         np.testing.assert_allclose(adaptive, spectral, rtol=0, atol=1e-7)
 
-    def test_adaptive_matches_fixed(self, unitary_n2):
-        h = build_H_I(unitary_n2)
-        psi0 = basis_state(unitary_n2.dims, 0, 0)
-        t_grid = np.linspace(0.0, 0.5, 6)
-        fixed = schrodinger_evolve(h, psi0, t_grid)
-        adaptive = schrodinger_evolve(h, psi0, t_grid, IntegratorConfig(scheme="adaptive"))
-        np.testing.assert_allclose(adaptive, fixed, atol=1e-6)
-
     def test_coarse_step_rejected(self, unitary_n2):
+        # loose tolerances let DOP853 take steps too coarse for the spectral
+        # range of H: the norm drifts by about 1e-4
         h = build_H_I(unitary_n2)
         psi0 = basis_state(unitary_n2.dims, 0, 0)
-        with pytest.raises(RuntimeError, match="too coarse"):
-            schrodinger_evolve(
-                h, psi0, np.linspace(0.0, 1.0, 3), IntegratorConfig(dt=0.5)
-            )
+        loose = IntegratorConfig(scheme="adaptive", rel_tol=1e-3, abs_tol=1e-3)
+        with pytest.raises(RuntimeError, match="norm drift .* too loose"):
+            schrodinger_evolve(h, psi0, np.linspace(0.0, 1.0, 3), loose)
 
     def test_non_hermitian_rejected(self):
         p = decay_params()
