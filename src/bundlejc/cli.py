@@ -3,10 +3,10 @@ CSV/JSON dataset emission.
 
 Config files are INI-style with sections [model], [scan], [integrator],
 [seeds], [output]; the keys of each section are the fields of the dataclass it
-fills.  Unknown sections or keys are rejected.  Every run writes
-one CSV per dataset plus a JSON metadata sidecar holding the fully resolved
-configuration and derived quantities, so a dataset can be regenerated from its
-sidecar alone.
+fills.  Unknown sections or keys are rejected.  A preset computes its tables;
+`run_preset` then writes one CSV per table plus a JSON metadata sidecar holding
+the fully resolved configuration and derived quantities, so a dataset can be
+regenerated from its sidecar alone.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, get_args, get_type_hints
@@ -63,7 +64,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScanBlock:
-    variable: str = "delta_a"
     min: float = -40.0
     max: float = 40.0
     points: int = 801
@@ -84,17 +84,22 @@ class IntegratorBlock(IntegratorConfig):
     t_final: float | None = None
     sample_dt: float | None = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("t_final", "sample_dt"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0; got {value}")
+
 
 @dataclass(frozen=True)
 class SeedsBlock:
     base_seed: int = 12345
-    n_trajectories: int = 1
 
 
 @dataclass(frozen=True)
 class OutputBlock:
     directory: str = "."
-    formats: str = "csv"
 
 
 @dataclass(frozen=True)
@@ -166,28 +171,26 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
     scan = ScanBlock(**raw.get("scan", {}))
     if scan.points < 2:
         raise ConfigError("[scan] points must be >= 2")
-    if scan.variable != "delta_a":
-        raise ConfigError(f"[scan] unsupported scan variable {scan.variable!r}")
     if not (math.isfinite(scan.min) and math.isfinite(scan.max)):
         raise ConfigError("[scan] bounds must be finite")
     if any(mu < 2 for mu in scan.mu_values):
         raise ConfigError("[scan] mu_values must all be >= 2")
+    if scan.bundle_n is not None and not 1 <= scan.bundle_n <= model.n_max:
+        raise ConfigError(
+            f"[scan] bundle_n must be in 1..n_max={model.n_max}; got {scan.bundle_n}"
+        )
+    if scan.tau_points < 1:
+        raise ConfigError(f"[scan] tau_points must be >= 1; got {scan.tau_points}")
+    floor = tau_min(scan.bundle_n or model.n, 1.0)  # in units of 1/kappa, like tau_max
+    if not (math.isfinite(scan.tau_max) and scan.tau_max > floor):
+        raise ConfigError(
+            f"[scan] tau_max must be finite and > tau_min = {floor:g}; got {scan.tau_max}"
+        )
 
     try:
         integrator = IntegratorBlock(**raw.get("integrator", {}))
     except ValueError as exc:
         raise ConfigError(f"[integrator] {exc}") from exc
-    seeds = SeedsBlock(**raw.get("seeds", {}))
-    if seeds.n_trajectories < 1:
-        raise ConfigError("[seeds] n_trajectories must be >= 1")
-    if preset == "trajectory" and seeds.n_trajectories > 1:
-        raise ConfigError(
-            "[seeds] n_trajectories must be 1 for preset 'trajectory', which "
-            f"writes a single unraveling; got {seeds.n_trajectories}"
-        )
-    output = OutputBlock(**raw.get("output", {}))
-    if output.formats != "csv":
-        raise ConfigError(f"[output] unsupported format {output.formats!r}")
 
     if REGISTRY[preset].dissipative and model.kappa <= 0:
         raise ConfigError(f"[model] preset {preset!r} needs kappa > 0")
@@ -196,8 +199,8 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
         model=model,
         scan=scan,
         integrator=integrator,
-        seeds=seeds,
-        output=output,
+        seeds=SeedsBlock(**raw.get("seeds", {})),
+        output=OutputBlock(**raw.get("output", {})),
     )
 
 
@@ -228,12 +231,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
+    return path
 
 
 def derived_quantities(m: ModelParams) -> dict:
@@ -256,13 +260,12 @@ def derived_quantities(m: ModelParams) -> dict:
             table[f"mu_{mu}_plus"] = resonance_detuning_higher(m, mu, +1)
             table[f"mu_{mu}_minus"] = resonance_detuning_higher(m, mu, -1)
         out["resonance_table"] = table
-    den = m.n * m.delta_a * m.delta_sigma - math.factorial(m.n) * m.j**2
-    if den != 0:
+    with suppress(ZeroDivisionError):  # singular effective model: no JC frequency
         out["omega_eff_jc"] = omega_eff_jc(m)
     return out
 
 
-def _sidecar(cfg: ExperimentConfig, out_dir: Path, name: str, extra: dict) -> Path:
+def _sidecar(cfg: ExperimentConfig, out_dir: Path, extra: dict) -> Path:
     meta = {
         "preset": cfg.preset,
         "library_version": __version__,
@@ -273,7 +276,7 @@ def _sidecar(cfg: ExperimentConfig, out_dir: Path, name: str, extra: dict) -> Pa
         "derived": derived_quantities(cfg.model),
         **extra,
     }
-    path = out_dir / f"{name}_metadata.json"
+    path = out_dir / f"{cfg.preset}_metadata.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
@@ -288,7 +291,7 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _run_superrabi(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
+def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     eff = omega_eff_mollow(m)
     t_final = cfg.integrator.t_final
@@ -306,31 +309,20 @@ def _run_superrabi(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[P
     p_bot = np.abs(history @ v_bot.conj()) ** 2
     analytic = np.sin(eff.omega_eff * t_grid) ** 2
     rows = zip(t_grid, p_top, p_bot, analytic)
-    csv_path = out_dir / "superrabi.csv"
-    _write_csv(csv_path, ["t", "P_0_plus", "P_n_minus", "analytic_sin2"], rows)
-    meta = _sidecar(cfg, out_dir, "superrabi", {"t_final": t_final, "columns": 4})
-    return [csv_path, meta]
+    header = ["t", "P_0_plus", "P_n_minus", "analytic_sin2"]
+    return {"superrabi": (header, rows)}, {"t_final": t_final, "columns": 4}
 
 
-def _run_steadyscan(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
-    header, rows = sweep(cfg.model, cfg.scan.grid(), threads=threads)
-    csv_path = out_dir / "steadyscan.csv"
-    _write_csv(csv_path, header, rows)
-    n_flagged = sum(1 for r in rows if r[-1])
-    meta = _sidecar(
-        cfg,
-        out_dir,
-        "steadyscan",
-        {
-            "grid_points": cfg.scan.points,
-            "flagged_rows": n_flagged,
-            "truncation_check": "per-row; see 'flag' column",
-        },
-    )
-    return [csv_path, meta]
+def _run_steadyscan(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    header, rows = sweep(cfg.model, cfg.scan.grid())
+    return {"steadyscan": (header, rows)}, {
+        "grid_points": cfg.scan.points,
+        "flagged_rows": sum(1 for r in rows if r[-1]),
+        "truncation_check": "per-row; see 'flag' column",
+    }
 
 
-def _run_trajectory(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
+def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     t_final = cfg.integrator.t_final if cfg.integrator.t_final is not None else 50.0 / m.kappa
     sample_dt = (
@@ -349,20 +341,14 @@ def _run_trajectory(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[
         for k in range(m_top + 1):
             row += [pops[k, 0], pops[k, 1]]
         rows.append(row)
-    pop_path = out_dir / "trajectory_populations.csv"
-    _write_csv(pop_path, header, rows)
-    jump_path = out_dir / "trajectory_jumps.csv"
-    _write_csv(jump_path, ["time", "channel"], rec.jumps)
-    meta = _sidecar(
-        cfg,
-        out_dir,
-        "trajectory",
-        {"t_final": t_final, "sample_dt": sample_dt, "n_jumps": len(rec.jumps)},
-    )
-    return [pop_path, jump_path, meta]
+    tables = {
+        "trajectory_populations": (header, rows),
+        "trajectory_jumps": (["time", "channel"], rec.jumps),
+    }
+    return tables, {"t_final": t_final, "sample_dt": sample_dt, "n_jumps": len(rec.jumps)}
 
 
-def _run_g2tau(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
+def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     n_bundle = cfg.scan.bundle_n if cfg.scan.bundle_n is not None else m.n
     prop = LiouvillePropagator(build_liouvillian(m))
@@ -385,23 +371,15 @@ def _run_g2tau(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]
     )
     rows = [("g1", t, v) for t, v in zip(curve_1.abscissa, curve_1.values)]
     rows += [(f"g{n_bundle}_bundle", t, v) for t, v in zip(curve_n.abscissa, curve_n.values)]
-    csv_path = out_dir / "g2tau.csv"
-    _write_csv(csv_path, ["curve", "tau", "value"], rows)
-    meta = _sidecar(
-        cfg,
-        out_dir,
-        "g2tau",
-        {
-            "bundle_n": n_bundle,
-            "tau_min": tau_min(n_bundle, m.kappa),
-            "tau_min_note": "g_N value at tau_min is the approximate zero-delay value",
-            "g_equal_time_2": g_equal_time(rho, 2),
-        },
-    )
-    return [csv_path, meta]
+    return {"g2tau": (["curve", "tau", "value"], rows)}, {
+        "bundle_n": n_bundle,
+        "tau_min": tau_min(n_bundle, m.kappa),
+        "tau_min_note": "g_N value at tau_min is the approximate zero-delay value",
+        "g_equal_time_2": g_equal_time(rho, 2),
+    }
 
 
-def _run_jcregime(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
+def _run_jcregime(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     eig = jc_eigensystem(m)
     rows = []
@@ -410,51 +388,48 @@ def _run_jcregime(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Pa
     for k, mm in enumerate(eig.m_values):
         rows.append((int(mm), "plus", eig.e_plus[k], eig.c_plus[k], eig.c_minus[k], eig.omega_m[k]))
         rows.append((int(mm), "minus", eig.e_minus[k], eig.c_plus[k], eig.c_minus[k], eig.omega_m[k]))
-    csv_path = out_dir / "jcregime.csv"
-    _write_csv(csv_path, ["m", "branch", "energy", "c_plus", "c_minus", "omega_m"], rows)
-    extra = {"omega_eff_jc": omega_eff_jc(m)}
+    try:
+        extra = {"omega_eff_jc": omega_eff_jc(m)}
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"[model] preset 'jcregime': {exc}") from exc
     if m.kappa > 0:
         rho = steady_state(build_liouvillian(m))
         pops = photon_distribution(rho)
         extra["n_photon_population"] = float(pops[m.n])
-    meta = _sidecar(cfg, out_dir, "jcregime", extra)
-    return [csv_path, meta]
+    header = ["m", "branch", "energy", "c_plus", "c_minus", "omega_m"]
+    return {"jcregime": (header, rows)}, extra
 
 
-def _run_resonances(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
+def _run_resonances(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     rows = [(m.n, 1, resonant_branch(m), resonance_detuning(m))]
     for mu in cfg.scan.mu_values:
         rows.append((m.n, mu, "plus", resonance_detuning_higher(m, mu, +1)))
         rows.append((m.n, mu, "minus", resonance_detuning_higher(m, mu, -1)))
-    csv_path = out_dir / "resonances.csv"
-    _write_csv(csv_path, ["n", "mu", "branch", "delta_a"], rows)
-    meta = _sidecar(cfg, out_dir, "resonances", {"mu_values": list(cfg.scan.mu_values)})
-    return [csv_path, meta]
+    header = ["n", "mu", "branch", "delta_a"]
+    return {"resonances": (header, rows)}, {"mu_values": list(cfg.scan.mu_values)}
 
 
-def _run_custom(cfg: ExperimentConfig, out_dir: Path, threads: int) -> list[Path]:
+def _run_custom(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     rho = steady_state(build_liouvillian(m))
     pops = photon_distribution(rho)
-    csv_path = out_dir / "custom_steady_state.csv"
-    _write_csv(csv_path, ["m", "P_m"], list(enumerate(pops)))
     gs = {}
     for ell in (2, 3, 4):
         try:
             gs[f"g{ell}"] = g_equal_time(rho, ell)
         except ValueError:
             gs[f"g{ell}"] = None
-    meta = _sidecar(cfg, out_dir, "custom", {"equal_time_correlations": gs})
-    return [csv_path, meta]
+    tables = {"custom_steady_state": (["m", "P_m"], list(enumerate(pops)))}
+    return tables, {"equal_time_correlations": gs}
 
 
 class Preset(NamedTuple):
-    """run(cfg, out_dir, threads) writes the datasets and sidecar and returns
-    their paths; a dissipative preset needs kappa > 0 and is in units of kappa,
-    the others in units of J."""
+    """run(cfg) computes the preset's tables, {stem: (header, rows)}, and its
+    sidecar entries, and writes nothing; a dissipative preset needs kappa > 0
+    and is in units of kappa, the others in units of J."""
 
-    run: Callable[[ExperimentConfig, Path, int], list[Path]]
+    run: Callable[[ExperimentConfig], tuple[dict, dict]]
     dissipative: bool
 
 
@@ -469,11 +444,14 @@ REGISTRY = {
 }
 
 
-def run_preset(cfg: ExperimentConfig, threads: int = 1) -> list[Path]:
-    """Execute a preset; returns the paths written (datasets + sidecar)."""
+def run_preset(cfg: ExperimentConfig) -> list[Path]:
+    """Execute a preset, then write <stem>.csv per table and the sidecar;
+    returns those paths, datasets first.  A preset that raises writes nothing."""
+    tables, extra = REGISTRY[cfg.preset].run(cfg)
     out_dir = Path(cfg.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return REGISTRY[cfg.preset].run(cfg, out_dir, threads)
+    paths = [_write_csv(out_dir / f"{stem}.csv", *table) for stem, table in tables.items()]
+    return paths + [_sidecar(cfg, out_dir, extra)]
 
 
 def main(argv=None) -> int:
@@ -485,7 +463,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--out", help="output directory (overrides [output] directory)")
     parser.add_argument("--seed", type=int, help="override [seeds] base_seed")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument(
         "--dry-run",
         action="store_true",
@@ -511,7 +488,7 @@ def main(argv=None) -> int:
                 )
             )
             return 0
-        paths = run_preset(cfg, threads=args.threads)
+        paths = run_preset(cfg)
     except (ConfigError, OSError) as exc:
         print(f"bundlejc: {exc}", file=sys.stderr)
         return 1

@@ -456,21 +456,14 @@ def run_trajectories(
     sample_dt: float,
     n_trajectories: int,
     base_seed: int,
-    threads: int = 1,
 ) -> list[TrajectoryRecord]:
-    """Ensemble with deterministic seeds base_seed + i; result is independent
-    of execution order."""
+    """Ensemble of n_trajectories unravelings run in turn, trajectory i with
+    seed base_seed + i, all sharing one jump propagator."""
     prop = _JumpPropagator(p)
-
-    def one(i):
-        return mcwf_trajectory(p, psi0, t_final, base_seed + i, sample_dt, _prop=prop)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(n_trajectories)))
-    return [one(i) for i in range(n_trajectories)]
+    return [
+        mcwf_trajectory(p, psi0, t_final, base_seed + i, sample_dt, _prop=prop)
+        for i in range(n_trajectories)
+    ]
 
 
 def trajectory_average(records: list[TrajectoryRecord], observable: Operator):

@@ -182,13 +182,12 @@ def _scan_point(m: ModelParams, delta_a: float) -> tuple:
         return (delta_a, *([nan] * (m_top + 1)), nan, nan, nan, nan, f"solver: {exc}")
 
 
-def sweep(p: ModelParams, grid, threads: int = 1):
-    """Steady-state observables of p at each delta_a in grid.
+def sweep(p: ModelParams, grid):
+    """Steady-state observables of p at each delta_a in grid, in grid order.
 
     Returns (header, rows): delta_a, P_0..P_min(3n, n_max), g2, g3, g4, the
     top-level population and a flag.  Per-point failures are recorded in the
-    trailing flag column and the sweep continues; rows follow grid order
-    regardless of threading.
+    trailing flag column and the sweep continues.
     """
     m_top = min(3 * p.n, p.n_max)
     header = (
@@ -196,11 +195,4 @@ def sweep(p: ModelParams, grid, threads: int = 1):
         + [f"P{k}" for k in range(m_top + 1)]
         + ["g2", "g3", "g4", "tail_population", "flag"]
     )
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda da: _scan_point(p, da), grid))
-    else:
-        rows = [_scan_point(p, da) for da in grid]
-    return header, rows
+    return header, [_scan_point(p, da) for da in grid]

@@ -121,7 +121,7 @@ def _scan(p, grid):
 
     The truncation check is per-row (flag), so resonant ladder-climbing points
     do not abort the scan; a solver failure on any row does."""
-    header, rows = sweep(p, grid, threads=8)
+    header, rows = sweep(p, grid)
     failed = [row for row in rows if "solver:" in row[-1]]
     assert not failed, f"steady-state solver failed at {len(failed)} rows: {failed[0][-1]}"
     table = np.array([row[:-1] for row in rows], dtype=float)
@@ -244,7 +244,7 @@ def test_criterion_6_trajectory_consistency(dissipative_n2):
     p = dissipative_n2
     psi0 = basis_state(p.dims, 0, 0)
     recs = run_trajectories(
-        p, psi0, 10.0, 0.5, n_trajectories=2000, base_seed=11, threads=4
+        p, psi0, 10.0, 0.5, n_trajectories=2000, base_seed=11
     )
     a = fock_annihilation(p.dims)
     num = matmul(dagger(a), a)
@@ -281,7 +281,7 @@ def test_criterion_7_bundle_cascade(dissipative_n2):
     window = 3.0 / p.kappa
     t_final = 3.0e4 / p.kappa
     recs = run_trajectories(
-        p, psi0, t_final, 10.0, n_trajectories=10, base_seed=2, threads=4
+        p, psi0, t_final, 10.0, n_trajectories=10, base_seed=2
     )
     waits = []
     for rec in recs:

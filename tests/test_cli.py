@@ -1,11 +1,15 @@
+import configparser
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from bundlejc.cli import (
+    _SCHEMA,
     ConfigError,
+    derived_quantities,
     main,
     parse_config,
     resolved_config_text,
@@ -31,6 +35,16 @@ kappa = 1.0
 gamma = 0.1
 n_max = 8
 """
+
+
+def section_keys(text):
+    """{section: set of keys} of an INI text."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(text)
+    return {section: set(cp[section]) for section in cp.sections()}
+
+
+SCHEMA_KEYS = {section: set(keys) for section, keys in _SCHEMA.items()}
 
 
 class TestParse:
@@ -89,10 +103,53 @@ class TestParse:
         with pytest.raises(ConfigError, match="'dt'"):
             parse_config(bad, "steadyscan")
 
-    def test_unsupported_output_format(self):
-        bad = DISSIPATIVE + "\n[output]\nformats = parquet\n"
-        with pytest.raises(ConfigError, match="parquet"):
-            parse_config(bad, "steadyscan")
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            pytest.param("scan", "variable", "delta_a", id="variable"),
+            pytest.param("output", "formats", "csv", id="formats"),
+            pytest.param("seeds", "n_trajectories", "1", id="n_trajectories"),
+        ],
+    )
+    def test_removed_key_named(self, section, key, value):
+        # these keys held a single accepted value; an old config is refused,
+        # not read as if the key were absent
+        bad = DISSIPATIVE + f"\n[{section}]\n{key} = {value}\n"
+        for preset in ("steadyscan", "trajectory"):
+            with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+                parse_config(bad, preset)
+
+    @pytest.mark.parametrize(
+        "section, lines, field",
+        [
+            ("scan", "bundle_n = 0", "bundle_n"),
+            ("scan", "bundle_n = 9", "bundle_n"),  # n_max = 8
+            ("scan", "tau_points = 0", "tau_points"),
+            ("scan", "tau_max = -5", "tau_max"),
+            ("scan", "tau_max = nan", "tau_max"),
+            ("scan", "tau_max = inf", "tau_max"),
+            ("scan", "tau_max = 1.5", "tau_max"),  # = tau_min of the n=2 bundle
+            ("scan", "bundle_n = 3; tau_max = 1.8", "tau_max"),  # tau_min(3) = 1.83
+            ("integrator", "t_final = -1", "t_final"),
+            ("integrator", "t_final = nan", "t_final"),
+            ("integrator", "sample_dt = 0", "sample_dt"),
+            ("integrator", "sample_dt = inf", "sample_dt"),
+        ],
+        ids=lambda v: v.replace(" ", ""),
+    )
+    def test_bad_horizon_or_tau_field_named(self, section, lines, field):
+        bad = DISSIPATIVE + f"\n[{section}]\n" + lines.replace("; ", "\n") + "\n"
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {field} must"):
+            parse_config(bad, "g2tau")
+
+    def test_horizon_and_tau_values_in_use_accepted(self):
+        for extra in (
+            "\n[scan]\ntau_points = 200\ntau_max = 20.0\n",
+            "\n[scan]\ntau_points = 1\ntau_max = 40.0\nbundle_n = 8\n",
+            "\n[integrator]\nt_final = 1.0\nsample_dt = 0.05\n",
+            "\n[integrator]\nt_final = 50.0\nsample_dt = 0.05\n",
+        ):
+            parse_config(DISSIPATIVE + extra, "g2tau")
 
     def test_dissipative_preset_requires_kappa(self):
         with pytest.raises(ConfigError, match="kappa"):
@@ -101,13 +158,6 @@ class TestParse:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             parse_config(MINIMAL, "nope")
-
-    def test_trajectory_rejects_ensemble(self):
-        # the preset writes one unraveling; an ensemble size must not be ignored
-        bad = DISSIPATIVE + "\n[seeds]\nn_trajectories = 5\n"
-        with pytest.raises(ConfigError, match=r"\[seeds\] n_trajectories"):
-            parse_config(bad, "trajectory")
-        assert parse_config(bad, "steadyscan").seeds.n_trajectories == 5
 
     def test_round_trip_is_fixed_point(self):
         for extra in (
@@ -121,6 +171,15 @@ class TestParse:
             again = parse_config(text, "steadyscan")
             assert again == cfg
             assert resolved_config_text(again) == text
+        # the last config leaves no field None, so its rendering holds every key
+        assert section_keys(text) == SCHEMA_KEYS
+
+    def test_readme_config_block_matches_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        block = re.sub(r"\s+#.*", "", block)  # the README annotates keys inline
+        parse_config(block, "steadyscan")
+        assert section_keys(block) == SCHEMA_KEYS
 
 
 class TestSweep:
@@ -135,14 +194,6 @@ class TestSweep:
         assert rows[0] == rows[1]
         # clean point: no flags
         assert rows[0][-1] == ""
-
-    def test_threaded_matches_serial(self):
-        cfg = parse_config(
-            DISSIPATIVE + "\n[scan]\nmin = 15\nmax = 25\npoints = 3\n", "steadyscan"
-        )
-        _, serial = sweep(cfg.model, cfg.scan.grid(), threads=1)
-        _, threaded = sweep(cfg.model, cfg.scan.grid(), threads=2)
-        assert serial == threaded
 
 
 def run_cli(args):
@@ -215,12 +266,51 @@ class TestMain:
         for name in ("trajectory_populations.csv", "trajectory_jumps.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_trajectory_ensemble_exit_code(self, tmp_path, capsys):
+    def test_removed_key_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(DISSIPATIVE + "\n[seeds]\nn_trajectories = 5\n")
         out_dir = tmp_path / "out"
         assert run_cli(["trajectory", "--config", cfg_file, "--out", out_dir]) == 1
-        assert "n_trajectories" in capsys.readouterr().err
+        assert "unknown key 'n_trajectories'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_threads_flag_removed(self, tmp_path):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["resonances", "--config", cfg_file, "--out", tmp_path, "--threads", "2"])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == [cfg_file]
+
+    @pytest.mark.parametrize(
+        "preset, section, line",
+        [
+            ("g2tau", "scan", "tau_max = -5"),
+            ("trajectory", "integrator", "sample_dt = 0"),
+            ("superrabi", "integrator", "t_final = -1"),
+        ],
+        ids=("g2tau", "trajectory", "superrabi"),
+    )
+    def test_bad_field_exit_code(self, tmp_path, capsys, preset, section, line):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(DISSIPATIVE + f"\n[{section}]\n{line}\n")
+        field = line.split(" = ")[0]
+        out_dir = tmp_path / "out"
+        assert run_cli([preset, "--config", cfg_file, "--out", out_dir]) == 1
+        assert f"{field} must" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_jcregime_singular_model_writes_nothing(self, tmp_path, capsys):
+        # j = 0 and delta_a = 0 make the JC-regime effective model singular
+        text = DISSIPATIVE.replace("j = 0.3", "j = 0.0") + "delta_a = 0.0\n"
+        assert "omega_eff_jc" not in derived_quantities(parse_config(text, "jcregime").model)
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(text)
+        out_dir = tmp_path / "out"
+        assert run_cli(["jcregime", "--config", cfg_file, "--out", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bundlejc: [model]") and "singular" in err
+        assert "Traceback" not in err
         assert not out_dir.exists()
 
     def test_seed_override_changes_jumps(self, tmp_path):

@@ -315,14 +315,6 @@ class TestMcwf:
         dev = np.abs(mean - exact)[1:]
         assert np.all(dev < 4.0 * np.maximum(stderr[1:], 1e-3))
 
-    def test_threaded_matches_serial(self, dissipative_n2):
-        psi0 = basis_state(dissipative_n2.dims, 0, 0)
-        serial = run_trajectories(dissipative_n2, psi0, 2.0, 0.5, 4, base_seed=5, threads=1)
-        threaded = run_trajectories(dissipative_n2, psi0, 2.0, 0.5, 4, base_seed=5, threads=3)
-        for s, t in zip(serial, threaded):
-            assert s.seed == t.seed
-            np.testing.assert_array_equal(s.states, t.states)
-
 
 class TestTrajectoryAverage:
     def test_single_record_zero_stderr(self):
