@@ -194,6 +194,14 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
 
     if REGISTRY[preset].dissipative and model.kappa <= 0:
         raise ConfigError(f"[model] preset {preset!r} needs kappa > 0")
+    if preset == "superrabi":  # unitary: a decay rate would be dropped unread
+        for name in ("kappa", "gamma"):
+            value = getattr(model, name)
+            if value > 0:
+                raise ConfigError(
+                    f"[model] {name} = {value}: preset 'superrabi' "
+                    "is unitary and needs kappa = gamma = 0"
+                )
     return ExperimentConfig(
         preset=preset,
         model=model,

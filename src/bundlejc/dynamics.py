@@ -6,7 +6,11 @@ vectorization of rho.  H, a and sigma_- all conserve k = (m - m') mod n, where
 m and m' are the photon numbers of the row and column of rho, so L is
 block-diagonal in k (a weak symmetry).  The steady state lies in the k = 0
 block and is found by sparse LU on that block alone; the spectral propagator
-eigendecomposes a block only when an operator has support in it.
+eigendecomposes a block only when an operator has support in it.  delta_a
+moves only the diagonal of L, so a SteadyStateWorkspace builds L once for a
+whole delta_a scan and rewrites just the k = 0 diagonal at each point, with
+the arithmetic of build_liouvillian: its steady states are bit-for-bit those
+of steady_state, and both share the checks that follow the factorization.
 H and L do not depend on time, so both equations of motion are propagated
 through an eigendecomposition, which is exact at the sample times; the
 adaptive DOP853 scheme is kept as an independent check.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +36,7 @@ from .hilbert import (
     fock_annihilation,
     tls_operator,
 )
-from .model import ModelParams, build_H_I
+from .model import ModelParams, _detuning_terms, build_H_I
 
 __all__ = [
     "IntegratorConfig",
@@ -44,6 +48,7 @@ __all__ = [
     "LiouvillePropagator",
     "lindblad_evolve",
     "steady_state",
+    "SteadyStateWorkspace",
     "mcwf_trajectory",
     "run_trajectories",
     "trajectory_average",
@@ -181,6 +186,25 @@ def _kron_coo(x: np.ndarray, y: np.ndarray):
     return rows, cols, vals
 
 
+def _decay_channels(p: ModelParams) -> list[tuple[float, np.ndarray]]:
+    """(rate, C) of each decay channel with a nonzero rate: kappa a, gamma sigma_-."""
+    jumps = [
+        (p.kappa, fock_annihilation(p.dims).mat),
+        (p.gamma, tls_operator("sigma_minus", p.dims).mat),
+    ]
+    return [(rate, c) for rate, c in jumps if rate > 0]
+
+
+def _damped_generator(h, decays) -> np.ndarray:
+    """G = -i H - (1/2) sum_c rate_c C^dag C from h = H and decays =
+    [(rate_c, C^dag C)], given as matrices or as their diagonals (elementwise,
+    so the diagonal bits agree)."""
+    g = -1j * h
+    for rate, cdc in decays:
+        g = g - 0.5 * rate * cdc
+    return g
+
+
 def build_liouvillian(p: ModelParams) -> Liouvillian:
     """L(rho) = -i[H_I, rho] + kappa D[a] rho + gamma D[sigma_-] rho.
 
@@ -190,14 +214,8 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     """
     dims = p.dims
     d = dims.total_dim
-    jumps = [
-        (p.kappa, fock_annihilation(dims).mat),
-        (p.gamma, tls_operator("sigma_minus", dims).mat),
-    ]
-    jumps = [(rate, c) for rate, c in jumps if rate > 0]
-    g = -1j * build_H_I(p).mat
-    for rate, c in jumps:
-        g = g - 0.5 * rate * (c.conj().T @ c)
+    jumps = _decay_channels(p)
+    g = _damped_generator(build_H_I(p).mat, [(rate, c.conj().T @ c) for rate, c in jumps])
     eye = np.eye(d)
     terms = [_kron_coo(eye, g), _kron_coo(g.conj(), eye)]
     terms += [_kron_coo(c.conj(), rate * c) for rate, c in jumps]
@@ -293,26 +311,54 @@ def steady_state(L: Liouvillian, tail_tol: float | None = TAIL_TOL) -> DensityMa
     """Unique stationary density matrix of L.
 
     The steady state lies in the k = 0 sector.  Its block is solved by sparse
-    LU with one row replaced by the trace constraint.  If the solution does
+    LU with row 0 replaced by the trace constraint.  If the solution does
     not satisfy L rho = 0, or L has no cavity decay (then LU returns one of
     possibly many stationary states), the null space of the block is
     inspected densely to distinguish a degenerate steady state from a solver
     failure.
     """
-    d = L.dims.total_dim
     idx = L.sectors[0]
     block = L.block(0)
-    trace_row = vec(np.eye(d))[idx]
-    l_scale = sparse_norm(L.mat)
-    x = np.zeros(d * d, dtype=complex)
+    constrained = _with_trace_row(block, L.dims, idx) if L.cavity_decay else None
+    return _k0_steady_state(
+        L.dims, idx, block, constrained, sparse_norm(L.mat), tail_tol
+    )
+
+
+def _trace_row(dims: SpaceDims, idx: np.ndarray) -> np.ndarray:
+    """Tr rho as a row over the vec indices idx."""
+    return vec(np.eye(dims.total_dim))[idx]
+
+
+def _with_trace_row(block, dims: SpaceDims, idx: np.ndarray) -> sp.csc_array:
+    """The k = 0 block with row 0 replaced by the nonzeros of the trace row."""
+    trace_row = sp.csr_array(_trace_row(dims, idx)[None, :])
+    return sp.vstack([trace_row, block[1:]], format="csc")
+
+
+def _k0_steady_state(
+    dims: SpaceDims,
+    idx: np.ndarray,
+    block,
+    constrained,
+    l_scale: float,
+    tail_tol: float | None,
+) -> DensityMatrix:
+    """Steady state from the k = 0 block K (vec indices idx) of L.
+
+    constrained is K with row 0 replaced by the trace row, or None when L has
+    no cavity decay.  L is block-diagonal in k, so ||K x|| is the residual
+    ||L rho|| of the full L; l_scale is ||L||_F.
+    """
+    d = dims.total_dim
+    x0 = None
     residual = np.inf
-    if L.cavity_decay:
-        a = sp.vstack([sp.csr_array(trace_row[None, :]), block[1:]], format="csc")
+    if constrained is not None:
         b = np.zeros(len(idx), dtype=complex)
         b[0] = 1.0
         try:
-            x[idx] = splu(a).solve(b)
-            residual = np.linalg.norm(L.mat @ x)
+            x0 = splu(constrained).solve(b)
+            residual = np.linalg.norm(block @ x0)
         except RuntimeError:  # SuperLU: the factor is exactly singular
             pass
         why = f"sparse LU residual {residual:.3e}"
@@ -329,22 +375,98 @@ def steady_state(L: Liouvillian, tail_tol: float | None = TAIL_TOL) -> DensityMa
         if null_dim != 1:
             raise RuntimeError(f"degenerate steady state: null-space dimension {null_dim}")
         x0 = vh[-1].conj()
-        x[idx] = x0 / (trace_row @ x0)
-        residual = np.linalg.norm(L.mat @ x)
+        x0 = x0 / (_trace_row(dims, idx) @ x0)
+        residual = np.linalg.norm(block @ x0)
         if residual > 1e-9 * l_scale:
             raise RuntimeError(f"steady-state residual too large: {residual:.3e}")
 
+    x = np.zeros(d * d, dtype=complex)
+    x[idx] = x0
     rho = unvec(x, d)
     rho = (rho + rho.conj().T) / 2.0
     rho = rho / rho.trace().real
     if tail_tol is not None:
-        tail = _truncation_tail(rho, L.dims)
+        tail = _truncation_tail(rho, dims)
         if tail >= tail_tol:
             raise TruncationError(
                 f"top Fock level holds population {tail:.3e} >= {tail_tol:.1e}; "
                 "increase n_max"
             )
-    return DensityMatrix(L.dims, rho)
+    return DensityMatrix(dims, rho)
+
+
+def _diagonal_positions(m: sp.csc_array, diag: np.ndarray) -> np.ndarray:
+    """Positions in m.data of the stored diagonal entries (r, r), r in diag."""
+    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
+    stored = np.flatnonzero(m.indices == cols)
+    return stored[np.searchsorted(cols[stored], diag)]
+
+
+class SteadyStateWorkspace:
+    """The k = 0 steady-state system of p along delta_a, built once.
+
+    delta_a enters H_I only on its diagonal, as delta_a (N + n |e><e|) (since
+    delta_sigma = Delta + n delta_a), so it moves only the diagonal of L:
+    L_(i,j),(i,j) = G_ii + conj(G_jj), with G = -i H_I - (1/2) sum_c rate_c
+    C^dag C.  That entry is constant for a population (i = j).  The k = 0
+    block and its constrained form (row 0 holding only the nonzeros of the
+    trace row) are kept in CSC with every coherence diagonal in the pattern;
+    `solve` rewrites those entries from the d diagonal values of G, with the
+    arithmetic of build_liouvillian, and factors afresh.  ||L||_F is the fixed
+    off-diagonal sum plus sum_(i,j) |G_ii + conj(G_jj)|^2.
+    """
+
+    def __init__(self, p: ModelParams):
+        L = build_liouvillian(p)
+        d = p.dims.total_dim
+        self._p = p
+        self._idx = L.sectors[0]
+        self._cavity_decay = L.cavity_decay
+        a = fock_annihilation(p.dims).mat
+        self._num = np.diagonal(a.conj().T @ a)  # as build_H_I forms N: sqrt(m)^2, not m
+        self._pe = np.diagonal(tls_operator("excited_projector", p.dims).mat)
+        self._decays = [
+            (rate, np.diagonal(c.conj().T @ c)) for rate, c in _decay_channels(p)
+        ]
+        coo = L.mat.tocoo()
+        self._offdiag_sq = float(np.sum(np.abs(coo.data[coo.row != coo.col]) ** 2))
+
+        k0 = L.block(0).tocoo()
+        moving = np.flatnonzero(self._idx % (d + 1))  # coherences: vec index i + d j, i != j
+        self._j, self._i = np.divmod(self._idx[moving], d)
+        self._block = sp.csc_array(
+            (
+                np.concatenate([k0.data, np.zeros(len(moving), dtype=complex)]),
+                (np.concatenate([k0.row, moving]), np.concatenate([k0.col, moving])),
+            ),
+            shape=k0.shape,
+        )
+        self._constrained = _with_trace_row(self._block, p.dims, self._idx)
+        self._block_diag = _diagonal_positions(self._block, moving)
+        self._constrained_diag = _diagonal_positions(self._constrained, moving)
+
+    def solve(self, delta_a: float) -> DensityMatrix:
+        """steady_state(build_liouvillian(p with this delta_a), tail_tol=None)."""
+        q = replace(self._p, delta_a=delta_a)
+        g = _damped_generator(_detuning_terms(q, self._num, self._pe), self._decays)
+        diag = g[self._i] + g[self._j].conj()
+        self._block.data[self._block_diag] = diag
+        self._constrained.data[self._constrained_diag] = diag
+        constrained = self._constrained if self._cavity_decay else None
+        if constrained is not None and not diag.all():
+            # build_liouvillian drops an entry that vanishes (a coherence of
+            # the same energy at gamma = 0); so must the pattern SuperLU orders
+            constrained = constrained.copy()
+            constrained.eliminate_zeros()
+        diag_sq = float(np.sum(np.abs(g[:, None] + g.conj()[None, :]) ** 2))
+        return _k0_steady_state(
+            q.dims,
+            self._idx,
+            self._block,
+            constrained,
+            math.sqrt(self._offdiag_sq + diag_sq),
+            None,
+        )
 
 
 @dataclass

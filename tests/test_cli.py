@@ -155,6 +155,13 @@ class TestParse:
         with pytest.raises(ConfigError, match="kappa"):
             parse_config(MINIMAL, "steadyscan")
 
+    @pytest.mark.parametrize("field", ["kappa", "gamma"])
+    def test_superrabi_rejects_decay_rate(self, field):
+        # the unitary preset would drop the rate unread
+        with pytest.raises(ConfigError, match=rf"\[model\] {field} = 0.5: .*unitary"):
+            parse_config(MINIMAL + f"{field} = 0.5\n", "superrabi")
+        parse_config(MINIMAL + f"{field} = 0.0\n", "superrabi")
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             parse_config(MINIMAL, "nope")
@@ -298,6 +305,15 @@ class TestMain:
         out_dir = tmp_path / "out"
         assert run_cli([preset, "--config", cfg_file, "--out", out_dir]) == 1
         assert f"{field} must" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("field", ["kappa", "gamma"])
+    def test_superrabi_decay_rate_exit_code(self, tmp_path, capsys, field):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(MINIMAL + f"{field} = 5.0\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["superrabi", "--config", cfg_file, "--out", out_dir]) == 1
+        assert f"[model] {field} = 5.0" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_jcregime_singular_model_writes_nothing(self, tmp_path, capsys):

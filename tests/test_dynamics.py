@@ -1,4 +1,5 @@
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import kstest
 from bundlejc.dynamics import (
     IntegratorConfig,
     LiouvillePropagator,
+    SteadyStateWorkspace,
     TruncationError,
     build_liouvillian,
     lindblad_evolve,
@@ -31,6 +33,7 @@ from bundlejc.hilbert import (
     tls_operator,
 )
 from bundlejc.model import ModelParams, build_H_I
+from bundlejc.observables import sweep
 
 
 def decay_params(kappa=0.0, gamma=0.0, n_max=4):
@@ -419,3 +422,106 @@ class TestSectoredLiouvillian:
         a3 = np.linalg.matrix_power(fock_annihilation(dissipative_n3.dims).mat, 3)
         prop.propagate(a3 @ rho @ a3.conj().T, [1.0, 2.0])
         assert list(prop._spectra) == [0]
+
+
+def dense_k0_steady_state(p):
+    """Oracle: the SVD null vector of the k = 0 block of dense_liouvillian(p).
+
+    The block holds the entries rho[i, j] whose photon numbers m_i, m_j (the
+    basis index is 2m + s) satisfy (m_i - m_j) mod n = 0; the steady state
+    lives there, and it costs a small fraction of the full SVD.
+    """
+    d = p.dims.total_dim
+    m = np.arange(d) // 2
+    k0 = np.flatnonzero(vec((m[:, None] - m[None, :]) % p.n) == 0)
+    _, svals, vh = np.linalg.svd(dense_liouvillian(p)[np.ix_(k0, k0)])
+    assert svals[-2] > 1e-6 * svals[0]  # a unique steady state
+    x = np.zeros(d * d, dtype=complex)
+    x[k0] = vh[-1].conj()
+    rho = unvec(x, d)
+    return rho / np.trace(rho)
+
+
+class TestSteadyStateWorkspace:
+    """The delta_a sweep solves each point on one Liouvillian build."""
+
+    @staticmethod
+    def grid(p):
+        # delta_a = 0, the resonance, and points on both sides of each
+        return np.sort(np.r_[np.linspace(-9.0, 9.0, 5), p.delta_a, p.delta_a + 1.5])
+
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_sweep_rows_match_dense_oracle(self, point, request, caplog):
+        p = request.getfixturevalue(point)
+        grid = self.grid(p)
+        with caplog.at_level(logging.WARNING, logger="bundlejc"):
+            header, rows = sweep(p, grid)
+        assert not caplog.records  # sparse LU held at every point: no SVD fallback
+        g2 = header.index("g2")
+        ws = SteadyStateWorkspace(p)
+        for delta_a, row in zip(grid, rows):
+            rho = dense_k0_steady_state(replace(p, delta_a=delta_a))
+            np.testing.assert_allclose(ws.solve(delta_a).mat, rho, rtol=0, atol=1e-12)
+            diag = np.diagonal(rho).real
+            pops = diag[0::2] + diag[1::2]
+            assert row[0] == delta_a
+            np.testing.assert_allclose(row[1:g2], pops[: g2 - 1], rtol=0, atol=1e-12)
+            assert row[-2] == pytest.approx(pops[-1], rel=0, abs=1e-12)
+            m = np.arange(len(pops))
+            n_mean = m @ pops
+            for ell, g in zip((2, 3, 4), row[g2 : g2 + 3]):
+                falling = np.array([math.perm(k, ell) for k in m], dtype=float)
+                num = falling @ pops
+                expected = num / n_mean**ell
+                # to first order, what an error of 1e-12 in each P_m can do
+                # (far from resonance P_m>3 is tiny and g^(4) ill-conditioned)
+                tol = 1e-12 * (falling.sum() / num + ell * m.sum() / n_mean) * expected
+                assert abs(g - expected) <= tol
+
+    @staticmethod
+    def assert_bit_for_bit(p, grid):
+        ws = SteadyStateWorkspace(p)
+        for delta_a in grid:
+            L = build_liouvillian(replace(p, delta_a=delta_a))
+            np.testing.assert_array_equal(
+                ws.solve(delta_a).mat, steady_state(L, tail_tol=None).mat
+            )
+
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_reproduces_steady_state_bit_for_bit(self, point, request):
+        # the workspace rewrites the diagonal with build_liouvillian's own
+        # arithmetic, so SuperLU factors the very same matrix
+        p = request.getfixturevalue(point)
+        self.assert_bit_for_bit(p, self.grid(p))
+
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_bit_for_bit_where_a_coherence_diagonal_vanishes(self, point, request):
+        # at gamma = 0 the (0,g)/(0,e) coherence diagonal is i delta_sigma,
+        # exactly 0 at delta_a = -Delta/n, where build_liouvillian stores no entry
+        p = replace(request.getfixturevalue(point), gamma=0.0)
+        vanishing = -p.delta_n / p.n
+        assert replace(p, delta_a=vanishing).delta_sigma == 0.0
+        self.assert_bit_for_bit(p, [0.0, vanishing, vanishing + 0.5, vanishing])
+
+    def test_truncation_flag_past_the_window(self, dissipative_n3):
+        # n_max = 15 cannot hold the n = 3 ladder near delta_a = 0
+        _, rows = sweep(dissipative_n3, [0.0, dissipative_n3.delta_a])
+        assert rows[0][-1] == "truncation"
+        assert rows[0][-2] >= 1e-8
+        assert rows[1][-1] == ""
+
+    def test_no_cavity_decay_flags_every_row(self, caplog):
+        p = ModelParams(
+            n=2, j=0.3, omega_l=2.0, delta_n=-1.5, delta_a=0.4, gamma=0.1, n_max=4
+        )
+        with caplog.at_level(logging.WARNING, logger="bundlejc"):
+            _, rows = sweep(p, [-1.0, 0.0, 0.4])
+        for row in rows:
+            assert row[-1].startswith("solver: degenerate steady state")
+            assert all(np.isnan(row[1:-1]))
+        fallback = [r for r in caplog.records if "SVD" in r.getMessage()]
+        assert len(fallback) == len(rows)
+
+    def test_non_finite_delta_a_rejected(self, dissipative_n2):
+        with pytest.raises(ValueError, match="finite"):
+            SteadyStateWorkspace(dissipative_n2).solve(float("nan"))

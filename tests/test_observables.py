@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from bundlejc.dynamics import LiouvillePropagator, build_liouvillian, steady_state
-from bundlejc.hilbert import DensityMatrix, SpaceDims, StateVector, basis_state
+from bundlejc.hilbert import (
+    DensityMatrix,
+    SpaceDims,
+    StateVector,
+    basis_state,
+    fock_annihilation,
+)
 from bundlejc.model import ModelParams
 from bundlejc.observables import (
     dressed_population,
@@ -111,6 +117,20 @@ class TestEqualTime:
         rho = coherent_state(SpaceDims(14), 0.5)
         assert g_equal_time(rho, 2) == pytest.approx(1.0, abs=1e-6)
         assert g_equal_time(rho, 3) == pytest.approx(1.0, abs=1e-5)
+
+    def test_matches_trace_formula(self):
+        # Tr(a^dag^l a^l rho) / Tr(a^dag a rho)^l from the operators, on a
+        # random density matrix with coherences between all levels
+        dims = SpaceDims(10)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(dims.total_dim,) * 2) + 1j * rng.normal(size=(dims.total_dim,) * 2)
+        rho = DensityMatrix(dims, x @ x.conj().T / np.trace(x @ x.conj().T).real)
+        a = fock_annihilation(dims).mat
+        n_mean = np.trace(a.conj().T @ a @ rho.mat).real
+        for ell in (1, 2, 3, 4):
+            al = np.linalg.matrix_power(a, ell)
+            expected = np.trace(al.conj().T @ al @ rho.mat).real / n_mean**ell
+            assert g_equal_time(rho, ell) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_vacuum_rejected(self):
         rho = basis_state(SpaceDims(3), 0, 0).to_density_matrix()
