@@ -37,7 +37,6 @@ from .model import (
     transition_table,
 )
 from .dynamics import (
-    IntegratorConfig,
     Liouvillian,
     LiouvillePropagator,
     TrajectoryRecord,

@@ -3,10 +3,12 @@ CSV/JSON dataset emission.
 
 Config files are INI-style with sections [model], [scan], [integrator],
 [seeds], [output]; the keys of each section are the fields of the dataclass it
-fills.  Unknown sections or keys are rejected.  A preset computes its tables;
-`run_preset` then writes one CSV per table plus a JSON metadata sidecar holding
-the fully resolved configuration and derived quantities, so a dataset can be
-regenerated from its sidecar alone.
+fills.  Unknown sections or keys are rejected.  [integrator] holds only the
+horizon and sampling step of the time-resolved presets, whose propagators are
+eigendecompositions with no scheme or tolerance to choose.  A preset computes
+its tables; `run_preset` then writes one CSV per table plus a JSON metadata
+sidecar holding the fully resolved configuration and derived quantities, so a
+dataset can be regenerated from its sidecar alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    IntegratorConfig,
     LiouvillePropagator,
     TruncationError,
     build_liouvillian,
@@ -77,15 +78,14 @@ class ScanBlock:
 
 
 @dataclass(frozen=True)
-class IntegratorBlock(IntegratorConfig):
-    """Integration controls plus the horizon and sampling step of the
-    time-resolved presets (None selects the preset's default)."""
+class IntegratorBlock:
+    """Horizon and sampling step of the time-resolved presets (None selects
+    the preset's default)."""
 
     t_final: float | None = None
     sample_dt: float | None = None
 
     def __post_init__(self):
-        super().__post_init__()
         for name in ("t_final", "sample_dt"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
@@ -310,7 +310,7 @@ def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
         n_pts = max(2, int(round(t_final / cfg.integrator.sample_dt)) + 1)
     t_grid = np.linspace(0.0, t_final, n_pts)
     psi0 = dressed_state(m, 0, "+")
-    history = schrodinger_evolve(build_H_I(m), psi0, t_grid, cfg.integrator)
+    history = schrodinger_evolve(build_H_I(m), psi0, t_grid)
     v_top = dressed_state(m, 0, "+").amp
     v_bot = dressed_state(m, m.n, "-").amp
     p_top = np.abs(history @ v_top.conj()) ** 2

@@ -11,9 +11,8 @@ moves only the diagonal of L, so a SteadyStateWorkspace builds L once for a
 whole delta_a scan and rewrites just the k = 0 diagonal at each point, with
 the arithmetic of build_liouvillian: its steady states are bit-for-bit those
 of steady_state, and both share the checks that follow the factorization.
-H and L do not depend on time, so both equations of motion are propagated
-through an eigendecomposition, which is exact at the sample times; the
-adaptive DOP853 scheme is kept as an independent check.
+H and L do not depend on time, so each equation of motion has one propagator,
+an eigendecomposition, which is exact at the sample times.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import norm as sparse_norm
 from scipy.sparse.linalg import splu
 
@@ -39,7 +37,6 @@ from .hilbert import (
 from .model import ModelParams, _detuning_terms, build_H_I
 
 __all__ = [
-    "IntegratorConfig",
     "Liouvillian",
     "TrajectoryRecord",
     "TruncationError",
@@ -63,24 +60,6 @@ class TruncationError(RuntimeError):
     """Population reached the highest kept Fock level; n_max is too small."""
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Integration controls.  "spectral" propagates exactly through an
-    eigendecomposition; "adaptive" is DOP853 with the given tolerances."""
-
-    scheme: str = "spectral"
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.scheme not in ("spectral", "adaptive"):
-            raise ValueError(
-                f"scheme {self.scheme!r}: expected 'spectral' or 'adaptive'"
-            )
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-
-
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(mat).flatten(order="F")
@@ -90,50 +69,25 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
-def schrodinger_evolve(
-    H: Operator,
-    psi0: StateVector,
-    t_grid,
-    cfg: IntegratorConfig | None = None,
-) -> np.ndarray:
-    """Integrate i dpsi/dt = H psi; returns amplitudes at each grid time.
-
-    scheme="spectral" (the default) is exact at the grid times (eigh of H);
-    "adaptive" is DOP853.  No renormalization is applied: norm drift beyond
-    1e-5 aborts, because it means the adaptive tolerances were too loose for
-    the spectral range of H.
+def schrodinger_evolve(H: Operator, psi0: StateVector, t_grid) -> np.ndarray:
+    """Solve i dpsi/dt = H psi exactly at the grid times (eigh of H); returns
+    the amplitudes at each grid time.  No renormalization is applied: norm
+    drift beyond 1e-5 aborts, because it means the eigenbasis was not unitary.
     """
-    cfg = cfg or IntegratorConfig()
     if not H.is_hermitian(1e-10):
         raise ValueError("H must be Hermitian")
     t_grid = np.asarray(t_grid, dtype=float)
     psi = psi0.amp.astype(complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
-    mat = H.mat
-
-    if cfg.scheme == "spectral":
-        evals, evecs = np.linalg.eigh(mat)
-        c0 = evecs.conj().T @ psi
-        phases = np.exp(-1j * np.outer(t_grid - t_grid[0], evals))
-        history = (phases * c0) @ evecs.T
-    else:
-        sol = solve_ivp(
-            lambda t, y: -1j * (mat @ y),
-            (t_grid[0], t_grid[-1]),
-            psi,
-            t_eval=t_grid,
-            method="DOP853",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-        )
-        history = sol.y.T.copy()
+    evals, evecs = np.linalg.eigh(H.mat)
+    c0 = evecs.conj().T @ psi
+    phases = np.exp(-1j * np.outer(t_grid - t_grid[0], evals))
+    history = (phases * c0) @ evecs.T
 
     drift = np.abs(np.linalg.norm(history, axis=1) - 1.0).max()
     if drift > 1e-5:
-        raise RuntimeError(
-            f"norm drift {drift:.3e} > 1e-5: integration tolerances too loose"
-        )
+        raise RuntimeError(f"norm drift {drift:.3e} > 1e-5")
     return history
 
 
@@ -272,32 +226,11 @@ def _check_density_history(history, trace_tol=1e-7, herm_tol=1e-9, eig_floor=-1e
             raise RuntimeError(f"positivity violated: min eigenvalue {ev_min:.3e}")
 
 
-def lindblad_evolve(
-    L: Liouvillian,
-    rho0: DensityMatrix,
-    t_grid,
-    cfg: IntegratorConfig | None = None,
-) -> np.ndarray:
+def lindblad_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid) -> np.ndarray:
     """Propagate rho0 under L; returns density matrices at each grid time."""
-    cfg = cfg or IntegratorConfig()
     t_grid = np.asarray(t_grid, dtype=float)
-    d = L.dims.total_dim
     rho0.validate()
-
-    if cfg.scheme == "spectral":
-        history = LiouvillePropagator(L).propagate(rho0.mat, t_grid - t_grid[0])
-    else:
-        sol = solve_ivp(
-            lambda t, y: L.mat @ y,
-            (t_grid[0], t_grid[-1]),
-            vec(rho0.mat),
-            t_eval=t_grid,
-            method="DOP853",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-        )
-        history = np.array([unvec(col, d) for col in sol.y.T])
-
+    history = LiouvillePropagator(L).propagate(rho0.mat, t_grid - t_grid[0])
     _check_density_history(history)
     return history
 

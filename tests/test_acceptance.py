@@ -13,13 +13,11 @@ import pytest
 from scipy.stats import kstest
 
 from bundlejc.dynamics import (
-    IntegratorConfig,
     LiouvillePropagator,
     build_liouvillian,
     lindblad_evolve,
     mcwf_trajectory,
     run_trajectories,
-    schrodinger_evolve,
     steady_state,
     trajectory_average,
 )
@@ -42,6 +40,7 @@ from bundlejc.observables import (
     sweep,
     tau_min,
 )
+from dop853 import dop853
 
 
 def report(num, name, ok, detail=""):
@@ -77,10 +76,7 @@ def _super_rabi_peak(p):
     eff = omega_eff_mollow(p)
     t_exp = math.pi / (2.0 * abs(eff.omega_eff))
     t_grid = np.linspace(0.0, 1.4 * t_exp, 500)
-    history = schrodinger_evolve(
-        build_H_I(p), dressed_state(p, 0, "+"), t_grid,
-        IntegratorConfig(scheme="adaptive"),
-    )
+    history = dop853(-1j * build_H_I(p).mat, dressed_state(p, 0, "+").amp, t_grid)
     v_bot = dressed_state(p, p.n, "-").amp
     p_bot = np.abs(history @ v_bot.conj()) ** 2
     k = int(np.argmax(p_bot))

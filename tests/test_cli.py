@@ -1,7 +1,10 @@
 import configparser
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,23 @@ def section_keys(text):
 
 SCHEMA_KEYS = {section: set(keys) for section, keys in _SCHEMA.items()}
 
+# keys that configs and sidecars of earlier versions hold, with a value they
+# held; the [integrator] keys chose between the spectral and the adaptive
+# DOP853 propagator, which is gone
+REMOVED_INTEGRATOR_KEYS = [
+    pytest.param("integrator", "scheme", "spectral", id="scheme"),
+    pytest.param("integrator", "scheme", "adaptive", id="scheme_adaptive"),
+    pytest.param("integrator", "scheme", "fixed_rk4", id="scheme_fixed_rk4"),
+    pytest.param("integrator", "rel_tol", "1e-10", id="rel_tol"),
+    pytest.param("integrator", "abs_tol", "1e-12", id="abs_tol"),
+]
+REMOVED_KEYS = [
+    pytest.param("scan", "variable", "delta_a", id="variable"),
+    pytest.param("output", "formats", "csv", id="formats"),
+    pytest.param("seeds", "n_trajectories", "1", id="n_trajectories"),
+    *REMOVED_INTEGRATOR_KEYS,
+]
+
 
 class TestParse:
     def test_defaults_and_resonance_resolution(self):
@@ -55,7 +75,6 @@ class TestParse:
         assert m.delta_a == pytest.approx(resonance_detuning(m))
         assert cfg.scan.points == 801
         assert cfg.seeds.base_seed == 12345
-        assert cfg.integrator.scheme == "spectral"
 
     def test_explicit_delta_a(self):
         cfg = parse_config(MINIMAL + "delta_a = 3.5\n", "resonances")
@@ -87,33 +106,15 @@ class TestParse:
         with pytest.raises(ConfigError, match="mu_values"):
             parse_config(bad, "steadyscan")
 
-    def test_bad_scheme(self):
-        bad = DISSIPATIVE + "\n[integrator]\nscheme = euler\n"
-        with pytest.raises(ConfigError, match=r"\[integrator\]"):
-            parse_config(bad, "steadyscan")
-
-    def test_removed_scheme_named(self):
-        bad = DISSIPATIVE + "\n[integrator]\nscheme = fixed_rk4\n"
-        with pytest.raises(ConfigError, match=r"\[integrator\] scheme .*spectral"):
-            parse_config(bad, "steadyscan")
-
     def test_removed_dt_key_named(self):
         # an old config or sidecar is refused, not reinterpreted
         bad = DISSIPATIVE + "\n[integrator]\ndt = 0.001\n"
         with pytest.raises(ConfigError, match="'dt'"):
             parse_config(bad, "steadyscan")
 
-    @pytest.mark.parametrize(
-        "section, key, value",
-        [
-            pytest.param("scan", "variable", "delta_a", id="variable"),
-            pytest.param("output", "formats", "csv", id="formats"),
-            pytest.param("seeds", "n_trajectories", "1", id="n_trajectories"),
-        ],
-    )
+    @pytest.mark.parametrize("section, key, value", REMOVED_KEYS)
     def test_removed_key_named(self, section, key, value):
-        # these keys held a single accepted value; an old config is refused,
-        # not read as if the key were absent
+        # an old config is refused, not read as if the key were absent
         bad = DISSIPATIVE + f"\n[{section}]\n{key} = {value}\n"
         for preset in ("steadyscan", "trajectory"):
             with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
@@ -169,9 +170,9 @@ class TestParse:
     def test_round_trip_is_fixed_point(self):
         for extra in (
             "\n[scan]\nmin = -30\nmax = 30\n",
-            # every optional field set, and a non-default scheme
+            # every optional field set
             "\n[scan]\nbundle_n = 3\nmu_values = 2,4\n"
-            "\n[integrator]\nscheme = adaptive\nt_final = 7.5\nsample_dt = 0.25\n",
+            "\n[integrator]\nt_final = 7.5\nsample_dt = 0.25\n",
         ):
             cfg = parse_config(DISSIPATIVE + extra, "steadyscan")
             text = resolved_config_text(cfg)
@@ -205,6 +206,26 @@ class TestSweep:
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def test_cli_import_leaves_out_ode_solvers():
+    # every run pays at start-up for what `import bundlejc.cli` loads; the
+    # propagators need numpy's LAPACK and scipy.sparse, not scipy's ODE
+    # solvers or the scipy.optimize they pull in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, bundlejc.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestMain:
@@ -279,6 +300,15 @@ class TestMain:
         out_dir = tmp_path / "out"
         assert run_cli(["trajectory", "--config", cfg_file, "--out", out_dir]) == 1
         assert "unknown key 'n_trajectories'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("section, key, value", REMOVED_INTEGRATOR_KEYS)
+    def test_removed_integrator_key_exit_code(self, tmp_path, capsys, section, key, value):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(DISSIPATIVE + f"\n[{section}]\n{key} = {value}\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["trajectory", "--config", cfg_file, "--out", out_dir]) == 1
+        assert f"unknown key '{key}' in section [{section}]" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_threads_flag_removed(self, tmp_path):

@@ -9,7 +9,6 @@ import scipy.sparse.linalg
 from scipy.stats import kstest
 
 from bundlejc.dynamics import (
-    IntegratorConfig,
     LiouvillePropagator,
     SteadyStateWorkspace,
     TruncationError,
@@ -34,6 +33,7 @@ from bundlejc.hilbert import (
 )
 from bundlejc.model import ModelParams, build_H_I
 from bundlejc.observables import sweep
+from dop853 import dop853
 
 
 def decay_params(kappa=0.0, gamma=0.0, n_max=4):
@@ -139,7 +139,8 @@ class TestLindbladAnalytic:
         rho0 = basis_state(dissipative_n2.dims, 0, 0).to_density_matrix()
         t_grid = np.linspace(0.0, 2.0, 5)
         spectral = lindblad_evolve(L, rho0, t_grid)
-        adaptive = lindblad_evolve(L, rho0, t_grid, IntegratorConfig(scheme="adaptive"))
+        d = dissipative_n2.dims.total_dim
+        adaptive = [unvec(v, d) for v in dop853(L.mat, vec(rho0.mat), t_grid)]
         np.testing.assert_allclose(adaptive, spectral, atol=1e-7)
 
 
@@ -229,7 +230,7 @@ class TestSchrodinger:
         h = build_H_I(unitary_n2)
         psi0 = basis_state(unitary_n2.dims, 0, 0)
         t_grid = np.linspace(0.0, 0.5, 6)
-        spectral = schrodinger_evolve(h, psi0, t_grid, IntegratorConfig(scheme="spectral"))
+        spectral = schrodinger_evolve(h, psi0, t_grid)
         exact = np.array([scipy.linalg.expm(-1j * h.mat * t) @ psi0.amp for t in t_grid])
         np.testing.assert_allclose(spectral, exact, rtol=0, atol=1e-10)
 
@@ -237,18 +238,23 @@ class TestSchrodinger:
         h = build_H_I(unitary_n2)
         psi0 = basis_state(unitary_n2.dims, 0, 0)
         t_grid = np.linspace(0.0, 0.5, 6)
-        spectral = schrodinger_evolve(h, psi0, t_grid, IntegratorConfig(scheme="spectral"))
-        adaptive = schrodinger_evolve(h, psi0, t_grid, IntegratorConfig(scheme="adaptive"))
+        spectral = schrodinger_evolve(h, psi0, t_grid)
+        adaptive = dop853(-1j * h.mat, psi0.amp, t_grid)
         np.testing.assert_allclose(adaptive, spectral, rtol=0, atol=1e-7)
 
-    def test_coarse_step_rejected(self, unitary_n2):
-        # loose tolerances let DOP853 take steps too coarse for the spectral
-        # range of H: the norm drifts by about 1e-4
+    def test_norm_drift_rejected(self, unitary_n2, monkeypatch):
+        # an eigenbasis off unitarity by 1e-4 drifts the norm by about 2e-4
+        eigh = np.linalg.eigh
+
+        def skewed_eigh(mat):
+            evals, evecs = eigh(mat)
+            return evals, evecs * (1.0 + 1e-4)
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
         h = build_H_I(unitary_n2)
         psi0 = basis_state(unitary_n2.dims, 0, 0)
-        loose = IntegratorConfig(scheme="adaptive", rel_tol=1e-3, abs_tol=1e-3)
-        with pytest.raises(RuntimeError, match="norm drift .* too loose"):
-            schrodinger_evolve(h, psi0, np.linspace(0.0, 1.0, 3), loose)
+        with pytest.raises(RuntimeError, match=r"norm drift .* > 1e-5"):
+            schrodinger_evolve(h, psi0, np.linspace(0.0, 1.0, 3))
 
     def test_non_hermitian_rejected(self):
         p = decay_params()
@@ -265,9 +271,7 @@ class TestMcwf:
         p = replace(unitary_n2, kappa=0.0, gamma=0.0)
         psi0 = basis_state(p.dims, 0, 0)
         rec = mcwf_trajectory(p, psi0, 0.2, seed=1, sample_dt=0.05)
-        exact = schrodinger_evolve(
-            build_H_I(p), psi0, rec.times, IntegratorConfig(scheme="adaptive")
-        )
+        exact = dop853(-1j * build_H_I(p).mat, psi0.amp, rec.times)
         assert rec.jumps == []
         # states agree up to nothing: same dynamics, no renormalization needed
         np.testing.assert_allclose(rec.states, exact, atol=1e-8)
