@@ -7,12 +7,7 @@ from .hilbert import (
     SpaceDims,
     StateVector,
     basis_state,
-    commutator,
-    dagger,
-    expectation,
     fock_annihilation,
-    identity,
-    matmul,
     tls_operator,
 )
 from .model import (
@@ -20,21 +15,18 @@ from .model import (
     EffectiveTwoLevel,
     JcEigensystem,
     ModelParams,
-    TransitionTable,
     at_resonance,
     build_H0,
     build_H_I,
     build_H_jc,
     dressed,
     dressed_state,
-    frame_map,
     jc_eigensystem,
     omega_eff_jc,
     omega_eff_mollow,
     resonance_detuning,
     resonance_detuning_higher,
     resonant_branch,
-    transition_table,
 )
 from .dynamics import (
     Liouvillian,

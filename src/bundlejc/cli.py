@@ -364,19 +364,11 @@ def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
     tau_grid = np.geomspace(
         tau_min(n_bundle, m.kappa), cfg.scan.tau_max / m.kappa, cfg.scan.tau_points
     )
-    curve_n = g2_bundle_delayed(m, n_bundle, tau_grid, propagator=prop, rho_ss=rho,
-                                mask_below_tau_min=False)
+    curve_n = g2_bundle_delayed(m, n_bundle, tau_grid, propagator=prop, rho_ss=rho)
     tau_grid_1 = np.concatenate(
         ([0.0], np.geomspace(0.01 / m.kappa, cfg.scan.tau_max / m.kappa, cfg.scan.tau_points))
     )
-    curve_1 = g2_bundle_delayed(
-        m,
-        1,
-        tau_grid_1,
-        propagator=prop,
-        rho_ss=rho,
-        mask_below_tau_min=False,
-    )
+    curve_1 = g2_bundle_delayed(m, 1, tau_grid_1, propagator=prop, rho_ss=rho)
     rows = [("g1", t, v) for t, v in zip(curve_1.abscissa, curve_1.values)]
     rows += [(f"g{n_bundle}_bundle", t, v) for t, v in zip(curve_n.abscissa, curve_n.values)]
     return {"g2tau": (["curve", "tau", "value"], rows)}, {

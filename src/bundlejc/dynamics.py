@@ -213,16 +213,16 @@ class LiouvillePropagator:
         return out.reshape((len(taus), d, d)).transpose(0, 2, 1)
 
 
-def _check_density_history(history, trace_tol=1e-7, herm_tol=1e-9, eig_floor=-1e-7):
+def _check_density_history(history):
     for rho in history:
         herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > herm_tol:
+        if herm > 1e-9:
             raise RuntimeError(f"Hermiticity violated: {herm:.3e}")
         tr = rho.trace().real
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > 1e-7:
             raise RuntimeError(f"trace violated: {tr}")
         ev_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-        if ev_min < eig_floor:
+        if ev_min < -1e-7:
             raise RuntimeError(f"positivity violated: min eigenvalue {ev_min:.3e}")
 
 

@@ -19,22 +19,14 @@ __all__ = [
     "DensityMatrix",
     "fock_annihilation",
     "tls_operator",
-    "identity",
-    "matmul",
-    "dagger",
-    "commutator",
-    "expectation",
     "basis_state",
 ]
 
-GROUND = 0
-EXCITED = 1
-
-TLS_KINDS = ("sigma_minus", "sigma_plus", "sigma_x", "sigma_z", "excited_projector")
+TLS_KINDS = ("sigma_minus", "sigma_x", "excited_projector")
 
 
 class DimensionMismatchError(ValueError):
-    """Operands live on different truncated spaces."""
+    """An array's shape does not match the truncated space it is built on."""
 
 
 @dataclass(frozen=True)
@@ -65,14 +57,6 @@ class SpaceDims:
         return divmod(i, 2)
 
 
-def _check_same_dims(*objs):
-    dims = objs[0].dims
-    for o in objs[1:]:
-        if o.dims != dims:
-            raise DimensionMismatchError(f"dims differ: {dims} vs {o.dims}")
-    return dims
-
-
 def _frozen_complex(arr, shape) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     if out.shape != shape:
@@ -91,13 +75,6 @@ class Operator:
     def __post_init__(self):
         d = self.dims.total_dim
         object.__setattr__(self, "mat", _frozen_complex(self.mat, (d, d)))
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _check_same_dims(self, other)
-        return Operator(self.dims, self.mat @ other.mat)
-
-    def dag(self) -> "Operator":
-        return Operator(self.dims, self.mat.conj().T)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return np.max(np.abs(self.mat - self.mat.conj().T)) < tol
@@ -135,16 +112,16 @@ class DensityMatrix:
         d = self.dims.total_dim
         object.__setattr__(self, "mat", _frozen_complex(self.mat, (d, d)))
 
-    def validate(self, herm_tol=1e-10, trace_tol=1e-8, eig_floor=-1e-8):
+    def validate(self):
         """Raise if the state is not Hermitian, trace-one and positive."""
         herm = np.max(np.abs(self.mat - self.mat.conj().T))
-        if herm > herm_tol:
+        if herm > 1e-10:
             raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
         tr = self.mat.trace()
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > 1e-8:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         evals = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)
-        if evals.min() < eig_floor:
+        if evals.min() < -1e-8:
             raise ValueError(f"density matrix not positive: min eigenvalue {evals.min():.3e}")
 
 
@@ -159,48 +136,13 @@ def tls_operator(kind: str, dims: SpaceDims) -> Operator:
     """I_Fock (x) (2x2) in the (|g>, |e>) ordering."""
     if kind == "sigma_minus":
         m = np.array([[0, 1], [0, 0]], dtype=complex)
-    elif kind == "sigma_plus":
-        m = np.array([[0, 0], [1, 0]], dtype=complex)
     elif kind == "sigma_x":
         m = np.array([[0, 1], [1, 0]], dtype=complex)
-    elif kind == "sigma_z":
-        m = np.array([[-1, 0], [0, 1]], dtype=complex)
     elif kind == "excited_projector":
         m = np.array([[0, 0], [0, 1]], dtype=complex)
     else:
         raise ValueError(f"unknown TLS operator kind {kind!r}; expected one of {TLS_KINDS}")
     return Operator(dims, np.kron(np.eye(dims.fock_dim), m))
-
-
-def identity(dims: SpaceDims) -> Operator:
-    return Operator(dims, np.eye(dims.total_dim))
-
-
-def matmul(*ops: Operator) -> Operator:
-    if not ops:
-        raise ValueError("matmul needs at least one operator")
-    dims = _check_same_dims(*ops)
-    out = ops[0].mat
-    for op in ops[1:]:
-        out = out @ op.mat
-    return Operator(dims, out)
-
-
-def dagger(op: Operator) -> Operator:
-    return op.dag()
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    dims = _check_same_dims(a, b)
-    return Operator(dims, a.mat @ b.mat - b.mat @ a.mat)
-
-
-def expectation(op: Operator, state: StateVector | DensityMatrix) -> complex:
-    """<psi|O|psi> for pure states, Tr(O rho) for density matrices."""
-    _check_same_dims(op, state)
-    if isinstance(state, StateVector):
-        return complex(np.vdot(state.amp, op.mat @ state.amp))
-    return complex(np.trace(op.mat @ state.mat))
 
 
 def basis_state(dims: SpaceDims, m: int, s: int) -> StateVector:

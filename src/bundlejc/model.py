@@ -1,9 +1,8 @@
 """Model algebra for the driven n-photon Jaynes-Cummings system.
 
 Hamiltonians in the rotating frame, laser-dressed two-level states, the
-multi-photon resonance conditions, dressed-basis transition amplitudes, and
-the effective super-Rabi frequencies in both the strong-drive (Mollow) and
-strong-coupling (JC) regimes.
+multi-photon resonance conditions, and the effective super-Rabi frequencies
+in both the strong-drive (Mollow) and strong-coupling (JC) regimes.
 """
 
 from __future__ import annotations
@@ -19,16 +18,13 @@ from .hilbert import Operator, SpaceDims, StateVector, fock_annihilation, tls_op
 __all__ = [
     "ModelParams",
     "DressedData",
-    "TransitionTable",
     "EffectiveTwoLevel",
     "JcEigensystem",
-    "frame_map",
     "build_H_I",
     "build_H0",
     "build_H_jc",
     "dressed",
     "dressed_state",
-    "transition_table",
     "resonance_detuning",
     "resonance_detuning_higher",
     "resonant_branch",
@@ -104,43 +100,13 @@ class DressedData:
 
 
 @dataclass(frozen=True)
-class TransitionTable:
-    """Dressed-basis transition data for the n-photon coupling term.
-
-    amplitude[(s, r)] is the matrix element <s|sigma_-|r> for s, r in '+-'.
-    The m-dependent coupling magnitude is J*sqrt((m+n)!/m!) and the phase of
-    the |m>|r> -> |m+n>|s> term rotates at E_s - E_r + n*delta_a.
-    """
-
-    n: int
-    j: float
-    delta_a: float
-    dressed_data: DressedData
-    amplitude: dict
-
-    def magnitude(self, m: int) -> float:
-        return self.j * math.sqrt(math.perm(m + self.n, self.n))
-
-    def oscillation_detuning(self, s: str, r: str) -> float:
-        e = {"+": self.dressed_data.e_plus, "-": self.dressed_data.e_minus}
-        return e[s] - e[r] + self.n * self.delta_a
-
-
-@dataclass(frozen=True)
 class EffectiveTwoLevel:
-    """Effective 2x2 Hamiltonian on {|0>|+>, |n>|->} after adiabatic elimination."""
+    """Effective 2x2 Hamiltonian [[eps1, omega_eff], [omega_eff, eps2]] on
+    {|0>|+>, |n>|->} after adiabatic elimination."""
 
     eps1: float
     eps2: float
     omega_eff: float
-
-    basis_labels = ("|0>|+>", "|n>|->")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.eps1, self.omega_eff], [self.omega_eff, self.eps2]], dtype=float
-        )
 
 
 @dataclass(frozen=True)
@@ -174,20 +140,6 @@ class JcEigensystem:
         amp[dims.index(m, 0)] = cmp_
         amp[dims.index(m - self.n, 1)] = sign * cpm
         return StateVector(dims, amp)
-
-
-def frame_map(omega_a: float, omega_0: float, omega_l: float, n: int):
-    """Map lab-frame frequencies to rotating-frame detunings.
-
-    Returns (delta_a, delta_sigma, delta_n).  delta_sigma is computed as
-    delta_n + n*delta_a so the identity holds exactly in floating point.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    delta_a = omega_a - omega_l / n
-    delta_n = omega_0 - n * omega_a
-    delta_sigma = delta_n + n * delta_a
-    return delta_a, delta_sigma, delta_n
 
 
 def _coupling_term(p: ModelParams) -> np.ndarray:
@@ -258,19 +210,6 @@ def dressed_state(p: ModelParams, m: int, branch: str) -> StateVector:
     amp[p.dims.index(m, 1)] = c_e
     amp[p.dims.index(m, 0)] = sign * c_g
     return StateVector(p.dims, amp)
-
-
-def transition_table(p: ModelParams) -> TransitionTable:
-    d = dressed(p)
-    amplitude = {
-        ("+", "+"): d.c_plus * d.c_minus,
-        ("+", "-"): d.c_minus**2,
-        ("-", "+"): -d.c_plus**2,
-        ("-", "-"): -d.c_plus * d.c_minus,
-    }
-    return TransitionTable(
-        n=p.n, j=p.j, delta_a=p.delta_a, dressed_data=d, amplitude=amplitude
-    )
 
 
 def resonance_detuning(p: ModelParams) -> float:

@@ -40,10 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrelationCurve:
-    """kind is 'equal_time_order_l' (order = l, abscissa = delta_a values) or
-    'delayed_gN2' (order = N, abscissa = tau values)."""
+    """Delayed g_N^(2)(tau): order = N, abscissa = the tau values."""
 
-    kind: str
     order: int
     abscissa: np.ndarray
     values: np.ndarray
@@ -121,8 +119,6 @@ def g2_bundle_delayed(
     *,
     propagator: LiouvillePropagator | None = None,
     rho_ss: DensityMatrix | None = None,
-    mask_below_tau_min: bool | None = None,
-    n_points: int = 200,
 ) -> CorrelationCurve:
     """Delayed second-order correlation of the N-photon bundle.
 
@@ -130,9 +126,9 @@ def g2_bundle_delayed(
     under the Liouvillian and measured with a^dagN a^N; both denominator
     factors are the stationary value.  N=1 recovers the standard g2(tau).
 
-    For N >= 2 delays below tau_min (where the bundle correlation is not
-    meaningful) are masked out of the default grid; pass
-    mask_below_tau_min=False to evaluate an explicit grid as given.
+    The default grid is 200 delays from tau_min to 30/kappa.  For N >= 2 a
+    delay below tau_min, where the bundle correlation is not meaningful, is
+    an error; N=1 grids, tau = 0 included, are taken as given.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -145,15 +141,14 @@ def g2_bundle_delayed(
 
     t_floor = tau_min(N, p.kappa)
     if tau_grid is None:
-        tau_grid = np.geomspace(t_floor, 30.0 / p.kappa, n_points)
-    else:
-        tau_grid = np.asarray(tau_grid, dtype=float)
-        if mask_below_tau_min is None:
-            mask_below_tau_min = N >= 2
-        if mask_below_tau_min:
-            tau_grid = tau_grid[tau_grid >= t_floor]
+        tau_grid = np.geomspace(t_floor, 30.0 / p.kappa, 200)
+    tau_grid = np.asarray(tau_grid, dtype=float)
     if len(tau_grid) == 0:
-        raise ValueError("empty tau grid after masking below tau_min")
+        raise ValueError("empty tau grid")
+    if N >= 2 and np.any(tau_grid < t_floor):
+        raise ValueError(
+            f"delay {tau_grid.min():g} below tau_min = {t_floor:g} for the N={N} bundle"
+        )
 
     a = fock_annihilation(p.dims).mat
     an = matrix_power(a, N)
@@ -165,9 +160,7 @@ def g2_bundle_delayed(
     propagated = propagator.propagate(collapsed, tau_grid)
     values = np.einsum("ij,tji->t", meas, propagated).real / denom**2
     values = _clamp_nonnegative(values)
-    return CorrelationCurve(
-        kind="delayed_gN2", order=N, abscissa=tau_grid, values=values
-    )
+    return CorrelationCurve(order=N, abscissa=tau_grid, values=values)
 
 
 def _scan_point(ws: SteadyStateWorkspace, m_top: int, delta_a: float) -> tuple:

@@ -21,7 +21,7 @@ from bundlejc.dynamics import (
     steady_state,
     trajectory_average,
 )
-from bundlejc.hilbert import basis_state, dagger, fock_annihilation, matmul
+from bundlejc.hilbert import Operator, basis_state, fock_annihilation
 from bundlejc.model import (
     ModelParams,
     at_resonance,
@@ -242,8 +242,8 @@ def test_criterion_6_trajectory_consistency(dissipative_n2):
     recs = run_trajectories(
         p, psi0, 10.0, 0.5, n_trajectories=2000, base_seed=11
     )
-    a = fock_annihilation(p.dims)
-    num = matmul(dagger(a), a)
+    a = fock_annihilation(p.dims).mat
+    num = Operator(p.dims, a.conj().T @ a)
     times, mean, stderr = trajectory_average(recs, num)
     exact_hist = lindblad_evolve(build_liouvillian(p), psi0.to_density_matrix(), times)
     exact = np.array([np.trace(num.mat @ rho).real for rho in exact_hist])

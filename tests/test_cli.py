@@ -189,6 +189,15 @@ class TestParse:
         parse_config(block, "steadyscan")
         assert section_keys(block) == SCHEMA_KEYS
 
+    def test_readme_library_example_runs(self, capsys):
+        # every name the README imports, and the default-grid g2_bundle_delayed call
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        pops, values = capsys.readouterr().out.splitlines()
+        assert len(pops.strip("[]").split()) == 4
+        assert len(values.split()) == 2
+
 
 class TestSweep:
     def test_duplicate_points_identical(self):

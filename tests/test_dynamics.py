@@ -26,9 +26,7 @@ from bundlejc.hilbert import (
     DensityMatrix,
     Operator,
     basis_state,
-    dagger,
     fock_annihilation,
-    matmul,
     tls_operator,
 )
 from bundlejc.model import ModelParams, build_H_I
@@ -118,8 +116,8 @@ class TestLindbladAnalytic:
         rho0 = basis_state(p.dims, 3, 0).to_density_matrix()
         t_grid = np.linspace(0.0, 4.0, 9)
         history = lindblad_evolve(L, rho0, t_grid)
-        a = fock_annihilation(p.dims)
-        num = matmul(dagger(a), a).mat
+        a = fock_annihilation(p.dims).mat
+        num = a.conj().T @ a
         for t, rho in zip(t_grid, history):
             n_mean = np.trace(num @ rho).real
             assert n_mean == pytest.approx(3.0 * np.exp(-0.7 * t), abs=1e-9)
@@ -316,8 +314,8 @@ class TestMcwf:
         p = decay_params(kappa=1.0, n_max=3)
         psi0 = basis_state(p.dims, 2, 0)
         recs = run_trajectories(p, psi0, 4.0, 0.5, n_trajectories=200, base_seed=7)
-        a = fock_annihilation(p.dims)
-        times, mean, stderr = trajectory_average(recs, matmul(dagger(a), a))
+        a = fock_annihilation(p.dims).mat
+        times, mean, stderr = trajectory_average(recs, Operator(p.dims, a.conj().T @ a))
         exact = 2.0 * np.exp(-times)
         dev = np.abs(mean - exact)[1:]
         assert np.all(dev < 4.0 * np.maximum(stderr[1:], 1e-3))
@@ -327,8 +325,8 @@ class TestTrajectoryAverage:
     def test_single_record_zero_stderr(self):
         p = decay_params(kappa=1.0)
         rec = mcwf_trajectory(p, basis_state(p.dims, 1, 0), 2.0, seed=0, sample_dt=0.5)
-        a = fock_annihilation(p.dims)
-        _, mean, stderr = trajectory_average([rec], matmul(dagger(a), a))
+        a = fock_annihilation(p.dims).mat
+        _, mean, stderr = trajectory_average([rec], Operator(p.dims, a.conj().T @ a))
         assert np.all(stderr == 0.0)
         assert mean[0] == pytest.approx(1.0)
 
@@ -337,13 +335,15 @@ class TestTrajectoryAverage:
         psi0 = basis_state(p.dims, 1, 0)
         r1 = mcwf_trajectory(p, psi0, 2.0, seed=0, sample_dt=0.5)
         r2 = mcwf_trajectory(p, psi0, 2.0, seed=0, sample_dt=1.0)
-        num = matmul(dagger(fock_annihilation(p.dims)), fock_annihilation(p.dims))
+        a = fock_annihilation(p.dims).mat
+        num = Operator(p.dims, a.conj().T @ a)
         with pytest.raises(ValueError, match="mismatched"):
             trajectory_average([r1, r2], num)
 
     def test_empty_rejected(self):
         p = decay_params()
-        num = matmul(dagger(fock_annihilation(p.dims)), fock_annihilation(p.dims))
+        a = fock_annihilation(p.dims).mat
+        num = Operator(p.dims, a.conj().T @ a)
         with pytest.raises(ValueError):
             trajectory_average([], num)
 

@@ -14,17 +14,14 @@ from bundlejc.model import (
     build_H_jc,
     dressed,
     dressed_state,
-    frame_map,
     jc_eigensystem,
     omega_eff_jc,
     omega_eff_mollow,
     resonance_detuning,
     resonance_detuning_higher,
     resonant_branch,
-    transition_table,
 )
 
-rates = st.floats(-100.0, 100.0, allow_nan=False)
 drives = st.floats(0.1, 100.0, allow_nan=False)
 
 
@@ -48,20 +45,6 @@ class TestParams:
             simple(n=3, n_max=2)  # coupling vanishes identically
         with pytest.raises(ValueError):
             simple(n_max=25)  # factorial cap
-
-
-class TestFrameMap:
-    def test_triple_resonance(self):
-        assert frame_map(5.0, 10.0, 10.0, 2) == (0.0, 0.0, 0.0)
-
-    def test_direct_arithmetic(self):
-        da, ds, dn = frame_map(5.0, 9.0, 10.0, 2)
-        assert (da, ds, dn) == (0.0, -1.0, -1.0)
-
-    @given(rates, rates, rates, st.integers(1, 4))
-    def test_identity_exact(self, wa, w0, wl, n):
-        da, ds, dn = frame_map(wa, w0, wl, n)
-        assert ds == dn + n * da
 
 
 class TestHamiltonians:
@@ -153,6 +136,15 @@ class TestDressed:
             assert abs(v_plus[1]) == pytest.approx(d.c_plus, abs=1e-10)
             assert abs(v_plus[0]) == pytest.approx(d.c_minus, abs=1e-10)
 
+    def test_sigma_minus_element_oracle(self):
+        # <+|sigma_-|-> by explicit 2-vector algebra equals c_minus^2
+        p = simple(delta_n=-23.0, delta_a=0.0)
+        d = dressed(p)
+        plus = np.array([d.c_minus, d.c_plus])  # (g, e) components
+        minus = np.array([-d.c_plus, d.c_minus])
+        sm = np.array([[0, 1], [0, 0]])
+        assert plus @ sm @ minus == pytest.approx(d.c_minus**2, abs=1e-12)
+
     def test_undriven_errors(self):
         with pytest.raises(ValueError, match="bare basis"):
             dressed(simple(omega_l=0.0))
@@ -162,44 +154,6 @@ class TestDressed:
     def test_normalization(self, ds, ol):
         d = dressed(simple(delta_n=ds, delta_a=0.0, omega_l=ol))
         assert d.c_plus**2 + d.c_minus**2 == pytest.approx(1.0, abs=1e-12)
-
-
-class TestTransitionTable:
-    def test_symmetric_amplitudes(self):
-        p = simple(delta_n=0.0, delta_a=0.0, omega_l=1.0)
-        t = transition_table(p)
-        assert t.amplitude[("+", "+")] == pytest.approx(0.5)
-        assert t.amplitude[("+", "-")] == pytest.approx(0.5)
-        assert t.amplitude[("-", "+")] == pytest.approx(-0.5)
-
-    def test_antisymmetry_and_products(self):
-        for ds in (-23.1, 4.0, 17.0):
-            p = simple(delta_n=ds, delta_a=0.0)
-            t = transition_table(p)
-            assert t.amplitude[("+", "+")] + t.amplitude[("-", "-")] == pytest.approx(0.0)
-            d = dressed(p)
-            prod = t.amplitude[("+", "-")] * (-t.amplitude[("-", "+")])
-            assert prod == pytest.approx(t.amplitude[("+", "+")] ** 2, abs=1e-12)
-            assert prod == pytest.approx(d.c_plus**2 * d.c_minus**2, abs=1e-12)
-
-    def test_sigma_minus_element_oracle(self):
-        # <+|sigma_-|-> by explicit 2-vector algebra equals c_minus^2
-        p = simple(delta_n=-23.0, delta_a=0.0)
-        d = dressed(p)
-        plus = np.array([d.c_minus, d.c_plus])  # (g, e) components
-        minus = np.array([-d.c_plus, d.c_minus])
-        sm = np.array([[0, 1], [0, 0]])
-        assert plus @ sm @ minus == pytest.approx(d.c_minus**2, abs=1e-12)
-        t = transition_table(p)
-        assert t.amplitude[("+", "-")] == pytest.approx(d.c_minus**2)
-
-    def test_magnitude_and_detuning(self):
-        p = simple()
-        t = transition_table(p)
-        assert t.magnitude(3) == pytest.approx(p.j * math.sqrt(math.factorial(5) / math.factorial(3)))
-        d = dressed(p)
-        assert t.oscillation_detuning("+", "-") == pytest.approx(d.omega + p.n * p.delta_a)
-        assert t.oscillation_detuning("+", "+") == pytest.approx(p.n * p.delta_a)
 
 
 class TestResonances:
@@ -276,10 +230,6 @@ class TestEffectiveMollow:
         p2 = replace(p, j=2e-6)
         eff2 = omega_eff_mollow(p2)
         assert eff2.omega_eff == pytest.approx(2 * eff.omega_eff, rel=1e-5)
-
-    def test_effective_matrix_symmetric(self, unitary_n2):
-        eff = omega_eff_mollow(unitary_n2)
-        np.testing.assert_array_equal(eff.matrix, eff.matrix.T)
 
     def test_full_hamiltonian_splitting_oracle(self, unitary_n2, unitary_n3):
         # the two eigenstates of H_I closest to |0>|+> and |n>|-> are split

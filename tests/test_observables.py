@@ -183,34 +183,32 @@ class TestDelayedBundleCorrelation:
 
     def test_default_grid_starts_at_tau_min(self, dissipative_n2, dissipative_n2_ss):
         prop, rho_ss = dissipative_n2_ss
-        curve = g2_bundle_delayed(dissipative_n2, 2, propagator=prop, rho_ss=rho_ss, n_points=20)
+        curve = g2_bundle_delayed(dissipative_n2, 2, propagator=prop, rho_ss=rho_ss)
+        assert len(curve.abscissa) == 200
         assert curve.abscissa[0] == pytest.approx(tau_min(2, dissipative_n2.kappa))
-        assert curve.order == 2 and curve.kind == "delayed_gN2"
+        assert curve.abscissa[-1] == pytest.approx(30.0 / dissipative_n2.kappa)
+        assert curve.order == 2
 
-    def test_masking_below_tau_min(self, dissipative_n2, dissipative_n2_ss):
+    def test_grid_below_tau_min_rejected(self, dissipative_n2, dissipative_n2_ss):
+        # tau_min(2, kappa = 1) = 1.5: a bundle grid reaching below it is an
+        # error, not silently shortened
+        prop, rho_ss = dissipative_n2_ss
+        for grid in ([0.1, 1.0, 2.0, 5.0], [0.01]):
+            with pytest.raises(ValueError, match="tau_min"):
+                g2_bundle_delayed(dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss)
+        with pytest.raises(ValueError, match="empty"):
+            g2_bundle_delayed(dissipative_n2, 1, [], propagator=prop, rho_ss=rho_ss)
+
+    def test_order_one_grid_taken_as_given(self, dissipative_n2, dissipative_n2_ss):
         prop, rho_ss = dissipative_n2_ss
         grid = np.array([0.1, 1.0, 2.0, 5.0])
-        curve = g2_bundle_delayed(dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss)
-        assert np.all(curve.abscissa >= tau_min(2, dissipative_n2.kappa))
-        assert len(curve.abscissa) == 2
-        unmasked = g2_bundle_delayed(
-            dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss, mask_below_tau_min=False
-        )
-        np.testing.assert_array_equal(unmasked.abscissa, grid)
-        # order 1 grids are taken as given
         g1 = g2_bundle_delayed(dissipative_n2, 1, grid, propagator=prop, rho_ss=rho_ss)
         np.testing.assert_array_equal(g1.abscissa, grid)
 
-    def test_empty_grid_after_mask_rejected(self, dissipative_n2, dissipative_n2_ss):
-        prop, rho_ss = dissipative_n2_ss
-        with pytest.raises(ValueError, match="empty"):
-            g2_bundle_delayed(
-                dissipative_n2, 2, np.array([0.01]), propagator=prop, rho_ss=rho_ss
-            )
-
     def test_values_nonnegative(self, dissipative_n2, dissipative_n2_ss):
         prop, rho_ss = dissipative_n2_ss
-        curve = g2_bundle_delayed(dissipative_n2, 2, propagator=prop, rho_ss=rho_ss, n_points=50)
+        grid = np.geomspace(tau_min(2, dissipative_n2.kappa), 30.0 / dissipative_n2.kappa, 50)
+        curve = g2_bundle_delayed(dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss)
         assert np.all(curve.values >= 0.0)
 
     def test_requires_decay(self, unitary_n2):
