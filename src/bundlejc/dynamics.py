@@ -6,13 +6,15 @@ vectorization of rho.  H, a and sigma_- all conserve k = (m - m') mod n, where
 m and m' are the photon numbers of the row and column of rho, so L is
 block-diagonal in k (a weak symmetry).  The steady state lies in the k = 0
 block and is found by sparse LU on that block alone; the spectral propagator
-eigendecomposes a block only when an operator has support in it.  delta_a
-moves only the diagonal of L, so a SteadyStateWorkspace builds L once for a
-whole delta_a scan and rewrites just the k = 0 diagonal at each point, with
-the arithmetic of build_liouvillian: its steady states are bit-for-bit those
-of steady_state, and both share the checks that follow the factorization.
-H and L do not depend on time, so each equation of motion has one propagator,
-an eigendecomposition, which is exact at the sample times.
+eigendecomposes a block only when an operator has support in it, and a block
+closed under the adjoint (2k = 0 mod n) as a real matrix in a Hermitian
+operator basis.  delta_a moves only the diagonal of L, so a
+SteadyStateWorkspace builds L once for a whole delta_a scan and rewrites just
+the k = 0 diagonal at each point, with the arithmetic of build_liouvillian:
+its steady states are bit-for-bit those of steady_state, and both share the
+checks that follow the factorization.  H and L do not depend on time, so each
+equation of motion has one propagator, an eigendecomposition, which is exact
+at the sample times.
 """
 
 from __future__ import annotations
@@ -179,13 +181,30 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     return Liouvillian(dims, lmat, _sectors(dims, p.n), cavity_decay=p.kappa > 0)
 
 
+def _hermitian_basis(idx: np.ndarray, d: int) -> sp.csr_array:
+    """Unitary T from the vec coordinates idx of a sector closed under the
+    adjoint to the orthonormal Hermitian basis {|i><i|, (|i><j| + |j><i|)/sqrt2,
+    i(|i><j| - |j><i|)/sqrt2}.  Row p is the basis element of entry p, so T x
+    is real when x holds the sector's entries of a Hermitian operator."""
+    j, i = np.divmod(idx, d)
+    off = np.flatnonzero(i != j)
+    mate = np.searchsorted(idx, i[off] * d + j[off])  # position of entry (j, i)
+    vals = np.ones(len(idx), dtype=complex)
+    vals[off] = np.where(i[off] < j[off], 1, 1j) / math.sqrt(2)
+    rows = np.r_[np.arange(len(idx)), off]
+    cols = np.r_[np.arange(len(idx)), mate]
+    return sp.csr_array((np.r_[vals, vals[off].conj()], (rows, cols)), shape=(len(idx),) * 2)
+
+
 class LiouvillePropagator:
     """Spectral form of exp(L t), one eigendecomposition per symmetry sector.
 
     A sector is decomposed the first time an operator with support in it is
-    propagated, and reused afterwards.  Propagates arbitrary (not necessarily
-    trace-one) operators, which is what the regression pathway for two-time
-    correlators needs.
+    propagated, and reused afterwards.  L maps Hermitian operators to
+    Hermitian ones, so a sector closed under the adjoint is decomposed as the
+    real matrix T K T^dag (T from _hermitian_basis) at about half the cost;
+    as X = T^dag (T X) for any X, arbitrary (not necessarily trace-one or
+    Hermitian) operators propagate, as the two-time regression pathway needs.
     """
 
     def __init__(self, L: Liouvillian):
@@ -194,8 +213,19 @@ class LiouvillePropagator:
 
     def _spectrum(self, k: int):
         if k not in self._spectra:
-            evals, evecs = np.linalg.eig(self.L.block(k).toarray())
-            self._spectra[k] = (evals, evecs, np.linalg.inv(evecs))
+            block = self.L.block(k)
+            if 2 * k % len(self.L.sectors):
+                evals, evecs = np.linalg.eig(block.toarray())
+                self._spectra[k] = (evals, evecs, np.linalg.inv(evecs))
+            else:
+                t = _hermitian_basis(self.L.sectors[k], self.L.dims.total_dim)
+                real_form = t @ block @ t.conj().T
+                imag = np.abs(real_form.data.imag).max(initial=0.0)
+                if imag > 1e-14 * np.abs(real_form.data.real).max(initial=0.0):
+                    raise RuntimeError(f"sector k={k} not real in the Hermitian basis: {imag:.3e}")
+                evals, w = np.linalg.eig(real_form.real.toarray())
+                inv = np.linalg.inv(w) @ t  # before T^dag W: one dense matrix fewer at peak
+                self._spectra[k] = (evals, t.conj().T @ w, inv)
         return self._spectra[k]
 
     def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:

@@ -32,7 +32,6 @@ from bundlejc.model import (
     jc_eigensystem,
     omega_eff_jc,
     omega_eff_mollow,
-    resonance_detuning,
 )
 from bundlejc.observables import (
     g2_bundle_delayed,

@@ -8,10 +8,12 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.stats import kstest
 
+from bundlejc import dynamics
 from bundlejc.dynamics import (
     LiouvillePropagator,
     SteadyStateWorkspace,
     TruncationError,
+    _hermitian_basis,
     build_liouvillian,
     lindblad_evolve,
     mcwf_trajectory,
@@ -426,6 +428,78 @@ class TestSectoredLiouvillian:
         a3 = np.linalg.matrix_power(fock_annihilation(dissipative_n3.dims).mat, 3)
         prop.propagate(a3 @ rho @ a3.conj().T, [1.0, 2.0])
         assert list(prop._spectra) == [0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kappa,gamma", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.2), (1.0, 0.2)])
+    def test_self_adjoint_sectors_real_in_hermitian_basis(self, n, kappa, gamma):
+        p = oracle_point(n, kappa, gamma)
+        L = build_liouvillian(p)
+        dense = dense_liouvillian(p)
+        for k in [k for k in range(n) if 2 * k % n == 0]:
+            idx = L.sectors[k]
+            t = _hermitian_basis(idx, p.dims.total_dim)
+            np.testing.assert_allclose(
+                (t @ t.conj().T).toarray(), np.eye(len(idx)), rtol=0, atol=1e-14
+            )
+            real_form = (t @ L.block(k) @ t.conj().T).toarray()
+            assert not np.any(real_form.imag)
+            np.testing.assert_allclose(
+                real_form,
+                (t @ dense[np.ix_(idx, idx)]) @ t.conj().T,
+                rtol=0,
+                atol=4 * np.finfo(float).eps * np.abs(dense).max(),
+            )
+
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_real_form_propagates_non_hermitian_operator(self, point, request):
+        # a^n rho_ss lies in k = 0 but is not Hermitian, so only X = T^dag (T X)
+        # makes the real decomposition exact for it
+        p = request.getfixturevalue(point)
+        L = build_liouvillian(p)
+        d = p.dims.total_dim
+        an = np.linalg.matrix_power(fock_annihilation(p.dims).mat, p.n)
+        op = an @ steady_state(L).mat
+        assert np.abs(op - op.conj().T).max() > 1e-3
+        k0 = L.sectors[0]
+        assert np.count_nonzero(vec(op)) == np.count_nonzero(vec(op)[k0])
+        prop = LiouvillePropagator(L)
+        taus = [0.0, 0.7, 4.0]
+        got = prop.propagate(op, taus)
+        assert list(prop._spectra) == [0]
+        # L is block-diagonal in k, so exp(L tau) acts on k = 0 through its block
+        block = dense_liouvillian(p)[np.ix_(k0, k0)]
+        for tau, out in zip(taus, got):
+            exact = np.zeros(d * d, dtype=complex)
+            exact[k0] = scipy.linalg.expm(block * tau) @ vec(op)[k0]
+            np.testing.assert_allclose(out, unvec(exact, d), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("point, real", [("dissipative_n2", [0, 1]), ("dissipative_n3", [0])])
+    def test_real_form_decomposes_sectors_closed_under_adjoint(
+        self, point, real, request, monkeypatch
+    ):
+        p = request.getfixturevalue(point)
+        L = build_liouvillian(p)
+        seen = []
+        basis = dynamics._hermitian_basis
+        monkeypatch.setattr(
+            dynamics, "_hermitian_basis", lambda idx, d: seen.append(idx) or basis(idx, d)
+        )
+        LiouvillePropagator(L).propagate(random_density(p.dims, seed=11).mat, [1.0])
+        assert [k for k, idx in enumerate(L.sectors) if any(idx is s for s in seen)] == real
+
+    def test_complex_real_form_rejected(self, dissipative_n2, monkeypatch):
+        basis = dynamics._hermitian_basis
+
+        def rotated_basis(idx, d):
+            # still unitary, but row 0 times i: the block stops being real
+            t = basis(idx, d)
+            t.data[t.indptr[0]:t.indptr[1]] *= 1j
+            return t
+
+        monkeypatch.setattr(dynamics, "_hermitian_basis", rotated_basis)
+        prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
+        with pytest.raises(RuntimeError, match="not real in the Hermitian basis"):
+            prop.propagate(random_density(dissipative_n2.dims, seed=3).mat, [1.0])
 
 
 def dense_k0_steady_state(p):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bundlejc.hilbert import SpaceDims, basis_state, tls_operator
+from bundlejc.hilbert import tls_operator
 from bundlejc.model import (
     ModelParams,
     at_resonance,
