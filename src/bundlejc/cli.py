@@ -31,6 +31,7 @@ from . import __version__
 from .dynamics import (
     LiouvillePropagator,
     TruncationError,
+    _check_horizon,
     build_liouvillian,
     mcwf_trajectory,
     schrodinger_evolve,
@@ -86,10 +87,7 @@ class IntegratorBlock:
     sample_dt: float | None = None
 
     def __post_init__(self):
-        for name in ("t_final", "sample_dt"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0; got {value}")
+        _check_horizon(**{k: v for k, v in vars(self).items() if v is not None})
 
 
 @dataclass(frozen=True)

@@ -443,27 +443,78 @@ class TrajectoryRecord:
     jumps: list
 
 
+JUMP_TOL = 1e-12  # |log ||psi||^2 - log r| at a solved jump time
+JUMP_MAX_ITER = 100  # Newton/bisection steps; bisection alone needs about 60
+
+
 class _JumpPropagator:
-    """Exact evolution under the non-Hermitian H_I - (i/2)(kappa a^dag a +
-    gamma sigma_+ sigma_-), via eigendecomposition.  Shared across an ensemble."""
+    """Exact evolution under H_nh = H_I - (i/2)(kappa a^dag a + gamma sigma_+
+    sigma_-), diagonalized once as V diag(lambda) V^-1 and shared across an
+    ensemble.  A state psi = V c is held as its coefficients c, so advancing
+    by s is c exp(-i lambda s); one matvec with the stacked forms V^dag V and
+    V^dag (rate C^dag C) V then gives ||psi||^2 and both channel weights."""
 
     def __init__(self, p: ModelParams):
-        self.p = p
         dims = p.dims
-        a = fock_annihilation(dims).mat
-        sm = tls_operator("sigma_minus", dims).mat
-        h_nh = (
-            build_H_I(p).mat
-            - 0.5j * (p.kappa * (a.conj().T @ a) + p.gamma * (sm.conj().T @ sm))
+        channels = [
+            (p.kappa, fock_annihilation(dims).mat),
+            (p.gamma, tls_operator("sigma_minus", dims).mat),
+        ]
+        decays = [(rate, c.conj().T @ c) for rate, c in channels]
+        # eigenvalues of G = -i H_nh are the rates -i lambda
+        self._rates, self.v = np.linalg.eig(_damped_generator(build_H_I(p).mat, decays))
+        self.inv = np.linalg.inv(self.v)
+        vh = self.v.conj().T
+        self._forms = np.concatenate(
+            [vh @ self.v] + [vh @ (rate * cdc) @ self.v for rate, cdc in decays]
         )
-        self.a = a
-        self.sm = sm
-        self._evals, self._evecs = np.linalg.eig(h_nh)
-        self._inv = np.linalg.inv(self._evecs)
+        self.jump_maps = [self.inv @ c @ self.v for _, c in channels]
 
-    def advance(self, psi: np.ndarray, dt: float) -> np.ndarray:
-        c = self._inv @ psi
-        return self._evecs @ (np.exp(-1j * self._evals * dt) * c)
+    def advance(self, c: np.ndarray, s: float) -> np.ndarray:
+        return c * np.exp(self._rates * s)
+
+    def forms(self, c: np.ndarray) -> list[float]:
+        """[||psi||^2, kappa ||a psi||^2, gamma ||sigma_- psi||^2]."""
+        return ((self._forms @ c).reshape(3, -1) @ c.conj()).real.tolist()
+
+    def jump_time(self, c, h: float, norm2: float, norm2_h: float, r: float):
+        """Root s in (0, h] of log ||psi(s)||^2 = log r, where psi(s) has
+        coefficients advance(c, s) and the squared norm falls from norm2 > r
+        at s = 0 to norm2_h <= r at s = h.  Starts from log-linear
+        interpolation and takes Newton steps on d||psi||^2/ds = -(w_cav +
+        w_tls), bisecting when a step would leave the bracket.  Returns s, the
+        coefficients at s and the channel weights there."""
+
+        def excess(n2):  # log ||psi||^2 - log r, -inf once the norm underflows
+            return math.log(n2 / r) if n2 > 0 else -math.inf
+
+        f_lo = excess(norm2)
+        s = h * f_lo / (f_lo - excess(norm2_h))
+        lo, hi = 0.0, h
+        for _ in range(JUMP_MAX_ITER):
+            cs = self.advance(c, s)
+            n2, w_cav, w_tls = self.forms(cs)
+            f = excess(n2)
+            if abs(f) <= JUMP_TOL:
+                return s, cs, w_cav, w_tls
+            if f > 0:
+                lo = s
+            else:
+                hi = s
+            # Newton step f n2 / w, taken only if it stays in (lo, hi); never
+            # divides when the weight w is not positive
+            step, w = f * n2, w_cav + w_tls
+            s = s + step / w if (lo - s) * w < step < (hi - s) * w else 0.5 * (lo + hi)
+        raise RuntimeError(
+            f"jump time not converged to {JUMP_TOL:.0e} in {JUMP_MAX_ITER} steps"
+        )
+
+
+def _check_horizon(**fields: float) -> None:
+    """Raise a ValueError naming the first field that is not finite and > 0."""
+    for name, value in fields.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0; got {value}")
 
 
 def mcwf_trajectory(
@@ -477,10 +528,13 @@ def mcwf_trajectory(
     """Single quantum-jump trajectory of the master equation.
 
     Deterministic non-Hermitian evolution until the squared norm reaches the
-    next uniform draw, jump time located by bisection (to sample_dt/1000),
-    channel chosen proportionally to kappa<a^dag a> vs gamma<sigma_+ sigma_->.
-    Bit-reproducible for a fixed seed.
+    next uniform draw r.  The jump time is the root of log ||psi||^2 = log r,
+    solved by safeguarded Newton iteration to JUMP_TOL in the log-norm, so it
+    does not depend on sample_dt.  The channel is chosen proportionally to
+    kappa<a^dag a> vs gamma<sigma_+ sigma_->.  Bit-reproducible for a fixed
+    seed, and the same record whether run alone or in run_trajectories.
     """
+    _check_horizon(t_final=t_final, sample_dt=sample_dt)
     if abs(psi0.norm - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
     prop = _prop if _prop is not None else _JumpPropagator(p)
@@ -488,49 +542,33 @@ def mcwf_trajectory(
     times = np.arange(0.0, t_final + sample_dt / 2, sample_dt)
     states = np.empty((len(times), p.dims.total_dim), dtype=complex)
     jumps: list[tuple[float, str]] = []
-    bisect_tol = sample_dt * 1e-3
 
-    psi = psi0.amp.copy()
-    states[0] = psi
+    states[0] = psi0.amp
+    c = prop.inv @ psi0.normalized().amp
+    norm2 = 1.0  # ||psi||^2 at t
     t = 0.0
     r = rng.uniform()
     for k, t_next in enumerate(times[1:], start=1):
         while True:
-            trial = prop.advance(psi, t_next - t)
-            if np.vdot(trial, trial).real > r:
-                psi = trial
-                t = t_next
+            trial = prop.advance(c, t_next - t)
+            trial_norm2 = prop.forms(trial)[0]
+            if trial_norm2 > r:
+                c, norm2, t = trial, trial_norm2, t_next
                 break
-            # the squared norm decreases monotonically: bisect the crossing
-            lo, hi = t, t_next
-            while hi - lo > bisect_tol:
-                mid = 0.5 * (lo + hi)
-                if np.vdot(
-                    (cand := prop.advance(psi, mid - t)), cand
-                ).real > r:
-                    lo = mid
-                else:
-                    hi = mid
-            t_jump = 0.5 * (lo + hi)
-            psi = prop.advance(psi, t_jump - t)
-            t = t_jump
-            w_cav = p.kappa * float(np.linalg.norm(prop.a @ psi) ** 2)
-            w_tls = p.gamma * float(np.linalg.norm(prop.sm @ psi) ** 2)
+            s, c, w_cav, w_tls = prop.jump_time(c, t_next - t, norm2, trial_norm2, r)
+            t += s
             if w_cav + w_tls <= 0:
                 raise RuntimeError("jump resolution lost: no decay weight at jump time")
-            if rng.uniform() < w_cav / (w_cav + w_tls):
-                psi = prop.a @ psi
-                channel = "cavity"
-            else:
-                psi = prop.sm @ psi
-                channel = "tls"
-            nrm = np.linalg.norm(psi)
-            if nrm == 0.0:
+            cavity = rng.uniform() < w_cav / (w_cav + w_tls)
+            c = prop.jump_maps[0 if cavity else 1] @ c
+            norm2 = prop.forms(c)[0]
+            if not norm2 > 0:
                 raise RuntimeError("jump resolution lost: state annihilated")
-            psi = psi / nrm
-            jumps.append((t_jump, channel))
+            c = c / math.sqrt(norm2)
+            norm2 = 1.0
+            jumps.append((t, "cavity" if cavity else "tls"))
             r = rng.uniform()
-        states[k] = psi / np.linalg.norm(psi)
+        states[k] = prop.v @ c / math.sqrt(norm2)
     return TrajectoryRecord(seed=seed, times=times, states=states, jumps=jumps)
 
 
@@ -544,6 +582,8 @@ def run_trajectories(
 ) -> list[TrajectoryRecord]:
     """Ensemble of n_trajectories unravelings run in turn, trajectory i with
     seed base_seed + i, all sharing one jump propagator."""
+    if n_trajectories < 1:
+        raise ValueError(f"n_trajectories must be >= 1; got {n_trajectories}")
     prop = _JumpPropagator(p)
     return [
         mcwf_trajectory(p, psi0, t_final, base_seed + i, sample_dt, _prop=prop)

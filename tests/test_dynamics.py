@@ -285,6 +285,64 @@ class TestMcwf:
         r3 = mcwf_trajectory(dissipative_n2, psi0, 5.0, seed=43, sample_dt=0.5)
         assert r3.jumps != r1.jumps
 
+    def test_ensemble_records_match_single_runs(self, dissipative_n2):
+        # reproducible per seed, whatever the batching: member i of an
+        # ensemble is the lone trajectory with seed base_seed + i, bit for bit
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+        recs = run_trajectories(dissipative_n2, psi0, 60.0, 0.5, n_trajectories=3, base_seed=5)
+        for i, rec in enumerate(recs):
+            alone = mcwf_trajectory(dissipative_n2, psi0, 60.0, seed=5 + i, sample_dt=0.5)
+            assert rec.seed == alone.seed == 5 + i
+            np.testing.assert_array_equal(rec.states, alone.states)
+            assert rec.jumps == alone.jumps
+        assert sum(len(rec.jumps) for rec in recs) > 0
+
+    # at sample_dt = 400 the squared norm underflows to 0 within one step
+    @pytest.mark.parametrize(
+        "sample_dt, t_final", [(0.5, 12.0), (1.0, 12.0), (3.0, 12.0), (400.0, 400.0)]
+    )
+    def test_first_jump_time_matches_analytic(self, sample_dt, t_final):
+        # |1, g> with cavity decay only: ||psi(t)||^2 = exp(-kappa t), so the
+        # first jump is at -ln(r)/kappa for the first draw r, whatever the grid
+        kappa = 2.0
+        p = decay_params(kappa=kappa, n_max=2)
+        psi0 = basis_state(p.dims, 1, 0)
+        checked = 0
+        for seed in range(50):
+            exact = -math.log(np.random.default_rng(seed).uniform()) / kappa
+            if exact > t_final:
+                continue
+            rec = mcwf_trajectory(p, psi0, t_final, seed=seed, sample_dt=sample_dt)
+            assert rec.jumps[0][0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+            checked += 1
+        assert checked > 40
+
+    def test_unconverged_jump_time_raises(self, dissipative_n2, monkeypatch):
+        # the log-linear start alone does not meet JUMP_TOL at this point
+        monkeypatch.setattr(dynamics, "JUMP_MAX_ITER", 1)
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+        with pytest.raises(RuntimeError, match="not converged"):
+            mcwf_trajectory(dissipative_n2, psi0, 200.0, seed=1, sample_dt=10.0)
+
+    @pytest.mark.parametrize("field", ["t_final", "sample_dt"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_horizon_names_field(self, field, value):
+        p = decay_params(kappa=1.0)
+        psi0 = basis_state(p.dims, 1, 0)
+        horizon = {"t_final": 2.0, "sample_dt": 0.5, field: value}
+        with pytest.raises(ValueError, match=field):
+            mcwf_trajectory(p, psi0, seed=0, **horizon)
+        with pytest.raises(ValueError, match=field):
+            run_trajectories(p, psi0, n_trajectories=2, base_seed=0, **horizon)
+
+    @pytest.mark.parametrize("n_trajectories", [0, -1])
+    def test_empty_ensemble_rejected(self, n_trajectories):
+        p = decay_params(kappa=1.0)
+        with pytest.raises(ValueError, match="n_trajectories"):
+            run_trajectories(
+                p, basis_state(p.dims, 1, 0), 2.0, 0.5, n_trajectories, base_seed=0
+            )
+
     def test_single_photon_jump_times_exponential(self):
         # |1, g> with cavity decay only: one jump, waiting time ~ Exp(kappa)
         p = decay_params(kappa=2.0, n_max=2)
