@@ -3,7 +3,6 @@ bundle emission, and their correlation functions."""
 
 from .hilbert import (
     DensityMatrix,
-    Operator,
     SpaceDims,
     StateVector,
     basis_state,
@@ -16,9 +15,7 @@ from .model import (
     JcEigensystem,
     ModelParams,
     at_resonance,
-    build_H0,
     build_H_I,
-    build_H_jc,
     dressed,
     dressed_state,
     jc_eigensystem,
@@ -43,7 +40,6 @@ from .dynamics import (
 )
 from .observables import (
     CorrelationCurve,
-    dressed_population,
     dressed_populations,
     g2_bundle_delayed,
     g_equal_time,

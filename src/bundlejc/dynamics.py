@@ -30,7 +30,7 @@ from scipy.sparse.linalg import splu
 
 from .hilbert import (
     DensityMatrix,
-    Operator,
+    DimensionMismatchError,
     SpaceDims,
     StateVector,
     fock_annihilation,
@@ -71,18 +71,22 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
-def schrodinger_evolve(H: Operator, psi0: StateVector, t_grid) -> np.ndarray:
+def schrodinger_evolve(H: np.ndarray, psi0: StateVector, t_grid) -> np.ndarray:
     """Solve i dpsi/dt = H psi exactly at the grid times (eigh of H); returns
     the amplitudes at each grid time.  No renormalization is applied: norm
     drift beyond 1e-5 aborts, because it means the eigenbasis was not unitary.
     """
-    if not H.is_hermitian(1e-10):
-        raise ValueError("H must be Hermitian")
+    d = len(psi0.amp)
+    if H.shape != (d, d):
+        raise DimensionMismatchError(f"H has shape {H.shape}; psi0 needs ({d}, {d})")
+    herm = np.max(np.abs(H - H.conj().T))
+    if not herm < 1e-10:  # written so that a NaN deviation fails too
+        raise ValueError(f"H must be Hermitian: max |H - H^dag| = {herm:.3e}")
     t_grid = np.asarray(t_grid, dtype=float)
     psi = psi0.amp.astype(complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
-    evals, evecs = np.linalg.eigh(H.mat)
+    evals, evecs = np.linalg.eigh(H)
     c0 = evecs.conj().T @ psi
     phases = np.exp(-1j * np.outer(t_grid - t_grid[0], evals))
     history = (phases * c0) @ evecs.T
@@ -116,10 +120,6 @@ class Liouvillian:
     sectors: tuple[np.ndarray, ...]
     cavity_decay: bool
 
-    def apply(self, rho_mat: np.ndarray) -> np.ndarray:
-        d = self.dims.total_dim
-        return unvec(self.mat @ vec(rho_mat), d)
-
     def block(self, k: int) -> sp.csr_array:
         idx = self.sectors[k]
         return self.mat[idx][:, idx]
@@ -143,12 +143,11 @@ def _kron_coo(x: np.ndarray, y: np.ndarray):
 
 
 def _decay_channels(p: ModelParams) -> list[tuple[float, np.ndarray]]:
-    """(rate, C) of each decay channel with a nonzero rate: kappa a, gamma sigma_-."""
-    jumps = [
-        (p.kappa, fock_annihilation(p.dims).mat),
-        (p.gamma, tls_operator("sigma_minus", p.dims).mat),
+    """(rate, C) of the two decay channels, cavity first: kappa a, gamma sigma_-."""
+    return [
+        (p.kappa, fock_annihilation(p.dims)),
+        (p.gamma, tls_operator("sigma_minus", p.dims)),
     ]
-    return [(rate, c) for rate, c in jumps if rate > 0]
 
 
 def _damped_generator(h, decays) -> np.ndarray:
@@ -170,8 +169,8 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     """
     dims = p.dims
     d = dims.total_dim
-    jumps = _decay_channels(p)
-    g = _damped_generator(build_H_I(p).mat, [(rate, c.conj().T @ c) for rate, c in jumps])
+    jumps = [(rate, c) for rate, c in _decay_channels(p) if rate > 0]
+    g = _damped_generator(build_H_I(p), [(rate, c.conj().T @ c) for rate, c in jumps])
     eye = np.eye(d)
     terms = [_kron_coo(eye, g), _kron_coo(g.conj(), eye)]
     terms += [_kron_coo(c.conj(), rate * c) for rate, c in jumps]
@@ -385,11 +384,11 @@ class SteadyStateWorkspace:
         self._p = p
         self._idx = L.sectors[0]
         self._cavity_decay = L.cavity_decay
-        a = fock_annihilation(p.dims).mat
+        a = fock_annihilation(p.dims)
         self._num = np.diagonal(a.conj().T @ a)  # as build_H_I forms N: sqrt(m)^2, not m
-        self._pe = np.diagonal(tls_operator("excited_projector", p.dims).mat)
+        self._pe = np.diagonal(tls_operator("excited_projector", p.dims))
         self._decays = [
-            (rate, np.diagonal(c.conj().T @ c)) for rate, c in _decay_channels(p)
+            (rate, np.diagonal(c.conj().T @ c)) for rate, c in _decay_channels(p) if rate > 0
         ]
         coo = L.mat.tocoo()
         self._offdiag_sq = float(np.sum(np.abs(coo.data[coo.row != coo.col]) ** 2))
@@ -455,14 +454,10 @@ class _JumpPropagator:
     V^dag (rate C^dag C) V then gives ||psi||^2 and both channel weights."""
 
     def __init__(self, p: ModelParams):
-        dims = p.dims
-        channels = [
-            (p.kappa, fock_annihilation(dims).mat),
-            (p.gamma, tls_operator("sigma_minus", dims).mat),
-        ]
+        channels = _decay_channels(p)
         decays = [(rate, c.conj().T @ c) for rate, c in channels]
         # eigenvalues of G = -i H_nh are the rates -i lambda
-        self._rates, self.v = np.linalg.eig(_damped_generator(build_H_I(p).mat, decays))
+        self._rates, self.v = np.linalg.eig(_damped_generator(build_H_I(p), decays))
         self.inv = np.linalg.inv(self.v)
         vh = self.v.conj().T
         self._forms = np.concatenate(
@@ -591,7 +586,7 @@ def run_trajectories(
     ]
 
 
-def trajectory_average(records: list[TrajectoryRecord], observable: Operator):
+def trajectory_average(records: list[TrajectoryRecord], observable: np.ndarray):
     """Ensemble mean of <psi|O|psi> over trajectories sharing one sample grid.
 
     Returns (times, mean, standard_error)."""
@@ -601,10 +596,15 @@ def trajectory_average(records: list[TrajectoryRecord], observable: Operator):
     for rec in records[1:]:
         if not np.array_equal(rec.times, times):
             raise ValueError("trajectory records have mismatched sample grids")
+    d = records[0].states.shape[1]
+    if observable.shape != (d, d):
+        raise DimensionMismatchError(
+            f"observable has shape {observable.shape}; the states need ({d}, {d})"
+        )
     vals = np.empty((len(records), len(times)))
     for i, rec in enumerate(records):
         vals[i] = np.einsum(
-            "ti,ij,tj->t", rec.states.conj(), observable.mat, rec.states
+            "ti,ij,tj->t", rec.states.conj(), observable, rec.states
         ).real
     mean = vals.mean(axis=0)
     if len(records) > 1:

@@ -1,5 +1,9 @@
 """Operators and states on the truncated Fock(n_max) x two-level space.
 
+Operators are plain complex (d, d) arrays, each built fresh per call.  States
+and density matrices are immutable and checked: their arrays are read-only
+copies of the shape the space fixes.
+
 Basis ordering is fixed throughout the package: the composite index of the
 basis state |m> (x) |s> is  2*m + s  with s = 0 for the TLS ground state |g>
 and s = 1 for the excited state |e>.  All serialization uses this ordering.
@@ -14,7 +18,6 @@ import numpy as np
 __all__ = [
     "DimensionMismatchError",
     "SpaceDims",
-    "Operator",
     "StateVector",
     "DensityMatrix",
     "fock_annihilation",
@@ -53,9 +56,6 @@ class SpaceDims:
             raise ValueError(f"basis labels out of range: m={m}, s={s}")
         return 2 * m + s
 
-    def unindex(self, i: int) -> tuple[int, int]:
-        return divmod(i, 2)
-
 
 def _frozen_complex(arr, shape) -> np.ndarray:
     out = np.array(arr, dtype=complex)
@@ -63,21 +63,6 @@ def _frozen_complex(arr, shape) -> np.ndarray:
         raise DimensionMismatchError(f"expected shape {shape}, got {out.shape}")
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Dense operator on the composite space (immutable)."""
-
-    dims: SpaceDims
-    mat: np.ndarray
-
-    def __post_init__(self):
-        d = self.dims.total_dim
-        object.__setattr__(self, "mat", _frozen_complex(self.mat, (d, d)))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return np.max(np.abs(self.mat - self.mat.conj().T)) < tol
 
 
 @dataclass(frozen=True)
@@ -125,14 +110,14 @@ class DensityMatrix:
             raise ValueError(f"density matrix not positive: min eigenvalue {evals.min():.3e}")
 
 
-def fock_annihilation(dims: SpaceDims) -> Operator:
+def fock_annihilation(dims: SpaceDims) -> np.ndarray:
     """Photon annihilation a (x) I_2; <m-1|a|m> = sqrt(m) on the kept levels."""
     nf = dims.fock_dim
     a = np.diag(np.sqrt(np.arange(1, nf)), k=1)
-    return Operator(dims, np.kron(a, np.eye(2)))
+    return np.kron(a, np.eye(2)).astype(complex)
 
 
-def tls_operator(kind: str, dims: SpaceDims) -> Operator:
+def tls_operator(kind: str, dims: SpaceDims) -> np.ndarray:
     """I_Fock (x) (2x2) in the (|g>, |e>) ordering."""
     if kind == "sigma_minus":
         m = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -142,7 +127,7 @@ def tls_operator(kind: str, dims: SpaceDims) -> Operator:
         m = np.array([[0, 0], [0, 1]], dtype=complex)
     else:
         raise ValueError(f"unknown TLS operator kind {kind!r}; expected one of {TLS_KINDS}")
-    return Operator(dims, np.kron(np.eye(dims.fock_dim), m))
+    return np.kron(np.eye(dims.fock_dim), m)
 
 
 def basis_state(dims: SpaceDims, m: int, s: int) -> StateVector:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import matrix_power
 
-from .hilbert import Operator, SpaceDims, StateVector, fock_annihilation, tls_operator
+from .hilbert import SpaceDims, StateVector, fock_annihilation, tls_operator
 
 __all__ = [
     "ModelParams",
@@ -21,8 +21,6 @@ __all__ = [
     "EffectiveTwoLevel",
     "JcEigensystem",
     "build_H_I",
-    "build_H0",
-    "build_H_jc",
     "dressed",
     "dressed_state",
     "resonance_detuning",
@@ -34,9 +32,10 @@ __all__ = [
     "omega_eff_jc",
 ]
 
-# Run time, not precision, sets the cap: the dense eigendecomposition of the
-# k = 0 Liouvillian block (the first g_N^(2)(tau) propagation) takes about
-# 1.7-1.85 s at n = 2, n_max = 20 on a 2-vCPU host (0.19 s at n_max = 12).
+# Run time, not precision, sets the cap: the first g_N^(2)(tau) on a fresh
+# LiouvillePropagator (the k = 0 eigendecomposition, then 200 delays) takes
+# 0.89-1.01 s at n = 2, n_max = 20 and 0.12 s at n_max = 12 (5 calls each after
+# a warm-up call; 2-vCPU host, OpenBLAS 0.3.31 on 2 threads).
 # The factorial ratios are exact: math.perm is an integer, rounded once.
 N_MAX_CAP = 20
 
@@ -128,26 +127,6 @@ class JcEigensystem:
     c_minus: np.ndarray
     omega_m: np.ndarray
 
-    def eigenvector(self, dims: SpaceDims, m: int, branch: str) -> StateVector:
-        """Full-space eigenvector |eps_{m,+-}> for m >= n."""
-        k = int(np.searchsorted(self.m_values, m))
-        if k >= len(self.m_values) or self.m_values[k] != m:
-            raise ValueError(f"m={m} has no dressed doublet (need m >= n)")
-        amp = np.zeros(dims.total_dim, dtype=complex)
-        sign = {"+": 1.0, "-": -1.0}[branch]
-        cpm = self.c_plus[k] if branch == "+" else self.c_minus[k]
-        cmp_ = self.c_minus[k] if branch == "+" else self.c_plus[k]
-        amp[dims.index(m, 0)] = cmp_
-        amp[dims.index(m - self.n, 1)] = sign * cpm
-        return StateVector(dims, amp)
-
-
-def _coupling_term(p: ModelParams) -> np.ndarray:
-    a = fock_annihilation(p.dims).mat
-    sm = tls_operator("sigma_minus", p.dims).mat
-    an = matrix_power(a, p.n)
-    return p.j * (an.conj().T @ sm + sm.conj().T @ an)
-
 
 def _detuning_terms(p: ModelParams, num, pe):
     """delta_a N + delta_sigma |e><e|, the only part of H_I that depends on delta_a.
@@ -158,27 +137,14 @@ def _detuning_terms(p: ModelParams, num, pe):
     return p.delta_a * num + p.delta_sigma * pe
 
 
-def _drive_free_diag(p: ModelParams) -> np.ndarray:
-    a = fock_annihilation(p.dims).mat
-    pe = tls_operator("excited_projector", p.dims).mat
-    return _detuning_terms(p, a.conj().T @ a, pe)
-
-
-def build_H_I(p: ModelParams) -> Operator:
+def build_H_I(p: ModelParams) -> np.ndarray:
     """Full rotating-frame Hamiltonian: number terms + n-photon coupling + drive."""
-    sx = tls_operator("sigma_x", p.dims).mat
-    return Operator(p.dims, _drive_free_diag(p) + _coupling_term(p) + p.omega_l * sx)
-
-
-def build_H0(p: ModelParams) -> Operator:
-    """Driven Hamiltonian without the n-photon coupling (J term dropped)."""
-    sx = tls_operator("sigma_x", p.dims).mat
-    return Operator(p.dims, _drive_free_diag(p) + p.omega_l * sx)
-
-
-def build_H_jc(p: ModelParams) -> Operator:
-    """Undriven rotated n-photon JC Hamiltonian (drive term dropped)."""
-    return Operator(p.dims, _drive_free_diag(p) + _coupling_term(p))
+    a = fock_annihilation(p.dims)
+    sm = tls_operator("sigma_minus", p.dims)
+    an = matrix_power(a, p.n)
+    number = _detuning_terms(p, a.conj().T @ a, tls_operator("excited_projector", p.dims))
+    coupling = p.j * (an.conj().T @ sm + sm.conj().T @ an)
+    return number + coupling + p.omega_l * tls_operator("sigma_x", p.dims)
 
 
 def dressed(p: ModelParams) -> DressedData:

@@ -24,12 +24,11 @@ from .dynamics import (
     steady_state,
 )
 from .hilbert import DensityMatrix, StateVector, fock_annihilation
-from .model import ModelParams, dressed, dressed_state
+from .model import ModelParams, dressed
 
 __all__ = [
     "CorrelationCurve",
     "photon_distribution",
-    "dressed_population",
     "dressed_populations",
     "g_equal_time",
     "tau_min",
@@ -51,16 +50,6 @@ def photon_distribution(rho: DensityMatrix) -> np.ndarray:
     """P_m = Tr[(|m><m| x I_2) rho] for m = 0..n_max."""
     pops = np.diagonal(rho.mat).real
     return pops[0::2] + pops[1::2]
-
-
-def dressed_population(
-    state: StateVector | DensityMatrix, p: ModelParams, m: int, branch: str
-) -> float:
-    """Population of |m>|+-> built from the laser-dressed TLS states."""
-    v = dressed_state(p, m, branch).amp
-    if isinstance(state, StateVector):
-        return float(abs(np.vdot(v, state.amp)) ** 2)
-    return float(np.real(v.conj() @ state.mat @ v))
 
 
 def dressed_populations(state: StateVector | DensityMatrix, p: ModelParams) -> np.ndarray:
@@ -150,7 +139,7 @@ def g2_bundle_delayed(
             f"delay {tau_grid.min():g} below tau_min = {t_floor:g} for the N={N} bundle"
         )
 
-    a = fock_annihilation(p.dims).mat
+    a = fock_annihilation(p.dims)
     an = matrix_power(a, N)
     meas = an.conj().T @ an
     denom = float(np.trace(meas @ rho_ss.mat).real)

@@ -21,12 +21,11 @@ from bundlejc.dynamics import (
     steady_state,
     trajectory_average,
 )
-from bundlejc.hilbert import Operator, basis_state, fock_annihilation
+from bundlejc.hilbert import basis_state, fock_annihilation
 from bundlejc.model import (
     ModelParams,
     at_resonance,
     build_H_I,
-    build_H_jc,
     dressed,
     dressed_state,
     jc_eigensystem,
@@ -40,6 +39,7 @@ from bundlejc.observables import (
     tau_min,
 )
 from dop853 import dop853
+from oracles import build_H_jc
 
 
 def report(num, name, ok, detail=""):
@@ -75,7 +75,7 @@ def _super_rabi_peak(p):
     eff = omega_eff_mollow(p)
     t_exp = math.pi / (2.0 * abs(eff.omega_eff))
     t_grid = np.linspace(0.0, 1.4 * t_exp, 500)
-    history = dop853(-1j * build_H_I(p).mat, dressed_state(p, 0, "+").amp, t_grid)
+    history = dop853(-1j * build_H_I(p), dressed_state(p, 0, "+").amp, t_grid)
     v_bot = dressed_state(p, p.n, "-").amp
     p_bot = np.abs(history @ v_bot.conj()) ** 2
     k = int(np.argmax(p_bot))
@@ -97,7 +97,7 @@ def test_criterion_3_effective_splitting(unitary_n2, unitary_n3):
     details = []
     ok = True
     for p in (unitary_n2, unitary_n3):
-        evals, evecs = np.linalg.eigh(build_H_I(p).mat)
+        evals, evecs = np.linalg.eigh(build_H_I(p))
         v0 = dressed_state(p, 0, "+").amp
         vn = dressed_state(p, p.n, "-").amp
         weight = np.abs(evecs.conj().T @ v0) ** 2 + np.abs(evecs.conj().T @ vn) ** 2
@@ -241,11 +241,11 @@ def test_criterion_6_trajectory_consistency(dissipative_n2):
     recs = run_trajectories(
         p, psi0, 10.0, 0.5, n_trajectories=2000, base_seed=11
     )
-    a = fock_annihilation(p.dims).mat
-    num = Operator(p.dims, a.conj().T @ a)
+    a = fock_annihilation(p.dims)
+    num = a.conj().T @ a
     times, mean, stderr = trajectory_average(recs, num)
     exact_hist = lindblad_evolve(build_liouvillian(p), psi0.to_density_matrix(), times)
-    exact = np.array([np.trace(num.mat @ rho).real for rho in exact_hist])
+    exact = np.array([np.trace(num @ rho).real for rho in exact_hist])
     dev = np.abs(mean - exact)
     within = bool(np.all(dev <= 4.0 * np.maximum(stderr, 1e-12)))
     max_sigma = float(np.max(dev[1:] / stderr[1:]))
@@ -316,7 +316,7 @@ def test_criterion_8_jc_regime():
     magnitude_ok = abs(val) == pytest.approx(2.1e-6, rel=0.05)
 
     eig = jc_eigensystem(p)
-    dense = np.sort(np.linalg.eigvalsh(build_H_jc(p).mat))
+    dense = np.sort(np.linalg.eigvalsh(build_H_jc(p)))
     leftovers = [
         m * p.delta_a + p.delta_sigma for m in range(p.n_max - p.n + 1, p.n_max + 1)
     ]

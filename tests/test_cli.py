@@ -11,6 +11,7 @@ import pytest
 
 from bundlejc.cli import (
     _SCHEMA,
+    REGISTRY,
     ConfigError,
     derived_quantities,
     main,
@@ -237,7 +238,40 @@ def test_cli_import_leaves_out_ode_solvers():
     assert out.stdout.strip() == "[]"
 
 
+# a cheap point of every preset
+CHEAP_POINTS = {
+    "superrabi": "[model]\nn = 2\nj = 1.0\nomega_l = 70.0\ndelta_n = -165.0\nn_max = 8\n"
+    "\n[integrator]\nsample_dt = 0.5\n",
+    "steadyscan": DISSIPATIVE + "\n[scan]\nmin = 20\nmax = 22\npoints = 3\n",
+    "trajectory": DISSIPATIVE + "\n[integrator]\nt_final = 5.0\nsample_dt = 0.5\n",
+    "g2tau": DISSIPATIVE + "\n[scan]\ntau_points = 5\n",
+    "jcregime": DISSIPATIVE,
+    "resonances": MINIMAL,
+    "custom": DISSIPATIVE.replace("n_max = 8", "n_max = 12"),
+}
+
+
 class TestMain:
+    @pytest.mark.parametrize("preset", sorted(REGISTRY))
+    def test_dataset_regenerates_from_sidecar(self, tmp_path, preset):
+        # the sidecar's resolved config alone, run into a fresh directory,
+        # rewrites every dataset byte for byte; it carries the --seed override
+        first, again = tmp_path / "first", tmp_path / "again"
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(CHEAP_POINTS[preset])
+        assert run_cli([preset, "--config", cfg_file, "--out", first, "--seed", 7]) == 0
+        sidecar = f"{preset}_metadata.json"
+        resolved = tmp_path / "resolved.ini"
+        resolved.write_text(json.loads((first / sidecar).read_text())["resolved_config"])
+        assert run_cli([preset, "--config", resolved, "--out", again]) == 0
+        datasets = sorted(path.name for path in first.glob("*.csv"))
+        assert datasets and sorted(path.name for path in again.glob("*.csv")) == datasets
+        for name in datasets:
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+        assert (again / sidecar).read_text() == (first / sidecar).read_text().replace(
+            str(first), str(again)
+        )
+
     def test_resonances_end_to_end(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(MINIMAL)

@@ -26,7 +26,7 @@ from bundlejc.dynamics import (
 )
 from bundlejc.hilbert import (
     DensityMatrix,
-    Operator,
+    DimensionMismatchError,
     basis_state,
     fock_annihilation,
     tls_operator,
@@ -34,6 +34,7 @@ from bundlejc.hilbert import (
 from bundlejc.model import ModelParams, build_H_I
 from bundlejc.observables import sweep
 from dop853 import dop853
+from oracles import apply_liouvillian
 
 
 def decay_params(kappa=0.0, gamma=0.0, n_max=4):
@@ -48,11 +49,11 @@ def dense_liouvillian(p):
     """Oracle: the Lindblad superoperator built densely with numpy kron."""
     d = p.dims.total_dim
     eye = np.eye(d)
-    h = build_H_I(p).mat
+    h = build_H_I(p)
     lmat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for rate, op in (
-        (p.kappa, fock_annihilation(p.dims).mat),
-        (p.gamma, tls_operator("sigma_minus", p.dims).mat),
+        (p.kappa, fock_annihilation(p.dims)),
+        (p.gamma, tls_operator("sigma_minus", p.dims)),
     ):
         if rate > 0:
             odo = op.conj().T @ op
@@ -85,22 +86,22 @@ class TestLiouvillian:
     def test_matches_direct_lindblad_form(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
         rho = random_density(dissipative_n2.dims, seed=3).mat
-        h = build_H_I(dissipative_n2).mat
-        a = fock_annihilation(dissipative_n2.dims).mat
-        sm = tls_operator("sigma_minus", dissipative_n2.dims).mat
+        h = build_H_I(dissipative_n2)
+        a = fock_annihilation(dissipative_n2.dims)
+        sm = tls_operator("sigma_minus", dissipative_n2.dims)
 
         def diss(op):
             od = op.conj().T
             return 0.5 * (2 * op @ rho @ od - rho @ od @ op - od @ op @ rho)
 
         direct = -1j * (h @ rho - rho @ h) + dissipative_n2.kappa * diss(a) + dissipative_n2.gamma * diss(sm)
-        np.testing.assert_allclose(L.apply(rho), direct, atol=1e-10)
+        np.testing.assert_allclose(apply_liouvillian(L, rho), direct, atol=1e-10)
 
     def test_trace_annihilated(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
         for seed in range(100):
             rho = random_density(dissipative_n2.dims, seed=seed).mat
-            assert abs(np.trace(L.apply(rho))) < 1e-9
+            assert abs(np.trace(apply_liouvillian(L, rho))) < 1e-9
 
     def test_evolution_preserves_trace_and_hermiticity(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
@@ -118,7 +119,7 @@ class TestLindbladAnalytic:
         rho0 = basis_state(p.dims, 3, 0).to_density_matrix()
         t_grid = np.linspace(0.0, 4.0, 9)
         history = lindblad_evolve(L, rho0, t_grid)
-        a = fock_annihilation(p.dims).mat
+        a = fock_annihilation(p.dims)
         num = a.conj().T @ a
         for t, rho in zip(t_grid, history):
             n_mean = np.trace(num @ rho).real
@@ -130,7 +131,7 @@ class TestLindbladAnalytic:
         rho0 = basis_state(p.dims, 0, 1).to_density_matrix()
         t_grid = np.linspace(0.0, 6.0, 7)
         history = lindblad_evolve(L, rho0, t_grid)
-        proj = tls_operator("excited_projector", p.dims).mat
+        proj = tls_operator("excited_projector", p.dims)
         for t, rho in zip(t_grid, history):
             assert np.trace(proj @ rho).real == pytest.approx(np.exp(-0.4 * t), abs=1e-9)
 
@@ -155,7 +156,8 @@ class TestSteadyState:
         L = build_liouvillian(dissipative_n2)
         rho = steady_state(L)
         rho.validate()
-        assert np.max(np.abs(L.apply(rho.mat))) < 1e-8 * scipy.sparse.linalg.norm(L.mat)
+        residual = np.max(np.abs(apply_liouvillian(L, rho.mat)))
+        assert residual < 1e-8 * scipy.sparse.linalg.norm(L.mat)
 
     def test_agrees_with_long_time_evolution(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
@@ -206,7 +208,7 @@ class TestSteadyState:
 class TestSchrodinger:
     def test_eigenstate_acquires_phase_only(self):
         p = decay_params()
-        h = Operator(p.dims, np.diag(np.arange(p.dims.total_dim, dtype=complex)))
+        h = np.diag(np.arange(p.dims.total_dim, dtype=complex))
         psi0 = basis_state(p.dims, 2, 1)
         history = schrodinger_evolve(h, psi0, np.array([0.0, 1.0, 2.0]))
         for t, amp in zip((0.0, 1.0, 2.0), history):
@@ -231,7 +233,7 @@ class TestSchrodinger:
         psi0 = basis_state(unitary_n2.dims, 0, 0)
         t_grid = np.linspace(0.0, 0.5, 6)
         spectral = schrodinger_evolve(h, psi0, t_grid)
-        exact = np.array([scipy.linalg.expm(-1j * h.mat * t) @ psi0.amp for t in t_grid])
+        exact = np.array([scipy.linalg.expm(-1j * h * t) @ psi0.amp for t in t_grid])
         np.testing.assert_allclose(spectral, exact, rtol=0, atol=1e-10)
 
     def test_spectral_matches_adaptive(self, unitary_n2):
@@ -239,7 +241,7 @@ class TestSchrodinger:
         psi0 = basis_state(unitary_n2.dims, 0, 0)
         t_grid = np.linspace(0.0, 0.5, 6)
         spectral = schrodinger_evolve(h, psi0, t_grid)
-        adaptive = dop853(-1j * h.mat, psi0.amp, t_grid)
+        adaptive = dop853(-1j * h, psi0.amp, t_grid)
         np.testing.assert_allclose(adaptive, spectral, rtol=0, atol=1e-7)
 
     def test_norm_drift_rejected(self, unitary_n2, monkeypatch):
@@ -261,9 +263,22 @@ class TestSchrodinger:
         m = np.zeros((p.dims.total_dim,) * 2, dtype=complex)
         m[0, 1] = 1.0
         with pytest.raises(ValueError):
-            schrodinger_evolve(
-                Operator(p.dims, m), basis_state(p.dims, 0, 0), [0.0, 1.0]
-            )
+            schrodinger_evolve(m, basis_state(p.dims, 0, 0), [0.0, 1.0])
+
+    def test_nan_hamiltonian_rejected(self):
+        # a NaN deviation from Hermiticity must not pass the tolerance check
+        p = decay_params()
+        h = np.zeros((p.dims.total_dim,) * 2, dtype=complex)
+        h[0, 0] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            schrodinger_evolve(h, basis_state(p.dims, 0, 0), [0.0, 1.0])
+
+    def test_shape_mismatch_names_h(self):
+        # H of one truncation, psi0 of another
+        p = decay_params(n_max=4)
+        h = build_H_I(replace(p, n_max=3))
+        with pytest.raises(DimensionMismatchError, match="H has shape"):
+            schrodinger_evolve(h, basis_state(p.dims, 0, 0), [0.0, 1.0])
 
 
 class TestMcwf:
@@ -271,7 +286,7 @@ class TestMcwf:
         p = replace(unitary_n2, kappa=0.0, gamma=0.0)
         psi0 = basis_state(p.dims, 0, 0)
         rec = mcwf_trajectory(p, psi0, 0.2, seed=1, sample_dt=0.05)
-        exact = dop853(-1j * build_H_I(p).mat, psi0.amp, rec.times)
+        exact = dop853(-1j * build_H_I(p), psi0.amp, rec.times)
         assert rec.jumps == []
         # states agree up to nothing: same dynamics, no renormalization needed
         np.testing.assert_allclose(rec.states, exact, atol=1e-8)
@@ -374,8 +389,8 @@ class TestMcwf:
         p = decay_params(kappa=1.0, n_max=3)
         psi0 = basis_state(p.dims, 2, 0)
         recs = run_trajectories(p, psi0, 4.0, 0.5, n_trajectories=200, base_seed=7)
-        a = fock_annihilation(p.dims).mat
-        times, mean, stderr = trajectory_average(recs, Operator(p.dims, a.conj().T @ a))
+        a = fock_annihilation(p.dims)
+        times, mean, stderr = trajectory_average(recs, a.conj().T @ a)
         exact = 2.0 * np.exp(-times)
         dev = np.abs(mean - exact)[1:]
         assert np.all(dev < 4.0 * np.maximum(stderr[1:], 1e-3))
@@ -385,8 +400,8 @@ class TestTrajectoryAverage:
     def test_single_record_zero_stderr(self):
         p = decay_params(kappa=1.0)
         rec = mcwf_trajectory(p, basis_state(p.dims, 1, 0), 2.0, seed=0, sample_dt=0.5)
-        a = fock_annihilation(p.dims).mat
-        _, mean, stderr = trajectory_average([rec], Operator(p.dims, a.conj().T @ a))
+        a = fock_annihilation(p.dims)
+        _, mean, stderr = trajectory_average([rec], a.conj().T @ a)
         assert np.all(stderr == 0.0)
         assert mean[0] == pytest.approx(1.0)
 
@@ -395,17 +410,24 @@ class TestTrajectoryAverage:
         psi0 = basis_state(p.dims, 1, 0)
         r1 = mcwf_trajectory(p, psi0, 2.0, seed=0, sample_dt=0.5)
         r2 = mcwf_trajectory(p, psi0, 2.0, seed=0, sample_dt=1.0)
-        a = fock_annihilation(p.dims).mat
-        num = Operator(p.dims, a.conj().T @ a)
+        a = fock_annihilation(p.dims)
+        num = a.conj().T @ a
         with pytest.raises(ValueError, match="mismatched"):
             trajectory_average([r1, r2], num)
 
     def test_empty_rejected(self):
         p = decay_params()
-        a = fock_annihilation(p.dims).mat
-        num = Operator(p.dims, a.conj().T @ a)
+        a = fock_annihilation(p.dims)
+        num = a.conj().T @ a
         with pytest.raises(ValueError):
             trajectory_average([], num)
+
+    def test_shape_mismatch_names_observable(self):
+        p = decay_params(kappa=1.0, n_max=4)
+        rec = mcwf_trajectory(p, basis_state(p.dims, 1, 0), 2.0, seed=0, sample_dt=0.5)
+        a = fock_annihilation(replace(p, n_max=3).dims)
+        with pytest.raises(DimensionMismatchError, match="observable"):
+            trajectory_average([rec], a.conj().T @ a)
 
 
 class TestPropagator:
@@ -483,7 +505,7 @@ class TestSectoredLiouvillian:
         L = build_liouvillian(dissipative_n3)
         prop = LiouvillePropagator(L)
         rho = steady_state(L).mat
-        a3 = np.linalg.matrix_power(fock_annihilation(dissipative_n3.dims).mat, 3)
+        a3 = np.linalg.matrix_power(fock_annihilation(dissipative_n3.dims), 3)
         prop.propagate(a3 @ rho @ a3.conj().T, [1.0, 2.0])
         assert list(prop._spectra) == [0]
 
@@ -515,7 +537,7 @@ class TestSectoredLiouvillian:
         p = request.getfixturevalue(point)
         L = build_liouvillian(p)
         d = p.dims.total_dim
-        an = np.linalg.matrix_power(fock_annihilation(p.dims).mat, p.n)
+        an = np.linalg.matrix_power(fock_annihilation(p.dims), p.n)
         op = an @ steady_state(L).mat
         assert np.abs(op - op.conj().T).max() > 1e-3
         k0 = L.sectors[0]

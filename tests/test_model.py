@@ -9,9 +9,7 @@ from bundlejc.hilbert import tls_operator
 from bundlejc.model import (
     ModelParams,
     at_resonance,
-    build_H0,
     build_H_I,
-    build_H_jc,
     dressed,
     dressed_state,
     jc_eigensystem,
@@ -21,6 +19,7 @@ from bundlejc.model import (
     resonance_detuning_higher,
     resonant_branch,
 )
+from oracles import build_H0, build_H_jc, jc_eigenvector
 
 drives = st.floats(0.1, 100.0, allow_nan=False)
 
@@ -50,7 +49,7 @@ class TestParams:
 class TestHamiltonians:
     def test_diagonal_when_uncoupled(self):
         p = simple(j=0.0, omega_l=0.0)
-        h = build_H_I(p).mat
+        h = build_H_I(p)
         assert np.count_nonzero(h - np.diag(np.diagonal(h))) == 0
         for m in range(p.n_max + 1):
             assert h[p.dims.index(m, 0), p.dims.index(m, 0)] == pytest.approx(m * p.delta_a)
@@ -60,35 +59,36 @@ class TestHamiltonians:
 
     def test_coupling_matrix_element(self):
         p = simple()
-        h = build_H_I(p).mat
+        h = build_H_I(p)
         elem = h[p.dims.index(0, 1), p.dims.index(p.n, 0)]
         assert elem == pytest.approx(p.j * math.sqrt(math.factorial(p.n)))
 
     def test_hermitian(self):
         for builder in (build_H_I, build_H0, build_H_jc):
-            assert builder(simple()).is_hermitian(1e-12)
+            h = builder(simple())
+            assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
     def test_decomposition(self):
         p = simple()
-        h_i = build_H_I(p).mat
-        h_0 = build_H0(p).mat
-        h_jc = build_H_jc(p).mat
-        sx = tls_operator("sigma_x", p.dims).mat
+        h_i = build_H_I(p)
+        h_0 = build_H0(p)
+        h_jc = build_H_jc(p)
+        sx = tls_operator("sigma_x", p.dims)
         np.testing.assert_allclose(h_i - h_jc, p.omega_l * sx, atol=1e-14)
         # H_I - H_0 has support only on (m, e) <-> (m+n, g) pairs
         diff = h_i - h_0
         for i in range(p.dims.total_dim):
             for k in range(p.dims.total_dim):
                 if diff[i, k] != 0:
-                    m1, s1 = p.dims.unindex(i)
-                    m2, s2 = p.dims.unindex(k)
+                    m1, s1 = divmod(i, 2)
+                    m2, s2 = divmod(k, 2)
                     assert abs(m1 - m2) == p.n
                     assert {s1, s2} == {0, 1}
 
     def test_h0_eigenvalues_are_dressed_ladder(self):
         p = simple()
         d = dressed(p)
-        evals = np.sort(np.linalg.eigvalsh(build_H0(p).mat))
+        evals = np.sort(np.linalg.eigvalsh(build_H0(p)))
         expected = np.sort(
             [e + m * p.delta_a for m in range(p.n_max + 1) for e in (d.e_plus, d.e_minus)]
         )
@@ -96,7 +96,7 @@ class TestHamiltonians:
 
     def test_jc_block_structure(self):
         p = simple()
-        h = build_H_jc(p).mat
+        h = build_H_jc(p)
         for m in range(p.n, p.n_max + 1):
             off = h[p.dims.index(m, 0), p.dims.index(m - p.n, 1)]
             assert off == pytest.approx(
@@ -236,7 +236,7 @@ class TestEffectiveMollow:
         # by 2|Omega_eff| in the Mollow regime
         for p in (unitary_n2, unitary_n3):
             eff = omega_eff_mollow(p)
-            h = build_H_I(p).mat
+            h = build_H_I(p)
             evals, evecs = np.linalg.eigh(h)
             top = dressed_state(p, 0, "+").amp
             bot = dressed_state(p, p.n, "-").amp
@@ -264,7 +264,7 @@ class TestJcRegime:
     def test_diagonalizes_h_jc(self):
         p = simple()
         eig = jc_eigensystem(p)
-        h = build_H_jc(p).mat
+        h = build_H_jc(p)
         evals = np.sort(np.linalg.eigvalsh(h))
         # states |e, m> with m + n beyond the truncation have no partner and
         # stay bare at m*delta_a + delta_sigma
@@ -280,11 +280,11 @@ class TestJcRegime:
     def test_eigenvectors_orthonormal_and_exact(self):
         p = simple()
         eig = jc_eigensystem(p)
-        h = build_H_jc(p).mat
+        h = build_H_jc(p)
         vecs = []
         for k, m in enumerate(eig.m_values):
             for branch, e in (("+", eig.e_plus[k]), ("-", eig.e_minus[k])):
-                v = eig.eigenvector(p.dims, int(m), branch).amp
+                v = jc_eigenvector(eig, p.dims, int(m), branch)
                 vecs.append(v)
                 np.testing.assert_allclose(h @ v, e * v, atol=1e-9)
         gram = np.array(vecs).conj() @ np.array(vecs).T
