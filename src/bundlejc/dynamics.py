@@ -8,13 +8,13 @@ block-diagonal in k (a weak symmetry).  The steady state lies in the k = 0
 block and is found by sparse LU on that block alone; the spectral propagator
 eigendecomposes a block only when an operator has support in it, and a block
 closed under the adjoint (2k = 0 mod n) as a real matrix in a Hermitian
-operator basis.  delta_a moves only the diagonal of L, so a
-SteadyStateWorkspace builds L once for a whole delta_a scan and rewrites just
-the k = 0 diagonal at each point, with the arithmetic of build_liouvillian:
-its steady states are bit-for-bit those of steady_state, and both share the
-checks that follow the factorization.  H and L do not depend on time, so each
-equation of motion has one propagator, an eigendecomposition, which is exact
-at the sample times.
+operator basis.  There is one steady-state solver, SteadyStateWorkspace: it
+holds the k = 0 system of one L, and since delta_a moves only the diagonal of
+L, it rewrites just the k = 0 diagonal (with the arithmetic of
+build_liouvillian) to solve at any delta_a.  steady_state(L) is its solve at
+the delta_a of L, then a truncation check.  H and L do not depend on time, so
+each equation of motion has one propagator, an eigendecomposition, which is
+exact at the sample times.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import norm as sparse_norm
 from scipy.sparse.linalg import splu
 
 from .hilbert import (
@@ -84,15 +83,15 @@ def schrodinger_evolve(H: np.ndarray, psi0: StateVector, t_grid) -> np.ndarray:
         raise ValueError(f"H must be Hermitian: max |H - H^dag| = {herm:.3e}")
     t_grid = np.asarray(t_grid, dtype=float)
     psi = psi0.amp.astype(complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("psi0 must be normalized")
+    if not abs(psi0.norm - 1.0) <= 1e-9:
+        raise ValueError(f"psi0 must be normalized; its norm is {psi0.norm}")
     evals, evecs = np.linalg.eigh(H)
     c0 = evecs.conj().T @ psi
     phases = np.exp(-1j * np.outer(t_grid - t_grid[0], evals))
     history = (phases * c0) @ evecs.T
 
     drift = np.abs(np.linalg.norm(history, axis=1) - 1.0).max()
-    if drift > 1e-5:
+    if not drift <= 1e-5:
         raise RuntimeError(f"norm drift {drift:.3e} > 1e-5")
     return history
 
@@ -107,18 +106,15 @@ class _CSR(sp.csr_array):
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Sparse superoperator on column-stacked rho.
+    """Sparse superoperator on column-stacked rho, built from params.
 
     sectors[k] holds the vec indices of the entries rho[i, j] whose photon
     numbers satisfy (m_i - m_j) mod n = k; mat has no entry between sectors.
-    cavity_decay is False when kappa = 0, where nothing relaxes the photon
-    number and the steady state need not be unique.
     """
 
-    dims: SpaceDims
+    params: ModelParams
     mat: _CSR
     sectors: tuple[np.ndarray, ...]
-    cavity_decay: bool
 
     def block(self, k: int) -> sp.csr_array:
         idx = self.sectors[k]
@@ -177,7 +173,7 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
     lmat = _CSR((vals, (rows, cols)), shape=(d * d, d * d))
     lmat.eliminate_zeros()
-    return Liouvillian(dims, lmat, _sectors(dims, p.n), cavity_decay=p.kappa > 0)
+    return Liouvillian(p, lmat, _sectors(dims, p.n))
 
 
 def _hermitian_basis(idx: np.ndarray, d: int) -> sp.csr_array:
@@ -217,7 +213,7 @@ class LiouvillePropagator:
                 evals, evecs = np.linalg.eig(block.toarray())
                 self._spectra[k] = (evals, evecs, np.linalg.inv(evecs))
             else:
-                t = _hermitian_basis(self.L.sectors[k], self.L.dims.total_dim)
+                t = _hermitian_basis(self.L.sectors[k], self.L.params.dims.total_dim)
                 real_form = t @ block @ t.conj().T
                 imag = np.abs(real_form.data.imag).max(initial=0.0)
                 if imag > 1e-14 * np.abs(real_form.data.real).max(initial=0.0):
@@ -229,7 +225,7 @@ class LiouvillePropagator:
 
     def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:
         """Returns an array of operators exp(L tau) op, one per tau."""
-        d = self.L.dims.total_dim
+        d = self.L.params.dims.total_dim
         v = vec(op_mat)
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         out = np.zeros((len(taus), d * d), dtype=complex)
@@ -243,15 +239,17 @@ class LiouvillePropagator:
 
 
 def _check_density_history(history):
+    """Raise unless every rho is Hermitian, trace-one and positive; each test
+    is written so that a NaN fails it."""
     for rho in history:
         herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > 1e-9:
+        if not herm <= 1e-9:
             raise RuntimeError(f"Hermiticity violated: {herm:.3e}")
         tr = rho.trace().real
-        if abs(tr - 1.0) > 1e-7:
+        if not abs(tr - 1.0) <= 1e-7:
             raise RuntimeError(f"trace violated: {tr}")
         ev_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-        if ev_min < -1e-7:
+        if not ev_min >= -1e-7:
             raise RuntimeError(f"positivity violated: min eigenvalue {ev_min:.3e}")
 
 
@@ -270,91 +268,18 @@ def _truncation_tail(rho_mat: np.ndarray, dims: SpaceDims) -> float:
 
 
 def steady_state(L: Liouvillian, tail_tol: float | None = TAIL_TOL) -> DensityMatrix:
-    """Unique stationary density matrix of L.
-
-    The steady state lies in the k = 0 sector.  Its block is solved by sparse
-    LU with row 0 replaced by the trace constraint.  If the solution does
-    not satisfy L rho = 0, or L has no cavity decay (then LU returns one of
-    possibly many stationary states), the null space of the block is
-    inspected densely to distinguish a degenerate steady state from a solver
-    failure.
-    """
-    idx = L.sectors[0]
-    block = L.block(0)
-    constrained = _with_trace_row(block, L.dims, idx) if L.cavity_decay else None
-    return _k0_steady_state(
-        L.dims, idx, block, constrained, sparse_norm(L.mat), tail_tol
-    )
-
-
-def _trace_row(dims: SpaceDims, idx: np.ndarray) -> np.ndarray:
-    """Tr rho as a row over the vec indices idx."""
-    return vec(np.eye(dims.total_dim))[idx]
-
-
-def _with_trace_row(block, dims: SpaceDims, idx: np.ndarray) -> sp.csc_array:
-    """The k = 0 block with row 0 replaced by the nonzeros of the trace row."""
-    trace_row = sp.csr_array(_trace_row(dims, idx)[None, :])
-    return sp.vstack([trace_row, block[1:]], format="csc")
-
-
-def _k0_steady_state(
-    dims: SpaceDims,
-    idx: np.ndarray,
-    block,
-    constrained,
-    l_scale: float,
-    tail_tol: float | None,
-) -> DensityMatrix:
-    """Steady state from the k = 0 block K (vec indices idx) of L.
-
-    constrained is K with row 0 replaced by the trace row, or None when L has
-    no cavity decay.  L is block-diagonal in k, so ||K x|| is the residual
-    ||L rho|| of the full L; l_scale is ||L||_F.
-    """
-    d = dims.total_dim
-    x0 = None
-    residual = np.inf
-    if constrained is not None:
-        b = np.zeros(len(idx), dtype=complex)
-        b[0] = 1.0
-        try:
-            x0 = splu(constrained).solve(b)
-            residual = np.linalg.norm(block @ x0)
-        except RuntimeError:  # SuperLU: the factor is exactly singular
-            pass
-        why = f"sparse LU residual {residual:.3e}"
-    else:
-        why = "no cavity decay, so no LU residual proves uniqueness"
-
-    if not residual <= 1e-9 * l_scale:
-        log.warning(
-            "steady state on the k=0 block: %s; falling back to a dense SVD null space",
-            why,
-        )
-        _, svals, vh = np.linalg.svd(block.toarray())
-        null_dim = int(np.sum(svals < 1e-10 * svals[0]))
-        if null_dim != 1:
-            raise RuntimeError(f"degenerate steady state: null-space dimension {null_dim}")
-        x0 = vh[-1].conj()
-        x0 = x0 / (_trace_row(dims, idx) @ x0)
-        residual = np.linalg.norm(block @ x0)
-        if residual > 1e-9 * l_scale:
-            raise RuntimeError(f"steady-state residual too large: {residual:.3e}")
-
-    x = np.zeros(d * d, dtype=complex)
-    x[idx] = x0
-    rho = unvec(x, d)
-    rho = (rho + rho.conj().T) / 2.0
-    rho = rho / rho.trace().real
+    """Unique stationary density matrix of L: SteadyStateWorkspace(L) solved
+    at the delta_a of L.  Raises TruncationError if the top Fock level holds
+    population tail_tol or more (None skips the check)."""
+    rho = SteadyStateWorkspace(L).solve(L.params.delta_a)
     if tail_tol is not None:
-        tail = _truncation_tail(rho, dims)
+        tail = _truncation_tail(rho.mat, rho.dims)
         if tail >= tail_tol:
             raise TruncationError(
                 f"top Fock level holds population {tail:.3e} >= {tail_tol:.1e}; "
                 "increase n_max"
             )
-    return DensityMatrix(dims, rho)
+    return rho
 
 
 def _diagonal_positions(m: sp.csc_array, diag: np.ndarray) -> np.ndarray:
@@ -365,25 +290,24 @@ def _diagonal_positions(m: sp.csc_array, diag: np.ndarray) -> np.ndarray:
 
 
 class SteadyStateWorkspace:
-    """The k = 0 steady-state system of p along delta_a, built once.
+    """The k = 0 steady-state system of L along delta_a, built once.
 
     delta_a enters H_I only on its diagonal, as delta_a (N + n |e><e|) (since
     delta_sigma = Delta + n delta_a), so it moves only the diagonal of L:
     L_(i,j),(i,j) = G_ii + conj(G_jj), with G = -i H_I - (1/2) sum_c rate_c
     C^dag C.  That entry is constant for a population (i = j).  The k = 0
-    block and its constrained form (row 0 holding only the nonzeros of the
+    block K and its constrained form (row 0 replaced by the nonzeros of the
     trace row) are kept in CSC with every coherence diagonal in the pattern;
     `solve` rewrites those entries from the d diagonal values of G, with the
     arithmetic of build_liouvillian, and factors afresh.  ||L||_F is the fixed
     off-diagonal sum plus sum_(i,j) |G_ii + conj(G_jj)|^2.
     """
 
-    def __init__(self, p: ModelParams):
-        L = build_liouvillian(p)
+    def __init__(self, L: Liouvillian):
+        p = L.params
         d = p.dims.total_dim
         self._p = p
         self._idx = L.sectors[0]
-        self._cavity_decay = L.cavity_decay
         a = fock_annihilation(p.dims)
         self._num = np.diagonal(a.conj().T @ a)  # as build_H_I forms N: sqrt(m)^2, not m
         self._pe = np.diagonal(tls_operator("excited_projector", p.dims))
@@ -403,32 +327,74 @@ class SteadyStateWorkspace:
             ),
             shape=k0.shape,
         )
-        self._constrained = _with_trace_row(self._block, p.dims, self._idx)
+        self._trace = vec(np.eye(d))[self._idx]  # Tr rho as a row over the k = 0 entries
+        self._constrained = sp.vstack(
+            [sp.csr_array(self._trace[None, :]), self._block[1:]], format="csc"
+        )
         self._block_diag = _diagonal_positions(self._block, moving)
         self._constrained_diag = _diagonal_positions(self._constrained, moving)
 
     def solve(self, delta_a: float) -> DensityMatrix:
-        """steady_state(build_liouvillian(p with this delta_a), tail_tol=None)."""
+        """Steady state of L at this delta_a, with no truncation check.
+
+        The constrained block is solved by sparse LU.  L is block-diagonal in
+        k, so ||K x|| is the residual ||L rho|| of the full L.  If it exceeds
+        1e-9 ||L||_F, or L has no cavity decay (kappa = 0: nothing relaxes the
+        photon number, and LU would return one of possibly many stationary
+        states), the null space of K is inspected densely, with a logged
+        warning, to tell a degenerate steady state from a solver failure.
+        """
         q = replace(self._p, delta_a=delta_a)
         g = _damped_generator(_detuning_terms(q, self._num, self._pe), self._decays)
         diag = g[self._i] + g[self._j].conj()
         self._block.data[self._block_diag] = diag
         self._constrained.data[self._constrained_diag] = diag
-        constrained = self._constrained if self._cavity_decay else None
-        if constrained is not None and not diag.all():
-            # build_liouvillian drops an entry that vanishes (a coherence of
-            # the same energy at gamma = 0); so must the pattern SuperLU orders
-            constrained = constrained.copy()
-            constrained.eliminate_zeros()
-        diag_sq = float(np.sum(np.abs(g[:, None] + g.conj()[None, :]) ** 2))
-        return _k0_steady_state(
-            q.dims,
-            self._idx,
-            self._block,
-            constrained,
-            math.sqrt(self._offdiag_sq + diag_sq),
-            None,
+        l_scale = math.sqrt(
+            self._offdiag_sq + float(np.sum(np.abs(g[:, None] + g.conj()[None, :]) ** 2))
         )
+
+        x0 = None
+        residual = np.inf
+        if q.kappa > 0:
+            constrained = self._constrained
+            if not diag.all():
+                # build_liouvillian drops an entry that vanishes (a coherence of
+                # the same energy at gamma = 0); so must the pattern SuperLU orders
+                constrained = constrained.copy()
+                constrained.eliminate_zeros()
+            b = np.zeros(len(self._idx), dtype=complex)
+            b[0] = 1.0
+            try:
+                x0 = splu(constrained).solve(b)
+                residual = np.linalg.norm(self._block @ x0)
+            except RuntimeError:  # SuperLU: the factor is exactly singular
+                pass
+            why = f"sparse LU residual {residual:.3e}"
+        else:
+            why = "no cavity decay, so no LU residual proves uniqueness"
+
+        if not residual <= 1e-9 * l_scale:
+            log.warning(
+                "steady state on the k=0 block: %s; falling back to a dense SVD null space",
+                why,
+            )
+            _, svals, vh = np.linalg.svd(self._block.toarray())
+            null_dim = int(np.sum(svals < 1e-10 * svals[0]))
+            if null_dim != 1:
+                raise RuntimeError(f"degenerate steady state: null-space dimension {null_dim}")
+            x0 = vh[-1].conj()
+            x0 = x0 / (self._trace @ x0)
+            residual = np.linalg.norm(self._block @ x0)
+            if not residual <= 1e-9 * l_scale:
+                raise RuntimeError(f"steady-state residual too large: {residual:.3e}")
+
+        d = q.dims.total_dim
+        x = np.zeros(d * d, dtype=complex)
+        x[self._idx] = x0
+        rho = unvec(x, d)
+        rho = (rho + rho.conj().T) / 2.0
+        rho = rho / rho.trace().real
+        return DensityMatrix(q.dims, rho)
 
 
 @dataclass
@@ -530,8 +496,8 @@ def mcwf_trajectory(
     seed, and the same record whether run alone or in run_trajectories.
     """
     _check_horizon(t_final=t_final, sample_dt=sample_dt)
-    if abs(psi0.norm - 1.0) > 1e-9:
-        raise ValueError("psi0 must be normalized")
+    if not abs(psi0.norm - 1.0) <= 1e-9:
+        raise ValueError(f"psi0 must be normalized; its norm is {psi0.norm}")
     prop = _prop if _prop is not None else _JumpPropagator(p)
     rng = np.random.default_rng(seed)
     times = np.arange(0.0, t_final + sample_dt / 2, sample_dt)

@@ -98,16 +98,17 @@ class DensityMatrix:
         object.__setattr__(self, "mat", _frozen_complex(self.mat, (d, d)))
 
     def validate(self):
-        """Raise if the state is not Hermitian, trace-one and positive."""
+        """Raise if the state is not Hermitian, trace-one and positive; each
+        test is written so that a NaN fails it."""
         herm = np.max(np.abs(self.mat - self.mat.conj().T))
-        if herm > 1e-10:
+        if not herm <= 1e-10:
             raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
         tr = self.mat.trace()
-        if abs(tr - 1.0) > 1e-8:
+        if not abs(tr - 1.0) <= 1e-8:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
-        evals = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)
-        if evals.min() < -1e-8:
-            raise ValueError(f"density matrix not positive: min eigenvalue {evals.min():.3e}")
+        ev_min = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2).min()
+        if not ev_min >= -1e-8:
+            raise ValueError(f"density matrix not positive: min eigenvalue {ev_min:.3e}")
 
 
 def fock_annihilation(dims: SpaceDims) -> np.ndarray:

@@ -115,29 +115,31 @@ def g2_bundle_delayed(
     under the Liouvillian and measured with a^dagN a^N; both denominator
     factors are the stationary value.  N=1 recovers the standard g2(tau).
 
-    The default grid is 200 delays from tau_min to 30/kappa.  For N >= 2 a
-    delay below tau_min, where the bundle correlation is not meaningful, is
-    an error; N=1 grids, tau = 0 included, are taken as given.
+    The default grid is 200 delays from tau_min to 30/kappa.  Every delay
+    must be finite and >= 0; for N >= 2 it must also be >= tau_min, below
+    which the bundle correlation is not meaningful.  N=1 grids, tau = 0
+    included, are otherwise taken as given.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if p.kappa <= 0:
         raise ValueError("kappa must be > 0 for emission correlations")
-    if propagator is None:
-        propagator = LiouvillePropagator(build_liouvillian(p))
-    if rho_ss is None:
-        rho_ss = steady_state(propagator.L)
-
     t_floor = tau_min(N, p.kappa)
     if tau_grid is None:
         tau_grid = np.geomspace(t_floor, 30.0 / p.kappa, 200)
     tau_grid = np.asarray(tau_grid, dtype=float)
     if len(tau_grid) == 0:
         raise ValueError("empty tau grid")
-    if N >= 2 and np.any(tau_grid < t_floor):
-        raise ValueError(
-            f"delay {tau_grid.min():g} below tau_min = {t_floor:g} for the N={N} bundle"
-        )
+    floor = t_floor if N >= 2 else 0.0
+    bad = np.flatnonzero(~(np.isfinite(tau_grid) & (tau_grid >= floor)))
+    if len(bad):
+        bound = f"tau_min = {t_floor:g} for the N={N} bundle" if N >= 2 else "0"
+        raise ValueError(f"delay {tau_grid[bad[0]]:g} must be finite and >= {bound}")
+
+    if propagator is None:
+        propagator = LiouvillePropagator(build_liouvillian(p))
+    if rho_ss is None:
+        rho_ss = steady_state(propagator.L)
 
     a = fock_annihilation(p.dims)
     an = matrix_power(a, N)
@@ -191,5 +193,5 @@ def sweep(p: ModelParams, grid):
         + [f"P{k}" for k in range(m_top + 1)]
         + ["g2", "g3", "g4", "tail_population", "flag"]
     )
-    ws = SteadyStateWorkspace(p)
+    ws = SteadyStateWorkspace(build_liouvillian(p))
     return header, [_scan_point(ws, m_top, da) for da in grid]

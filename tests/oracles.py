@@ -1,12 +1,14 @@
 """Dense oracles that only the tests use, kept apart from the library code
 they check: the driven Hamiltonian without the n-photon coupling (its
 spectrum is the dressed ladder), the undriven n-photon JC Hamiltonian and its
-doublet eigenvectors, one dressed-state population at a time, and a
-Liouvillian applied to a matrix.
+doublet eigenvectors, one dressed-state population at a time, a
+Liouvillian applied to a matrix, and the steady state by one direct sparse LU.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.linalg import matrix_power
+from scipy.sparse.linalg import splu
 
 from bundlejc.dynamics import unvec, vec
 from bundlejc.hilbert import DensityMatrix, StateVector, fock_annihilation, tls_operator
@@ -57,4 +59,19 @@ def dressed_population(state: StateVector | DensityMatrix, p, m, branch):
 
 def apply_liouvillian(L, rho):
     """L rho, as a matrix, through the column-stacked vectorization."""
-    return unvec(L.mat @ vec(rho), L.dims.total_dim)
+    return unvec(L.mat @ vec(rho), L.params.dims.total_dim)
+
+
+def lu_steady_state(L):
+    """Steady state of L by one sparse LU on its own k = 0 block K, with row 0
+    replaced by the trace row; no residual check and no fallback."""
+    d = L.params.dims.total_dim
+    idx = L.sectors[0]
+    trace_row = sp.csr_array(vec(np.eye(d))[idx][None, :])
+    b = np.zeros(len(idx), dtype=complex)
+    b[0] = 1.0
+    x = np.zeros(d * d, dtype=complex)
+    x[idx] = splu(sp.vstack([trace_row, L.block(0)[1:]], format="csc")).solve(b)
+    rho = unvec(x, d)
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / rho.trace().real

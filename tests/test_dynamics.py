@@ -27,6 +27,7 @@ from bundlejc.dynamics import (
 from bundlejc.hilbert import (
     DensityMatrix,
     DimensionMismatchError,
+    StateVector,
     basis_state,
     fock_annihilation,
     tls_operator,
@@ -34,7 +35,7 @@ from bundlejc.hilbert import (
 from bundlejc.model import ModelParams, build_H_I
 from bundlejc.observables import sweep
 from dop853 import dop853
-from oracles import apply_liouvillian
+from oracles import apply_liouvillian, lu_steady_state
 
 
 def decay_params(kappa=0.0, gamma=0.0, n_max=4):
@@ -134,6 +135,14 @@ class TestLindbladAnalytic:
         proj = tls_operator("excited_projector", p.dims)
         for t, rho in zip(t_grid, history):
             assert np.trace(proj @ rho).real == pytest.approx(np.exp(-0.4 * t), abs=1e-9)
+
+    def test_nan_in_history_rejected(self):
+        # each check is written so that a NaN deviation fails it, not passes
+        p = decay_params(kappa=0.7)
+        rho = basis_state(p.dims, 3, 0).to_density_matrix().mat.copy()
+        rho[0, 0] = np.nan
+        with pytest.raises(RuntimeError, match="Hermiticity violated: nan"):
+            dynamics._check_density_history([rho])
 
     def test_schemes_agree(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
@@ -273,6 +282,13 @@ class TestSchrodinger:
         with pytest.raises(ValueError, match="Hermitian"):
             schrodinger_evolve(h, basis_state(p.dims, 0, 0), [0.0, 1.0])
 
+    def test_nan_psi0_rejected(self, unitary_n2):
+        amp = basis_state(unitary_n2.dims, 0, 0).amp.copy()
+        amp[1] = np.nan
+        psi0 = StateVector(unitary_n2.dims, amp)
+        with pytest.raises(ValueError, match="psi0 must be normalized; its norm is nan"):
+            schrodinger_evolve(build_H_I(unitary_n2), psi0, [0.0, 1.0])
+
     def test_shape_mismatch_names_h(self):
         # H of one truncation, psi0 of another
         p = decay_params(n_max=4)
@@ -290,6 +306,14 @@ class TestMcwf:
         assert rec.jumps == []
         # states agree up to nothing: same dynamics, no renormalization needed
         np.testing.assert_allclose(rec.states, exact, atol=1e-8)
+
+    def test_nan_psi0_rejected(self, dissipative_n2):
+        # refused up front, not left to fail as a jump time that never converges
+        amp = basis_state(dissipative_n2.dims, 0, 0).amp.copy()
+        amp[1] = np.nan
+        psi0 = StateVector(dissipative_n2.dims, amp)
+        with pytest.raises(ValueError, match="psi0 must be normalized; its norm is nan"):
+            mcwf_trajectory(dissipative_n2, psi0, 5.0, seed=1, sample_dt=0.5)
 
     def test_seed_reproducibility(self, dissipative_n2):
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
@@ -616,7 +640,7 @@ class TestSteadyStateWorkspace:
             header, rows = sweep(p, grid)
         assert not caplog.records  # sparse LU held at every point: no SVD fallback
         g2 = header.index("g2")
-        ws = SteadyStateWorkspace(p)
+        ws = SteadyStateWorkspace(build_liouvillian(p))
         for delta_a, row in zip(grid, rows):
             rho = dense_k0_steady_state(replace(p, delta_a=delta_a))
             np.testing.assert_allclose(ws.solve(delta_a).mat, rho, rtol=0, atol=1e-12)
@@ -638,19 +662,21 @@ class TestSteadyStateWorkspace:
 
     @staticmethod
     def assert_bit_for_bit(p, grid):
-        ws = SteadyStateWorkspace(p)
+        # the workspace is built at p's own delta_a and rewrites the diagonal
+        # for each point; steady_state builds one at the point itself
+        ws = SteadyStateWorkspace(build_liouvillian(p))
         for delta_a in grid:
             L = build_liouvillian(replace(p, delta_a=delta_a))
-            np.testing.assert_array_equal(
-                ws.solve(delta_a).mat, steady_state(L, tail_tol=None).mat
-            )
+            expected = lu_steady_state(L)
+            np.testing.assert_array_equal(ws.solve(delta_a).mat, expected)
+            np.testing.assert_array_equal(steady_state(L, tail_tol=None).mat, expected)
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
     def test_reproduces_steady_state_bit_for_bit(self, point, request):
         # the workspace rewrites the diagonal with build_liouvillian's own
-        # arithmetic, so SuperLU factors the very same matrix
+        # arithmetic, so SuperLU factors the very matrix the direct LU does
         p = request.getfixturevalue(point)
-        self.assert_bit_for_bit(p, self.grid(p))
+        self.assert_bit_for_bit(p, np.r_[self.grid(p), -p.delta_n / p.n])
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
     def test_bit_for_bit_where_a_coherence_diagonal_vanishes(self, point, request):
@@ -682,4 +708,4 @@ class TestSteadyStateWorkspace:
 
     def test_non_finite_delta_a_rejected(self, dissipative_n2):
         with pytest.raises(ValueError, match="finite"):
-            SteadyStateWorkspace(dissipative_n2).solve(float("nan"))
+            SteadyStateWorkspace(build_liouvillian(dissipative_n2)).solve(float("nan"))

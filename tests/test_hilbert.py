@@ -124,3 +124,11 @@ def test_states_immutable():
         psi.amp[0] = 1.0
     with pytest.raises(ValueError):
         psi.to_density_matrix().mat[0, 0] = 1.0
+
+
+def test_nan_density_matrix_rejected():
+    # each check is written so that a NaN deviation fails it, not passes
+    mat = np.eye(DIMS.total_dim, dtype=complex) / DIMS.total_dim
+    mat[3, 3] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(DIMS, mat).validate()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,23 @@ class TestDelayedBundleCorrelation:
                 g2_bundle_delayed(dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss)
         with pytest.raises(ValueError, match="empty"):
             g2_bundle_delayed(dissipative_n2, 1, [], propagator=prop, rho_ss=rho_ss)
+
+    @pytest.mark.parametrize(
+        "order, grid, named",
+        [
+            (1, [-5.0, 0.0, 1.0], "delay -5 must be finite and >= 0"),
+            (1, [0.0, np.nan, 1.0], "delay nan must be finite"),
+            (1, [1.0, np.inf], "delay inf must be finite"),
+            (2, [2.0, np.nan], "delay nan must be finite and >= tau_min = 1.5"),
+            (2, [np.inf], "delay inf must be finite and >= tau_min"),
+        ],
+    )
+    def test_bad_delay_named(self, dissipative_n2, dissipative_n2_ss, order, grid, named):
+        # a negative or non-finite delay would come back as a huge or NaN
+        # value, and a NaN also keeps the clamp from seeing negative values
+        prop, rho_ss = dissipative_n2_ss
+        with pytest.raises(ValueError, match=re.escape(named)):
+            g2_bundle_delayed(dissipative_n2, order, grid, propagator=prop, rho_ss=rho_ss)
 
     def test_order_one_grid_taken_as_given(self, dissipative_n2, dissipative_n2_ss):
         prop, rho_ss = dissipative_n2_ss
