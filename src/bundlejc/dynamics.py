@@ -15,6 +15,16 @@ build_liouvillian) to solve at any delta_a.  steady_state(L) is its solve at
 the delta_a of L, then a truncation check.  H and L do not depend on time, so
 each equation of motion has one propagator, an eigendecomposition, which is
 exact at the sample times.
+
+scipy is imported only where a Liouvillian is built or factored:
+build_liouvillian (the one way to make an L; lindblad_evolve,
+LiouvillePropagator and steady_state all start from one), _hermitian_basis
+and SteadyStateWorkspace.  Schrodinger propagation and the quantum-jump
+trajectories need only numpy, so a run that never builds L never loads scipy
+(about 0.3 s of start-up).  The module is kept whole rather than split along
+that line, because the benchmark tracer (perfbench/tracing.py) wraps the
+functions whose __module__ is bundlejc.dynamics and reads
+bundlejc.dynamics.LiouvillePropagator.
 """
 
 from __future__ import annotations
@@ -22,10 +32,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .hilbert import (
     DensityMatrix,
@@ -36,6 +46,9 @@ from .hilbert import (
     tls_operator,
 )
 from .model import ModelParams, _detuning_terms, build_H_I
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Liouvillian",
@@ -96,12 +109,19 @@ def schrodinger_evolve(H: np.ndarray, psi0: StateVector, t_grid) -> np.ndarray:
     return history
 
 
-class _CSR(sp.csr_array):
-    """CSR array that reports the bytes it stores (data, indices, indptr)."""
+@cache
+def _csr_class() -> type[sp.csr_array]:
+    """The CSR array class of L.mat: it reports the bytes it stores (data,
+    indices, indptr).  Made on first use, so importing this module loads no
+    scipy."""
+    import scipy.sparse as sp
 
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+    class _CSR(sp.csr_array):
+        @property
+        def nbytes(self) -> int:
+            return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    return _CSR
 
 
 @dataclass(frozen=True)
@@ -113,7 +133,7 @@ class Liouvillian:
     """
 
     params: ModelParams
-    mat: _CSR
+    mat: sp.csr_array  # of _csr_class()
     sectors: tuple[np.ndarray, ...]
 
     def block(self, k: int) -> sp.csr_array:
@@ -171,7 +191,7 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     terms = [_kron_coo(eye, g), _kron_coo(g.conj(), eye)]
     terms += [_kron_coo(c.conj(), rate * c) for rate, c in jumps]
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
-    lmat = _CSR((vals, (rows, cols)), shape=(d * d, d * d))
+    lmat = _csr_class()((vals, (rows, cols)), shape=(d * d, d * d))
     lmat.eliminate_zeros()
     return Liouvillian(p, lmat, _sectors(dims, p.n))
 
@@ -181,6 +201,8 @@ def _hermitian_basis(idx: np.ndarray, d: int) -> sp.csr_array:
     adjoint to the orthonormal Hermitian basis {|i><i|, (|i><j| + |j><i|)/sqrt2,
     i(|i><j| - |j><i|)/sqrt2}.  Row p is the basis element of entry p, so T x
     is real when x holds the sector's entries of a Hermitian operator."""
+    import scipy.sparse as sp
+
     j, i = np.divmod(idx, d)
     off = np.flatnonzero(i != j)
     mate = np.searchsorted(idx, i[off] * d + j[off])  # position of entry (j, i)
@@ -304,6 +326,8 @@ class SteadyStateWorkspace:
     """
 
     def __init__(self, L: Liouvillian):
+        import scipy.sparse as sp
+
         p = L.params
         d = p.dims.total_dim
         self._p = p
@@ -314,22 +338,26 @@ class SteadyStateWorkspace:
         self._decays = [
             (rate, np.diagonal(c.conj().T @ c)) for rate, c in _decay_channels(p) if rate > 0
         ]
-        coo = L.mat.tocoo()
-        self._offdiag_sq = float(np.sum(np.abs(coo.data[coo.row != coo.col]) ** 2))
+        lmat = L.mat
+        lrow = np.repeat(np.arange(lmat.shape[0]), np.diff(lmat.indptr))
+        self._offdiag_sq = float(np.sum(np.abs(lmat.data[lmat.indices != lrow]) ** 2))
 
         k0 = L.block(0).tocoo()
         moving = np.flatnonzero(self._idx % (d + 1))  # coherences: vec index i + d j, i != j
         self._j, self._i = np.divmod(self._idx[moving], d)
-        self._block = sp.csc_array(
+        data = np.concatenate([k0.data, np.zeros(len(moving), dtype=complex)])
+        rows = np.concatenate([k0.row, moving])
+        cols = np.concatenate([k0.col, moving])
+        self._block = sp.csc_array((data, (rows, cols)), shape=k0.shape)
+        self._trace = vec(np.eye(d))[self._idx]  # Tr rho as a row over the k = 0 entries
+        pops = np.flatnonzero(self._trace)
+        kept = rows != 0  # row 0 gives way to the trace row
+        self._constrained = sp.csc_array(
             (
-                np.concatenate([k0.data, np.zeros(len(moving), dtype=complex)]),
-                (np.concatenate([k0.row, moving]), np.concatenate([k0.col, moving])),
+                np.r_[self._trace[pops], data[kept]],
+                (np.r_[np.zeros_like(pops), rows[kept]], np.r_[pops, cols[kept]]),
             ),
             shape=k0.shape,
-        )
-        self._trace = vec(np.eye(d))[self._idx]  # Tr rho as a row over the k = 0 entries
-        self._constrained = sp.vstack(
-            [sp.csr_array(self._trace[None, :]), self._block[1:]], format="csc"
         )
         self._block_diag = _diagonal_positions(self._block, moving)
         self._constrained_diag = _diagonal_positions(self._constrained, moving)
@@ -344,6 +372,8 @@ class SteadyStateWorkspace:
         states), the null space of K is inspected densely, with a logged
         warning, to tell a degenerate steady state from a solver failure.
         """
+        from scipy.sparse.linalg import splu
+
         q = replace(self._p, delta_a=delta_a)
         g = _damped_generator(_detuning_terms(q, self._num, self._pe), self._decays)
         diag = g[self._i] + g[self._j].conj()

@@ -218,26 +218,6 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def test_cli_import_leaves_out_ode_solvers():
-    # every run pays at start-up for what `import bundlejc.cli` loads; the
-    # propagators need numpy's LAPACK and scipy.sparse, not scipy's ODE
-    # solvers or the scipy.optimize they pull in
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, bundlejc.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "[]"
-
-
 # a cheap point of every preset
 CHEAP_POINTS = {
     "superrabi": "[model]\nn = 2\nj = 1.0\nomega_l = 70.0\ndelta_n = -165.0\nn_max = 8\n"
@@ -249,6 +229,64 @@ CHEAP_POINTS = {
     "resonances": MINIMAL,
     "custom": DISSIPATIVE.replace("n_max = 8", "n_max = 12"),
 }
+
+# the presets that never build a Liouvillian
+NUMPY_ONLY_PRESETS = ("superrabi", "trajectory", "resonances")
+
+# run in a fresh interpreter: the stages in order, each with the scipy
+# modules loaded once it is done, then whether a steadyscan run after them
+# loaded scipy.sparse.linalg
+SCIPY_PROBE = """
+import json, sys
+from bundlejc.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+configs, out, numpy_only = json.loads(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3])
+seen = {"import bundlejc.cli": scipy_loaded()}
+for preset, cfg in configs.items():
+    assert main([preset, "--config", cfg, "--dry-run"]) == 0
+    seen[preset + " --dry-run"] = scipy_loaded()
+for preset in numpy_only:
+    assert main([preset, "--config", configs[preset], "--out", out + "/" + preset]) == 0
+    seen[preset] = scipy_loaded()
+assert main(["steadyscan", "--config", configs["steadyscan"], "--out", out + "/steadyscan"]) == 0
+print(json.dumps({"seen": seen, "steadyscan": "scipy.sparse.linalg" in sys.modules}))
+"""
+
+
+def test_scipy_loads_only_where_a_liouvillian_is_built(tmp_path):
+    # every run pays at start-up for what it imports, and scipy costs about
+    # 0.3 s of it; only the code that builds or factors a Liouvillian imports
+    # scipy, so the library import, every dry run and the presets that need
+    # only eigh, the H_nh eig and closed forms load none of it
+    configs = {}
+    for preset, text in CHEAP_POINTS.items():
+        configs[preset] = str(tmp_path / f"{preset}.ini")
+        Path(configs[preset]).write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            SCIPY_PROBE,
+            json.dumps(configs),
+            str(tmp_path / "out"),
+            json.dumps(NUMPY_ONLY_PRESETS),
+        ],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    result = json.loads(out.stdout.splitlines()[-1])
+    stages = ["import bundlejc.cli"]
+    stages += [f"{preset} --dry-run" for preset in CHEAP_POINTS] + list(NUMPY_ONLY_PRESETS)
+    assert result["seen"] == {stage: [] for stage in stages}
+    # the deferred import works: a preset that builds L does load scipy
+    assert result["steadyscan"] is True
 
 
 class TestMain:
