@@ -37,7 +37,6 @@ from .dynamics import (
     schrodinger_evolve,
     steady_state,
 )
-from .hilbert import StateVector
 from .model import (
     ModelParams,
     build_H_I,
@@ -309,7 +308,7 @@ def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
     t_grid = np.linspace(0.0, t_final, n_pts)
     psi0 = dressed_state(m, 0, "+")
     history = schrodinger_evolve(build_H_I(m), psi0, t_grid)
-    v_top = dressed_state(m, 0, "+").amp
+    v_top = psi0.amp
     v_bot = dressed_state(m, m.n, "-").amp
     p_top = np.abs(history @ v_top.conj()) ** 2
     p_bot = np.abs(history @ v_bot.conj()) ** 2
@@ -340,13 +339,8 @@ def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
     header = ["t"]
     for k in range(m_top + 1):
         header += [f"P_{k}_plus", f"P_{k}_minus"]
-    rows = []
-    for t, amp in zip(rec.times, rec.states):
-        pops = dressed_populations(StateVector(m.dims, amp), m)
-        row = [t]
-        for k in range(m_top + 1):
-            row += [pops[k, 0], pops[k, 1]]
-        rows.append(row)
+    pops = dressed_populations(rec.states, m)[:, : m_top + 1]
+    rows = np.column_stack([rec.times, pops.reshape(len(rec.times), -1)])
     tables = {
         "trajectory_populations": (header, rows),
         "trajectory_jumps": (["time", "channel"], rec.jumps),
@@ -390,10 +384,8 @@ def _run_jcregime(cfg: ExperimentConfig) -> tuple[dict, dict]:
         extra = {"omega_eff_jc": omega_eff_jc(m)}
     except ZeroDivisionError as exc:
         raise ConfigError(f"[model] preset 'jcregime': {exc}") from exc
-    if m.kappa > 0:
-        rho = steady_state(build_liouvillian(m))
-        pops = photon_distribution(rho)
-        extra["n_photon_population"] = float(pops[m.n])
+    rho = steady_state(build_liouvillian(m))
+    extra["n_photon_population"] = float(photon_distribution(rho)[m.n])
     header = ["m", "branch", "energy", "c_plus", "c_minus", "omega_m"]
     return {"jcregime": (header, rows)}, extra
 

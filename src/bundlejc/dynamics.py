@@ -284,23 +284,18 @@ def lindblad_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid) -> np.ndarray:
     return history
 
 
-def _truncation_tail(rho_mat: np.ndarray, dims: SpaceDims) -> float:
-    i = dims.index(dims.n_max, 0)
-    return float(rho_mat[i, i].real + rho_mat[i + 1, i + 1].real)
-
-
-def steady_state(L: Liouvillian, tail_tol: float | None = TAIL_TOL) -> DensityMatrix:
+def steady_state(L: Liouvillian) -> DensityMatrix:
     """Unique stationary density matrix of L: SteadyStateWorkspace(L) solved
     at the delta_a of L.  Raises TruncationError if the top Fock level holds
-    population tail_tol or more (None skips the check)."""
+    population TAIL_TOL or more; the workspace solve alone skips that check."""
     rho = SteadyStateWorkspace(L).solve(L.params.delta_a)
-    if tail_tol is not None:
-        tail = _truncation_tail(rho.mat, rho.dims)
-        if tail >= tail_tol:
-            raise TruncationError(
-                f"top Fock level holds population {tail:.3e} >= {tail_tol:.1e}; "
-                "increase n_max"
-            )
+    i = rho.dims.index(rho.dims.n_max, 0)  # |n_max, g>; |n_max, e> follows
+    tail = float(rho.mat[i, i].real + rho.mat[i + 1, i + 1].real)
+    if tail >= TAIL_TOL:
+        raise TruncationError(
+            f"top Fock level holds population {tail:.3e} >= {TAIL_TOL:.1e}; "
+            "increase n_max"
+        )
     return rho
 
 

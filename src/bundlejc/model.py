@@ -97,6 +97,11 @@ class DressedData:
     c_minus: float
     omega: float
 
+    @property
+    def basis(self) -> np.ndarray:
+        """TLS amplitudes of |+> and |-> as columns, over rows (|g>, |e>)."""
+        return np.array([[self.c_minus, -self.c_plus], [self.c_plus, self.c_minus]])
+
 
 @dataclass(frozen=True)
 class EffectiveTwoLevel:
@@ -168,13 +173,10 @@ def dressed(p: ModelParams) -> DressedData:
 
 def dressed_state(p: ModelParams, m: int, branch: str) -> StateVector:
     """Composite basis state |m>|+-> built from the dressed TLS amplitudes."""
-    d = dressed(p)
-    sign = {"+": 1.0, "-": -1.0}[branch]
-    c_e = d.c_plus if branch == "+" else d.c_minus
-    c_g = d.c_minus if branch == "+" else d.c_plus
+    column = dressed(p).basis[:, {"+": 0, "-": 1}[branch]]
+    i = p.dims.index(m, 0)
     amp = np.zeros(p.dims.total_dim, dtype=complex)
-    amp[p.dims.index(m, 1)] = c_e
-    amp[p.dims.index(m, 0)] = sign * c_g
+    amp[i : i + 2] = column
     return StateVector(p.dims, amp)
 
 

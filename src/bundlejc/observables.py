@@ -16,14 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import matrix_power
 
-from .dynamics import (
-    TAIL_TOL,
-    LiouvillePropagator,
-    SteadyStateWorkspace,
-    build_liouvillian,
-    steady_state,
-)
-from .hilbert import DensityMatrix, StateVector, fock_annihilation
+from .dynamics import TAIL_TOL, LiouvillePropagator, SteadyStateWorkspace, build_liouvillian
+from .hilbert import DensityMatrix, DimensionMismatchError, fock_annihilation
 from .model import ModelParams, dressed
 
 __all__ = [
@@ -52,16 +46,16 @@ def photon_distribution(rho: DensityMatrix) -> np.ndarray:
     return pops[0::2] + pops[1::2]
 
 
-def dressed_populations(state: StateVector | DensityMatrix, p: ModelParams) -> np.ndarray:
-    """All P_{|m>|+->} as an (n_max+1, 2) array, columns ordered (+, -)."""
-    d = dressed(p)
-    # rows (g, e), columns (+, -): the TLS amplitudes of |+> and |->
-    u = np.array([[d.c_minus, -d.c_plus], [d.c_plus, d.c_minus]])
-    if isinstance(state, StateVector):
-        return np.abs(state.amp.reshape(-1, 2) @ u) ** 2
-    rho = state.mat.reshape(p.n_max + 1, 2, p.n_max + 1, 2)
-    blocks = np.einsum("msmt->mst", rho)
-    return np.einsum("sb,mst,tb->mb", u, blocks, u).real
+def dressed_populations(amps, p: ModelParams) -> np.ndarray:
+    """All P_{|m>|+->} of amplitude arrays of shape (..., total_dim), such as
+    one state's amp or a whole trajectory history, as (..., n_max+1, 2) with
+    columns ordered (+, -)."""
+    amps = np.asarray(amps)
+    if amps.shape[-1:] != (p.dims.total_dim,):
+        raise DimensionMismatchError(
+            f"amps: expected last axis {p.dims.total_dim}, got shape {amps.shape}"
+        )
+    return np.abs(amps.reshape(*amps.shape[:-1], -1, 2) @ dressed(p).basis) ** 2
 
 
 def g_equal_time(rho: DensityMatrix, ell: int) -> float:
@@ -106,14 +100,16 @@ def g2_bundle_delayed(
     N: int,
     tau_grid=None,
     *,
-    propagator: LiouvillePropagator | None = None,
-    rho_ss: DensityMatrix | None = None,
+    propagator: LiouvillePropagator,
+    rho_ss: DensityMatrix,
 ) -> CorrelationCurve:
     """Delayed second-order correlation of the N-photon bundle.
 
     Quantum regression: the collapsed operator a^N rho_ss a^dagN is propagated
     under the Liouvillian and measured with a^dagN a^N; both denominator
     factors are the stationary value.  N=1 recovers the standard g2(tau).
+    propagator must hold the Liouvillian of p and rho_ss a state on p's space,
+    normally steady_state(propagator.L); one propagator serves every N and grid.
 
     The default grid is 200 delays from tau_min to 30/kappa.  Every delay
     must be finite and >= 0; for N >= 2 it must also be >= tau_min, below
@@ -136,10 +132,10 @@ def g2_bundle_delayed(
         bound = f"tau_min = {t_floor:g} for the N={N} bundle" if N >= 2 else "0"
         raise ValueError(f"delay {tau_grid[bad[0]]:g} must be finite and >= {bound}")
 
-    if propagator is None:
-        propagator = LiouvillePropagator(build_liouvillian(p))
-    if rho_ss is None:
-        rho_ss = steady_state(propagator.L)
+    if propagator.L.params != p:
+        raise ValueError(f"propagator was built at {propagator.L.params}, not at p = {p}")
+    if rho_ss.dims != p.dims:
+        raise ValueError(f"rho_ss lives on {rho_ss.dims}, not on p's {p.dims}")
 
     a = fock_annihilation(p.dims)
     an = matrix_power(a, N)

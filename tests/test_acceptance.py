@@ -14,6 +14,7 @@ from scipy.stats import kstest
 
 from bundlejc.dynamics import (
     LiouvillePropagator,
+    SteadyStateWorkspace,
     build_liouvillian,
     lindblad_evolve,
     mcwf_trajectory,
@@ -185,7 +186,7 @@ def test_criterion_4iv_population_balance(dissipative_n2, dissipative_n3):
     details = []
     ok = True
     for p in (dissipative_n2, dissipative_n3):
-        rho = steady_state(build_liouvillian(p), tail_tol=None)
+        rho = SteadyStateWorkspace(build_liouvillian(p)).solve(p.delta_a)
         pops = photon_distribution(rho)
         n = p.n
         lower, upper = (n - 1) * pops[n - 1], n * pops[n]
@@ -207,7 +208,7 @@ def test_criterion_5_bundle_ordering(dissipative_n2, dissipative_n3):
         for da, regime in ((p_res.delta_a, "resonant"), (0.0, "detuned")):
             p = replace(p_res, delta_a=da)
             prop = LiouvillePropagator(build_liouvillian(p))
-            rho = steady_state(prop.L, tail_tol=None)
+            rho = SteadyStateWorkspace(prop.L).solve(p.delta_a)
             n = p.n
             t0 = tau_min(n, p.kappa)
             curve = g2_bundle_delayed(
@@ -377,7 +378,7 @@ def test_criterion_9_invariant_fuzz():
             n_max=5,
         )
         try:
-            rho = steady_state(build_liouvillian(p), tail_tol=None)
+            rho = SteadyStateWorkspace(build_liouvillian(p)).solve(p.delta_a)
             rho.validate()
         except Exception as exc:  # noqa: BLE001 - any invariant break counts
             failures.append(f"steady sample {i}: {exc}")

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from bundlejc.dynamics import LiouvillePropagator, build_liouvillian, steady_state
 from bundlejc.hilbert import (
     DensityMatrix,
+    DimensionMismatchError,
     SpaceDims,
     StateVector,
     basis_state,
@@ -60,7 +62,7 @@ class TestPhotonDistribution:
 class TestDressedPopulations:
     def test_completeness(self, unitary_n2):
         psi = basis_state(unitary_n2.dims, 0, 0)
-        pops = dressed_populations(psi, unitary_n2)
+        pops = dressed_populations(psi.amp, unitary_n2)
         assert pops.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_ground_state_split(self, unitary_n2):
@@ -82,16 +84,27 @@ class TestDressedPopulations:
         psi = StateVector(
             unitary_n2.dims, rng.normal(size=d) + 1j * rng.normal(size=d)
         ).normalized()
-        for state in (psi, psi.to_density_matrix()):
-            per_element = np.array(
-                [
-                    [dressed_population(state, unitary_n2, m, br) for br in "+-"]
-                    for m in range(unitary_n2.n_max + 1)
-                ]
-            )
-            np.testing.assert_allclose(
-                dressed_populations(state, unitary_n2), per_element, rtol=0, atol=1e-14
-            )
+        per_element = np.array(
+            [
+                [dressed_population(psi, unitary_n2, m, br) for br in "+-"]
+                for m in range(unitary_n2.n_max + 1)
+            ]
+        )
+        np.testing.assert_allclose(
+            dressed_populations(psi.amp, unitary_n2), per_element, rtol=0, atol=1e-14
+        )
+
+    def test_history_matches_single_states(self, unitary_n2):
+        # a (T, d) history gives each state's own rows, bit for bit
+        rng = np.random.default_rng(6)
+        d = unitary_n2.dims.total_dim
+        history = rng.normal(size=(7, d)) + 1j * rng.normal(size=(7, d))
+        stacked = dressed_populations(history, unitary_n2)
+        assert stacked.shape == (7, unitary_n2.n_max + 1, 2)
+        for amp, rows in zip(history, stacked):
+            np.testing.assert_array_equal(rows, dressed_populations(amp, unitary_n2))
+        with pytest.raises(DimensionMismatchError, match="amps"):
+            dressed_populations(history[:, :-2], unitary_n2)
 
     def test_density_matrix_agrees_with_state_vector(self, unitary_n2):
         psi = basis_state(unitary_n2.dims, 2, 1)
@@ -230,8 +243,10 @@ class TestDelayedBundleCorrelation:
         assert np.all(curve.values >= 0.0)
 
     def test_requires_decay(self, unitary_n2):
+        prop = LiouvillePropagator(build_liouvillian(unitary_n2))
+        rho = basis_state(unitary_n2.dims, 0, 0).to_density_matrix()
         with pytest.raises(ValueError, match="kappa"):
-            g2_bundle_delayed(unitary_n2, 1, np.array([1.0]))
+            g2_bundle_delayed(unitary_n2, 1, np.array([1.0]), propagator=prop, rho_ss=rho)
 
     def test_vanishing_occupation_rejected(self):
         # undriven, undamped-cavity vacuum has no emission to correlate
@@ -239,5 +254,24 @@ class TestDelayedBundleCorrelation:
             n=1, j=0.0, omega_l=0.0, delta_n=0.0, delta_a=0.0,
             kappa=1.0, gamma=0.5, n_max=3,
         )
+        prop = LiouvillePropagator(build_liouvillian(p))
         with pytest.raises(ValueError, match="denominator"):
-            g2_bundle_delayed(p, 1, np.array([1.0]))
+            g2_bundle_delayed(p, 1, np.array([1.0]), propagator=prop, rho_ss=steady_state(prop.L))
+
+    @pytest.mark.parametrize("field, other", [("delta_a", 0.0), ("kappa", 2.0)])
+    def test_propagator_of_other_point_rejected(
+        self, dissipative_n2, dissipative_n2_ss, field, other
+    ):
+        # a propagator and steady state built at another point would give
+        # that point's curve (at delta_a = 0: 4.417 at tau = 1.5, not 0.138),
+        # or mix tau_min of p with the other point's propagation
+        _, rho_ss = dissipative_n2_ss
+        prop = LiouvillePropagator(build_liouvillian(replace(dissipative_n2, **{field: other})))
+        with pytest.raises(ValueError, match="propagator"):
+            g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=rho_ss)
+
+    def test_steady_state_of_other_space_rejected(self, dissipative_n2, dissipative_n2_ss):
+        prop, _ = dissipative_n2_ss
+        small = basis_state(SpaceDims(10), 0, 0).to_density_matrix()
+        with pytest.raises(ValueError, match="rho_ss"):
+            g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=small)
