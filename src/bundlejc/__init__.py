@@ -1,14 +1,7 @@
 """Driven n-photon Jaynes-Cummings model: super-Rabi oscillations, photon
 bundle emission, and their correlation functions."""
 
-from .hilbert import (
-    DensityMatrix,
-    SpaceDims,
-    StateVector,
-    basis_state,
-    fock_annihilation,
-    tls_operator,
-)
+from .hilbert import SpaceDims, basis_state, fock_annihilation, tls_operator
 from .model import (
     DressedData,
     EffectiveTwoLevel,

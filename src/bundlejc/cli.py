@@ -191,6 +191,11 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
 
     if REGISTRY[preset].dissipative and model.kappa <= 0:
         raise ConfigError(f"[model] preset {preset!r} needs kappa > 0")
+    if preset in ("superrabi", "trajectory") and model.omega_l <= 0:
+        raise ConfigError(
+            f"[model] omega_l = {model.omega_l}: preset {preset!r} starts in the "
+            "laser-dressed state |0>|+>, which needs omega_l > 0"
+        )
     if preset == "superrabi":  # unitary: a decay rate would be dropped unread
         for name in ("kappa", "gamma"):
             value = getattr(model, name)
@@ -199,6 +204,11 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
                     f"[model] {name} = {value}: preset 'superrabi' "
                     "is unitary and needs kappa = gamma = 0"
                 )
+        if model.j == 0 and integrator.t_final is None:
+            raise ConfigError(
+                "[model] j = 0: the super-Rabi frequency vanishes, so preset "
+                "'superrabi' has no default horizon; set [integrator] t_final"
+            )
     return ExperimentConfig(
         preset=preset,
         model=model,
@@ -308,10 +318,8 @@ def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
     t_grid = np.linspace(0.0, t_final, n_pts)
     psi0 = dressed_state(m, 0, "+")
     history = schrodinger_evolve(build_H_I(m), psi0, t_grid)
-    v_top = psi0.amp
-    v_bot = dressed_state(m, m.n, "-").amp
-    p_top = np.abs(history @ v_top.conj()) ** 2
-    p_bot = np.abs(history @ v_bot.conj()) ** 2
+    p_top = np.abs(history @ psi0.conj()) ** 2
+    p_bot = np.abs(history @ dressed_state(m, m.n, "-").conj()) ** 2
     analytic = np.sin(eff.omega_eff * t_grid) ** 2
     rows = zip(t_grid, p_top, p_bot, analytic)
     header = ["t", "P_0_plus", "P_n_minus", "analytic_sin2"]

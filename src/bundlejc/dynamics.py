@@ -37,14 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hilbert import (
-    DensityMatrix,
-    DimensionMismatchError,
-    SpaceDims,
-    StateVector,
-    fock_annihilation,
-    tls_operator,
-)
+from .hilbert import DimensionMismatchError, SpaceDims, fock_annihilation, tls_operator
 from .model import ModelParams, _detuning_terms, build_H_I
 
 if TYPE_CHECKING:
@@ -83,23 +76,33 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
-def schrodinger_evolve(H: np.ndarray, psi0: StateVector, t_grid) -> np.ndarray:
-    """Solve i dpsi/dt = H psi exactly at the grid times (eigh of H); returns
-    the amplitudes at each grid time.  No renormalization is applied: norm
-    drift beyond 1e-5 aborts, because it means the eigenbasis was not unitary.
+def _check_psi0(psi0: np.ndarray, d: int) -> float:
+    """The norm of psi0; raises unless psi0 has shape (d,) and unit norm
+    (written so that a NaN norm fails too)."""
+    if np.shape(psi0) != (d,):
+        raise DimensionMismatchError(f"psi0 has shape {np.shape(psi0)}; the space needs ({d},)")
+    norm = float(np.linalg.norm(psi0))
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"psi0 must be normalized; its norm is {norm}")
+    return norm
+
+
+def schrodinger_evolve(H: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
+    """Solve i dpsi/dt = H psi exactly at the grid times (eigh of H), from the
+    amplitudes psi0; returns the amplitudes at each grid time.  No
+    renormalization is applied: norm drift beyond 1e-5 aborts, because it
+    means the eigenbasis was not unitary.
     """
-    d = len(psi0.amp)
+    d = len(psi0)
     if H.shape != (d, d):
         raise DimensionMismatchError(f"H has shape {H.shape}; psi0 needs ({d}, {d})")
     herm = np.max(np.abs(H - H.conj().T))
     if not herm < 1e-10:  # written so that a NaN deviation fails too
         raise ValueError(f"H must be Hermitian: max |H - H^dag| = {herm:.3e}")
     t_grid = np.asarray(t_grid, dtype=float)
-    psi = psi0.amp.astype(complex)
-    if not abs(psi0.norm - 1.0) <= 1e-9:
-        raise ValueError(f"psi0 must be normalized; its norm is {psi0.norm}")
+    _check_psi0(psi0, d)
     evals, evecs = np.linalg.eigh(H)
-    c0 = evecs.conj().T @ psi
+    c0 = evecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(t_grid - t_grid[0], evals))
     history = (phases * c0) @ evecs.T
 
@@ -260,6 +263,20 @@ class LiouvillePropagator:
         return out.reshape((len(taus), d, d)).transpose(0, 2, 1)
 
 
+def _check_density_matrix(rho: np.ndarray) -> None:
+    """Raise a ValueError unless rho is Hermitian, trace-one and positive; each
+    test is written so that a NaN fails it."""
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if not herm <= 1e-10:
+        raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
+    tr = rho.trace()
+    if not abs(tr - 1.0) <= 1e-8:
+        raise ValueError(f"density matrix trace {tr} deviates from 1")
+    ev_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
+    if not ev_min >= -1e-8:
+        raise ValueError(f"density matrix not positive: min eigenvalue {ev_min:.3e}")
+
+
 def _check_density_history(history):
     """Raise unless every rho is Hermitian, trace-one and positive; each test
     is written so that a NaN fails it."""
@@ -275,22 +292,29 @@ def _check_density_history(history):
             raise RuntimeError(f"positivity violated: min eigenvalue {ev_min:.3e}")
 
 
-def lindblad_evolve(L: Liouvillian, rho0: DensityMatrix, t_grid) -> np.ndarray:
-    """Propagate rho0 under L; returns density matrices at each grid time."""
+def lindblad_evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> np.ndarray:
+    """Propagate the density matrix rho0 under L; returns density matrices at
+    each grid time."""
+    d = L.params.dims.total_dim
+    if np.shape(rho0) != (d, d):
+        raise DimensionMismatchError(
+            f"rho0 has shape {np.shape(rho0)}; the space needs ({d}, {d})"
+        )
+    _check_density_matrix(rho0)
     t_grid = np.asarray(t_grid, dtype=float)
-    rho0.validate()
-    history = LiouvillePropagator(L).propagate(rho0.mat, t_grid - t_grid[0])
+    history = LiouvillePropagator(L).propagate(rho0, t_grid - t_grid[0])
     _check_density_history(history)
     return history
 
 
-def steady_state(L: Liouvillian) -> DensityMatrix:
+def steady_state(L: Liouvillian) -> np.ndarray:
     """Unique stationary density matrix of L: SteadyStateWorkspace(L) solved
     at the delta_a of L.  Raises TruncationError if the top Fock level holds
     population TAIL_TOL or more; the workspace solve alone skips that check."""
     rho = SteadyStateWorkspace(L).solve(L.params.delta_a)
-    i = rho.dims.index(rho.dims.n_max, 0)  # |n_max, g>; |n_max, e> follows
-    tail = float(rho.mat[i, i].real + rho.mat[i + 1, i + 1].real)
+    dims = L.params.dims
+    i = dims.index(dims.n_max, 0)  # |n_max, g>; |n_max, e> follows
+    tail = float(rho[i, i].real + rho[i + 1, i + 1].real)
     if tail >= TAIL_TOL:
         raise TruncationError(
             f"top Fock level holds population {tail:.3e} >= {TAIL_TOL:.1e}; "
@@ -357,7 +381,7 @@ class SteadyStateWorkspace:
         self._block_diag = _diagonal_positions(self._block, moving)
         self._constrained_diag = _diagonal_positions(self._constrained, moving)
 
-    def solve(self, delta_a: float) -> DensityMatrix:
+    def solve(self, delta_a: float) -> np.ndarray:
         """Steady state of L at this delta_a, with no truncation check.
 
         The constrained block is solved by sparse LU.  L is block-diagonal in
@@ -418,8 +442,7 @@ class SteadyStateWorkspace:
         x[self._idx] = x0
         rho = unvec(x, d)
         rho = (rho + rho.conj().T) / 2.0
-        rho = rho / rho.trace().real
-        return DensityMatrix(q.dims, rho)
+        return rho / rho.trace().real
 
 
 @dataclass
@@ -505,13 +528,14 @@ def _check_horizon(**fields: float) -> None:
 
 def mcwf_trajectory(
     p: ModelParams,
-    psi0: StateVector,
+    psi0: np.ndarray,
     t_final: float,
     seed: int,
     sample_dt: float,
     _prop: _JumpPropagator | None = None,
 ) -> TrajectoryRecord:
-    """Single quantum-jump trajectory of the master equation.
+    """Single quantum-jump trajectory of the master equation from the
+    unit-norm amplitudes psi0.
 
     Deterministic non-Hermitian evolution until the squared norm reaches the
     next uniform draw r.  The jump time is the root of log ||psi||^2 = log r,
@@ -521,16 +545,15 @@ def mcwf_trajectory(
     seed, and the same record whether run alone or in run_trajectories.
     """
     _check_horizon(t_final=t_final, sample_dt=sample_dt)
-    if not abs(psi0.norm - 1.0) <= 1e-9:
-        raise ValueError(f"psi0 must be normalized; its norm is {psi0.norm}")
+    norm = _check_psi0(psi0, p.dims.total_dim)
     prop = _prop if _prop is not None else _JumpPropagator(p)
     rng = np.random.default_rng(seed)
     times = np.arange(0.0, t_final + sample_dt / 2, sample_dt)
     states = np.empty((len(times), p.dims.total_dim), dtype=complex)
     jumps: list[tuple[float, str]] = []
 
-    states[0] = psi0.amp
-    c = prop.inv @ psi0.normalized().amp
+    states[0] = psi0
+    c = prop.inv @ (psi0 / norm)
     norm2 = 1.0  # ||psi||^2 at t
     t = 0.0
     r = rng.uniform()
@@ -560,7 +583,7 @@ def mcwf_trajectory(
 
 def run_trajectories(
     p: ModelParams,
-    psi0: StateVector,
+    psi0: np.ndarray,
     t_final: float,
     sample_dt: float,
     n_trajectories: int,

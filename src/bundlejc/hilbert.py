@@ -1,8 +1,9 @@
 """Operators and states on the truncated Fock(n_max) x two-level space.
 
-Operators are plain complex (d, d) arrays, each built fresh per call.  States
-and density matrices are immutable and checked: their arrays are read-only
-copies of the shape the space fixes.
+Operators, states and density matrices are plain complex arrays, each built
+fresh per call: an operator or a density matrix has shape (d, d) and a state
+vector shape (d,), with d = SpaceDims.total_dim.  The functions that take a
+state check its shape themselves.
 
 Basis ordering is fixed throughout the package: the composite index of the
 basis state |m> (x) |s> is  2*m + s  with s = 0 for the TLS ground state |g>
@@ -18,8 +19,6 @@ import numpy as np
 __all__ = [
     "DimensionMismatchError",
     "SpaceDims",
-    "StateVector",
-    "DensityMatrix",
     "fock_annihilation",
     "tls_operator",
     "basis_state",
@@ -57,60 +56,6 @@ class SpaceDims:
         return 2 * m + s
 
 
-def _frozen_complex(arr, shape) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    if out.shape != shape:
-        raise DimensionMismatchError(f"expected shape {shape}, got {out.shape}")
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Pure state with amplitudes in the fixed (m, s) ordering."""
-
-    dims: SpaceDims
-    amp: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "amp", _frozen_complex(self.amp, (self.dims.total_dim,))
-        )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.dims, self.amp / self.norm)
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.dims, np.outer(self.amp, self.amp.conj()))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    dims: SpaceDims
-    mat: np.ndarray
-
-    def __post_init__(self):
-        d = self.dims.total_dim
-        object.__setattr__(self, "mat", _frozen_complex(self.mat, (d, d)))
-
-    def validate(self):
-        """Raise if the state is not Hermitian, trace-one and positive; each
-        test is written so that a NaN fails it."""
-        herm = np.max(np.abs(self.mat - self.mat.conj().T))
-        if not herm <= 1e-10:
-            raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
-        tr = self.mat.trace()
-        if not abs(tr - 1.0) <= 1e-8:
-            raise ValueError(f"density matrix trace {tr} deviates from 1")
-        ev_min = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2).min()
-        if not ev_min >= -1e-8:
-            raise ValueError(f"density matrix not positive: min eigenvalue {ev_min:.3e}")
-
-
 def fock_annihilation(dims: SpaceDims) -> np.ndarray:
     """Photon annihilation a (x) I_2; <m-1|a|m> = sqrt(m) on the kept levels."""
     nf = dims.fock_dim
@@ -131,8 +76,9 @@ def tls_operator(kind: str, dims: SpaceDims) -> np.ndarray:
     return np.kron(np.eye(dims.fock_dim), m)
 
 
-def basis_state(dims: SpaceDims, m: int, s: int) -> StateVector:
+def basis_state(dims: SpaceDims, m: int, s: int) -> np.ndarray:
+    """Amplitudes of |m>|s>, a fresh complex array of shape (total_dim,)."""
     amp = np.zeros(dims.total_dim, dtype=complex)
     amp[dims.index(m, s)] = 1.0
-    return StateVector(dims, amp)
+    return amp
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import matrix_power
 
-from .hilbert import SpaceDims, StateVector, fock_annihilation, tls_operator
+from .hilbert import SpaceDims, fock_annihilation, tls_operator
 
 __all__ = [
     "ModelParams",
@@ -171,13 +171,13 @@ def dressed(p: ModelParams) -> DressedData:
     )
 
 
-def dressed_state(p: ModelParams, m: int, branch: str) -> StateVector:
-    """Composite basis state |m>|+-> built from the dressed TLS amplitudes."""
+def dressed_state(p: ModelParams, m: int, branch: str) -> np.ndarray:
+    """Amplitudes of |m>|+->, built from the dressed TLS amplitudes."""
     column = dressed(p).basis[:, {"+": 0, "-": 1}[branch]]
     i = p.dims.index(m, 0)
     amp = np.zeros(p.dims.total_dim, dtype=complex)
     amp[i : i + 2] = column
-    return StateVector(p.dims, amp)
+    return amp
 
 
 def resonance_detuning(p: ModelParams) -> float:

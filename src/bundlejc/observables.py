@@ -2,9 +2,11 @@
 high-order correlations, time-delayed bundle correlation functions, and
 steady-state sweeps over the cavity detuning.
 
-The equal-time g^(l)(0) is a sum over the photon distribution, because
-a^dag^l a^l is diagonal in the Fock basis.  A sweep builds the Liouvillian
-once (dynamics.SteadyStateWorkspace) and solves the k = 0 block per point.
+States are plain complex arrays: amplitudes of shape (..., d) and density
+matrices of shape (d, d).  The equal-time g^(l)(0) is a sum over the photon
+distribution, because a^dag^l a^l is diagonal in the Fock basis.  A sweep
+builds the Liouvillian once (dynamics.SteadyStateWorkspace) and solves the
+k = 0 block per point.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import matrix_power
 
-from .dynamics import TAIL_TOL, LiouvillePropagator, SteadyStateWorkspace, build_liouvillian
-from .hilbert import DensityMatrix, DimensionMismatchError, fock_annihilation
+from .dynamics import (
+    TAIL_TOL,
+    LiouvillePropagator,
+    SteadyStateWorkspace,
+    build_liouvillian,
+    vec,
+)
+from .hilbert import DimensionMismatchError, fock_annihilation
 from .model import ModelParams, dressed
 
 __all__ = [
@@ -40,15 +48,15 @@ class CorrelationCurve:
     values: np.ndarray
 
 
-def photon_distribution(rho: DensityMatrix) -> np.ndarray:
+def photon_distribution(rho: np.ndarray) -> np.ndarray:
     """P_m = Tr[(|m><m| x I_2) rho] for m = 0..n_max."""
-    pops = np.diagonal(rho.mat).real
+    pops = np.diagonal(rho).real
     return pops[0::2] + pops[1::2]
 
 
 def dressed_populations(amps, p: ModelParams) -> np.ndarray:
     """All P_{|m>|+->} of amplitude arrays of shape (..., total_dim), such as
-    one state's amp or a whole trajectory history, as (..., n_max+1, 2) with
+    one state or a whole trajectory history, as (..., n_max+1, 2) with
     columns ordered (+, -)."""
     amps = np.asarray(amps)
     if amps.shape[-1:] != (p.dims.total_dim,):
@@ -58,7 +66,7 @@ def dressed_populations(amps, p: ModelParams) -> np.ndarray:
     return np.abs(amps.reshape(*amps.shape[:-1], -1, 2) @ dressed(p).basis) ** 2
 
 
-def g_equal_time(rho: DensityMatrix, ell: int) -> float:
+def g_equal_time(rho: np.ndarray, ell: int) -> float:
     """Equal-time normalized correlation Tr(a^dag^l a^l rho) / Tr(a^dag a rho)^l.
 
     a^dag^l a^l is diagonal in the Fock basis with eigenvalue m!/(m-l)! on
@@ -101,15 +109,17 @@ def g2_bundle_delayed(
     tau_grid=None,
     *,
     propagator: LiouvillePropagator,
-    rho_ss: DensityMatrix,
+    rho_ss: np.ndarray,
 ) -> CorrelationCurve:
     """Delayed second-order correlation of the N-photon bundle.
 
     Quantum regression: the collapsed operator a^N rho_ss a^dagN is propagated
     under the Liouvillian and measured with a^dagN a^N; both denominator
     factors are the stationary value.  N=1 recovers the standard g2(tau).
-    propagator must hold the Liouvillian of p and rho_ss a state on p's space,
-    normally steady_state(propagator.L); one propagator serves every N and grid.
+    propagator must hold the Liouvillian L of p, and rho_ss must be its steady
+    state, normally steady_state(propagator.L): ||L vec(rho_ss)|| may be at
+    most 1e-9 ||L||_F, the residual bound of the steady-state solver.  One
+    propagator serves every N and grid.
 
     The default grid is 200 delays from tau_min to 30/kappa.  Every delay
     must be finite and >= 0; for N >= 2 it must also be >= tau_min, below
@@ -134,16 +144,26 @@ def g2_bundle_delayed(
 
     if propagator.L.params != p:
         raise ValueError(f"propagator was built at {propagator.L.params}, not at p = {p}")
-    if rho_ss.dims != p.dims:
-        raise ValueError(f"rho_ss lives on {rho_ss.dims}, not on p's {p.dims}")
+    d = p.dims.total_dim
+    if np.shape(rho_ss) != (d, d):
+        raise DimensionMismatchError(
+            f"rho_ss has shape {np.shape(rho_ss)}; p's space needs ({d}, {d})"
+        )
+    lmat = propagator.L.mat
+    residual = np.linalg.norm(lmat @ vec(rho_ss))
+    if not residual <= 1e-9 * np.linalg.norm(lmat.data):
+        raise ValueError(
+            f"rho_ss is not the steady state of the propagator's Liouvillian: "
+            f"||L rho_ss|| = {residual:.3e}, over 1e-9 ||L||_F"
+        )
 
     a = fock_annihilation(p.dims)
     an = matrix_power(a, N)
     meas = an.conj().T @ an
-    denom = float(np.trace(meas @ rho_ss.mat).real)
+    denom = float(np.trace(meas @ rho_ss).real)
     if denom <= 1e-14:
         raise ValueError("bundle occupation too small: denominator under threshold")
-    collapsed = an @ rho_ss.mat @ an.conj().T
+    collapsed = an @ rho_ss @ an.conj().T
     propagated = propagator.propagate(collapsed, tau_grid)
     values = np.einsum("ij,tji->t", meas, propagated).real / denom**2
     values = _clamp_nonnegative(values)

@@ -2,7 +2,8 @@
 they check: the driven Hamiltonian without the n-photon coupling (its
 spectrum is the dressed ladder), the undriven n-photon JC Hamiltonian and its
 doublet eigenvectors, one dressed-state population at a time, a
-Liouvillian applied to a matrix, and the steady state by one direct sparse LU.
+Liouvillian applied to a matrix, the steady state by one direct sparse LU, and
+the density matrix |psi><psi| of a pure state.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from numpy.linalg import matrix_power
 from scipy.sparse.linalg import splu
 
 from bundlejc.dynamics import unvec, vec
-from bundlejc.hilbert import DensityMatrix, StateVector, fock_annihilation, tls_operator
+from bundlejc.hilbert import fock_annihilation, tls_operator
 from bundlejc.model import dressed_state
 
 
@@ -49,12 +50,13 @@ def jc_eigenvector(eig, dims, m, branch):
     return amp
 
 
-def dressed_population(state: StateVector | DensityMatrix, p, m, branch):
-    """Population of |m>|+-> from the full-space dressed state, one entry at a time."""
-    v = dressed_state(p, m, branch).amp
-    if isinstance(state, StateVector):
-        return float(abs(np.vdot(v, state.amp)) ** 2)
-    return float(np.real(v.conj() @ state.mat @ v))
+def dressed_population(state, p, m, branch):
+    """Population of |m>|+-> from the full-space dressed state, one entry at a
+    time; state is amplitudes of shape (d,) or a density matrix (d, d)."""
+    v = dressed_state(p, m, branch)
+    if state.ndim == 1:
+        return float(abs(np.vdot(v, state)) ** 2)
+    return float(np.real(v.conj() @ state @ v))
 
 
 def apply_liouvillian(L, rho):
@@ -75,3 +77,8 @@ def lu_steady_state(L):
     rho = unvec(x, d)
     rho = (rho + rho.conj().T) / 2.0
     return rho / rho.trace().real
+
+
+def pure_density(psi):
+    """|psi><psi| of the amplitudes psi, as a (d, d) density matrix."""
+    return np.outer(psi, psi.conj())

@@ -427,6 +427,40 @@ class TestMain:
         assert f"[model] {field} = 5.0" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "preset, config, named",
+        [
+            # the super-Rabi frequency vanishes: no default horizon 1.25 pi / omega_eff
+            ("superrabi", CHEAP_POINTS["superrabi"].replace("j = 1.0", "j = 0.0"),
+             "[model] j = 0"),
+            # no drive, so no dressed state |0>|+> to start from
+            ("superrabi", CHEAP_POINTS["superrabi"].replace("omega_l = 70.0", "omega_l = 0.0"),
+             "[model] omega_l = 0.0"),
+            ("trajectory", CHEAP_POINTS["trajectory"].replace("omega_l = 21.0", "omega_l = 0.0"),
+             "[model] omega_l = 0.0"),
+        ],
+        ids=("superrabi_j", "superrabi_omega_l", "trajectory_omega_l"),
+    )
+    def test_undefined_start_or_horizon_names_field(
+        self, tmp_path, capsys, preset, config, named
+    ):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(config)
+        out_dir = tmp_path / "out"
+        assert run_cli([preset, "--config", cfg_file, "--out", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bundlejc: {named}")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_superrabi_j_zero_runs_with_t_final(self, tmp_path):
+        # with a horizon given, the undriven-coupling run is well defined
+        config = CHEAP_POINTS["superrabi"].replace("j = 1.0", "j = 0.0")
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(config.replace("[integrator]\n", "[integrator]\nt_final = 2.0\n"))
+        assert run_cli(["superrabi", "--config", cfg_file, "--out", tmp_path / "out"]) == 0
+        assert (tmp_path / "out" / "superrabi.csv").stat().st_size > 0
+
     def test_jcregime_singular_model_writes_nothing(self, tmp_path, capsys):
         # j = 0 and delta_a = 0 make the JC-regime effective model singular
         text = DISSIPATIVE.replace("j = 0.3", "j = 0.0") + "delta_a = 0.0\n"

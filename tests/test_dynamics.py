@@ -25,9 +25,7 @@ from bundlejc.dynamics import (
     vec,
 )
 from bundlejc.hilbert import (
-    DensityMatrix,
     DimensionMismatchError,
-    StateVector,
     basis_state,
     fock_annihilation,
     tls_operator,
@@ -35,7 +33,7 @@ from bundlejc.hilbert import (
 from bundlejc.model import ModelParams, build_H_I
 from bundlejc.observables import sweep
 from dop853 import dop853
-from oracles import apply_liouvillian, lu_steady_state
+from oracles import apply_liouvillian, lu_steady_state, pure_density
 
 
 def decay_params(kappa=0.0, gamma=0.0, n_max=4):
@@ -69,7 +67,7 @@ def random_density(dims, seed):
     d = dims.total_dim
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
-    return DensityMatrix(dims, rho / rho.trace().real)
+    return rho / rho.trace().real
 
 
 class TestVectorization:
@@ -86,7 +84,7 @@ class TestVectorization:
 class TestLiouvillian:
     def test_matches_direct_lindblad_form(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
-        rho = random_density(dissipative_n2.dims, seed=3).mat
+        rho = random_density(dissipative_n2.dims, seed=3)
         h = build_H_I(dissipative_n2)
         a = fock_annihilation(dissipative_n2.dims)
         sm = tls_operator("sigma_minus", dissipative_n2.dims)
@@ -101,12 +99,12 @@ class TestLiouvillian:
     def test_trace_annihilated(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
         for seed in range(100):
-            rho = random_density(dissipative_n2.dims, seed=seed).mat
+            rho = random_density(dissipative_n2.dims, seed=seed)
             assert abs(np.trace(apply_liouvillian(L, rho))) < 1e-9
 
     def test_evolution_preserves_trace_and_hermiticity(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
-        rho0 = basis_state(dissipative_n2.dims, 0, 0).to_density_matrix()
+        rho0 = pure_density(basis_state(dissipative_n2.dims, 0, 0))
         history = lindblad_evolve(L, rho0, np.linspace(0.0, 5.0, 11))
         for rho in history:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
@@ -117,7 +115,7 @@ class TestLindbladAnalytic:
     def test_cavity_decay(self):
         p = decay_params(kappa=0.7)
         L = build_liouvillian(p)
-        rho0 = basis_state(p.dims, 3, 0).to_density_matrix()
+        rho0 = pure_density(basis_state(p.dims, 3, 0))
         t_grid = np.linspace(0.0, 4.0, 9)
         history = lindblad_evolve(L, rho0, t_grid)
         a = fock_annihilation(p.dims)
@@ -129,7 +127,7 @@ class TestLindbladAnalytic:
     def test_tls_decay(self):
         p = decay_params(gamma=0.4)
         L = build_liouvillian(p)
-        rho0 = basis_state(p.dims, 0, 1).to_density_matrix()
+        rho0 = pure_density(basis_state(p.dims, 0, 1))
         t_grid = np.linspace(0.0, 6.0, 7)
         history = lindblad_evolve(L, rho0, t_grid)
         proj = tls_operator("excited_projector", p.dims)
@@ -139,18 +137,18 @@ class TestLindbladAnalytic:
     def test_nan_in_history_rejected(self):
         # each check is written so that a NaN deviation fails it, not passes
         p = decay_params(kappa=0.7)
-        rho = basis_state(p.dims, 3, 0).to_density_matrix().mat.copy()
+        rho = pure_density(basis_state(p.dims, 3, 0))
         rho[0, 0] = np.nan
         with pytest.raises(RuntimeError, match="Hermiticity violated: nan"):
             dynamics._check_density_history([rho])
 
     def test_schemes_agree(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
-        rho0 = basis_state(dissipative_n2.dims, 0, 0).to_density_matrix()
+        rho0 = pure_density(basis_state(dissipative_n2.dims, 0, 0))
         t_grid = np.linspace(0.0, 2.0, 5)
         spectral = lindblad_evolve(L, rho0, t_grid)
         d = dissipative_n2.dims.total_dim
-        adaptive = [unvec(v, d) for v in dop853(L.mat, vec(rho0.mat), t_grid)]
+        adaptive = [unvec(v, d) for v in dop853(L.mat, vec(rho0), t_grid)]
         np.testing.assert_allclose(adaptive, spectral, atol=1e-7)
 
 
@@ -158,22 +156,22 @@ class TestSteadyState:
     def test_pure_decay_reaches_vacuum(self):
         p = decay_params(kappa=1.0, gamma=0.2)
         rho = steady_state(build_liouvillian(p))
-        expected = basis_state(p.dims, 0, 0).to_density_matrix().mat
-        np.testing.assert_allclose(rho.mat, expected, atol=1e-10)
+        expected = pure_density(basis_state(p.dims, 0, 0))
+        np.testing.assert_allclose(rho, expected, atol=1e-10)
 
     def test_residual_and_validity(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
         rho = steady_state(L)
-        rho.validate()
-        residual = np.max(np.abs(apply_liouvillian(L, rho.mat)))
+        dynamics._check_density_matrix(rho)
+        residual = np.max(np.abs(apply_liouvillian(L, rho)))
         assert residual < 1e-8 * scipy.sparse.linalg.norm(L.mat)
 
     def test_agrees_with_long_time_evolution(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
         rho_ss = steady_state(L)
-        rho0 = basis_state(dissipative_n2.dims, 0, 0).to_density_matrix()
+        rho0 = pure_density(basis_state(dissipative_n2.dims, 0, 0))
         late = lindblad_evolve(L, rho0, np.array([0.0, 400.0]))[-1]
-        np.testing.assert_allclose(late, rho_ss.mat, atol=1e-7)
+        np.testing.assert_allclose(late, rho_ss, atol=1e-7)
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
     def test_matches_dense_null_vector(self, point, request):
@@ -182,7 +180,7 @@ class TestSteadyState:
         _, _, vh = np.linalg.svd(dense_liouvillian(p))
         null = unvec(vh[-1].conj(), d)
         rho = steady_state(build_liouvillian(p))
-        np.testing.assert_allclose(rho.mat, null / np.trace(null), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rho, null / np.trace(null), rtol=0, atol=1e-12)
 
     def test_fallback_logged_before_degenerate_error(self, caplog):
         # no decay, drive or coupling: every Fock-state population is stationary,
@@ -242,7 +240,7 @@ class TestSchrodinger:
         psi0 = basis_state(unitary_n2.dims, 0, 0)
         t_grid = np.linspace(0.0, 0.5, 6)
         spectral = schrodinger_evolve(h, psi0, t_grid)
-        exact = np.array([scipy.linalg.expm(-1j * h * t) @ psi0.amp for t in t_grid])
+        exact = np.array([scipy.linalg.expm(-1j * h * t) @ psi0 for t in t_grid])
         np.testing.assert_allclose(spectral, exact, rtol=0, atol=1e-10)
 
     def test_spectral_matches_adaptive(self, unitary_n2):
@@ -250,7 +248,7 @@ class TestSchrodinger:
         psi0 = basis_state(unitary_n2.dims, 0, 0)
         t_grid = np.linspace(0.0, 0.5, 6)
         spectral = schrodinger_evolve(h, psi0, t_grid)
-        adaptive = dop853(-1j * h, psi0.amp, t_grid)
+        adaptive = dop853(-1j * h, psi0, t_grid)
         np.testing.assert_allclose(adaptive, spectral, rtol=0, atol=1e-7)
 
     def test_norm_drift_rejected(self, unitary_n2, monkeypatch):
@@ -283,9 +281,8 @@ class TestSchrodinger:
             schrodinger_evolve(h, basis_state(p.dims, 0, 0), [0.0, 1.0])
 
     def test_nan_psi0_rejected(self, unitary_n2):
-        amp = basis_state(unitary_n2.dims, 0, 0).amp.copy()
-        amp[1] = np.nan
-        psi0 = StateVector(unitary_n2.dims, amp)
+        psi0 = basis_state(unitary_n2.dims, 0, 0)
+        psi0[1] = np.nan
         with pytest.raises(ValueError, match="psi0 must be normalized; its norm is nan"):
             schrodinger_evolve(build_H_I(unitary_n2), psi0, [0.0, 1.0])
 
@@ -302,16 +299,15 @@ class TestMcwf:
         p = replace(unitary_n2, kappa=0.0, gamma=0.0)
         psi0 = basis_state(p.dims, 0, 0)
         rec = mcwf_trajectory(p, psi0, 0.2, seed=1, sample_dt=0.05)
-        exact = dop853(-1j * build_H_I(p), psi0.amp, rec.times)
+        exact = dop853(-1j * build_H_I(p), psi0, rec.times)
         assert rec.jumps == []
         # states agree up to nothing: same dynamics, no renormalization needed
         np.testing.assert_allclose(rec.states, exact, atol=1e-8)
 
     def test_nan_psi0_rejected(self, dissipative_n2):
         # refused up front, not left to fail as a jump time that never converges
-        amp = basis_state(dissipative_n2.dims, 0, 0).amp.copy()
-        amp[1] = np.nan
-        psi0 = StateVector(dissipative_n2.dims, amp)
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+        psi0[1] = np.nan
         with pytest.raises(ValueError, match="psi0 must be normalized; its norm is nan"):
             mcwf_trajectory(dissipative_n2, psi0, 5.0, seed=1, sample_dt=0.5)
 
@@ -457,16 +453,16 @@ class TestTrajectoryAverage:
 class TestPropagator:
     def test_identity_at_zero_delay(self, dissipative_n2):
         prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
-        rho = random_density(dissipative_n2.dims, seed=9).mat
+        rho = random_density(dissipative_n2.dims, seed=9)
         out = prop.propagate(rho, [0.0])[0]
         np.testing.assert_allclose(out, rho, atol=1e-9)
 
     def test_matches_lindblad_evolve(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
         prop = LiouvillePropagator(L)
-        rho0 = basis_state(dissipative_n2.dims, 0, 0).to_density_matrix()
+        rho0 = pure_density(basis_state(dissipative_n2.dims, 0, 0))
         taus = np.array([0.0, 1.0, 3.0])
-        from_prop = prop.propagate(rho0.mat, taus)
+        from_prop = prop.propagate(rho0, taus)
         from_evolve = lindblad_evolve(L, rho0, taus)
         np.testing.assert_allclose(from_prop, from_evolve, atol=1e-10)
 
@@ -516,7 +512,7 @@ class TestSectoredLiouvillian:
         p = request.getfixturevalue(point)
         L = build_liouvillian(p)
         d = p.dims.total_dim
-        rho = random_density(p.dims, seed=11).mat
+        rho = random_density(p.dims, seed=11)
         assert all(np.any(vec(rho)[idx]) for idx in L.sectors)
         taus = [0.0, 0.7, 4.0]
         got = LiouvillePropagator(L).propagate(rho, taus)
@@ -528,7 +524,7 @@ class TestSectoredLiouvillian:
     def test_regression_operator_decomposes_k0_only(self, dissipative_n3):
         L = build_liouvillian(dissipative_n3)
         prop = LiouvillePropagator(L)
-        rho = steady_state(L).mat
+        rho = steady_state(L)
         a3 = np.linalg.matrix_power(fock_annihilation(dissipative_n3.dims), 3)
         prop.propagate(a3 @ rho @ a3.conj().T, [1.0, 2.0])
         assert list(prop._spectra) == [0]
@@ -562,7 +558,7 @@ class TestSectoredLiouvillian:
         L = build_liouvillian(p)
         d = p.dims.total_dim
         an = np.linalg.matrix_power(fock_annihilation(p.dims), p.n)
-        op = an @ steady_state(L).mat
+        op = an @ steady_state(L)
         assert np.abs(op - op.conj().T).max() > 1e-3
         k0 = L.sectors[0]
         assert np.count_nonzero(vec(op)) == np.count_nonzero(vec(op)[k0])
@@ -588,7 +584,7 @@ class TestSectoredLiouvillian:
         monkeypatch.setattr(
             dynamics, "_hermitian_basis", lambda idx, d: seen.append(idx) or basis(idx, d)
         )
-        LiouvillePropagator(L).propagate(random_density(p.dims, seed=11).mat, [1.0])
+        LiouvillePropagator(L).propagate(random_density(p.dims, seed=11), [1.0])
         assert [k for k, idx in enumerate(L.sectors) if any(idx is s for s in seen)] == real
 
     def test_complex_real_form_rejected(self, dissipative_n2, monkeypatch):
@@ -603,7 +599,7 @@ class TestSectoredLiouvillian:
         monkeypatch.setattr(dynamics, "_hermitian_basis", rotated_basis)
         prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
         with pytest.raises(RuntimeError, match="not real in the Hermitian basis"):
-            prop.propagate(random_density(dissipative_n2.dims, seed=3).mat, [1.0])
+            prop.propagate(random_density(dissipative_n2.dims, seed=3), [1.0])
 
 
 def dense_k0_steady_state(p):
@@ -643,7 +639,7 @@ class TestSteadyStateWorkspace:
         ws = SteadyStateWorkspace(build_liouvillian(p))
         for delta_a, row in zip(grid, rows):
             rho = dense_k0_steady_state(replace(p, delta_a=delta_a))
-            np.testing.assert_allclose(ws.solve(delta_a).mat, rho, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ws.solve(delta_a), rho, rtol=0, atol=1e-12)
             diag = np.diagonal(rho).real
             pops = diag[0::2] + diag[1::2]
             assert row[0] == delta_a
@@ -669,8 +665,8 @@ class TestSteadyStateWorkspace:
         for delta_a in grid:
             L = build_liouvillian(replace(p, delta_a=delta_a))
             expected = lu_steady_state(L)
-            np.testing.assert_array_equal(ws.solve(delta_a).mat, expected)
-            np.testing.assert_array_equal(SteadyStateWorkspace(L).solve(delta_a).mat, expected)
+            np.testing.assert_array_equal(ws.solve(delta_a), expected)
+            np.testing.assert_array_equal(SteadyStateWorkspace(L).solve(delta_a), expected)
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
     def test_reproduces_steady_state_bit_for_bit(self, point, request):

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
+from bundlejc.dynamics import (
+    LiouvillePropagator,
+    build_liouvillian,
+    lindblad_evolve,
+    mcwf_trajectory,
+    run_trajectories,
+    steady_state,
+)
 from bundlejc.hilbert import (
-    DensityMatrix,
     DimensionMismatchError,
     SpaceDims,
-    StateVector,
     basis_state,
     fock_annihilation,
     tls_operator,
 )
+from bundlejc.model import dressed_state
+from bundlejc.observables import g2_bundle_delayed
+from oracles import pure_density
 
 DIMS = SpaceDims(6)
 
@@ -29,12 +38,12 @@ def test_index_round_trip():
 
 def test_annihilation_ladder():
     a = fock_annihilation(DIMS)
-    out = a @ basis_state(DIMS, 1, 0).amp
-    np.testing.assert_allclose(out, basis_state(DIMS, 0, 0).amp)
-    out = a @ basis_state(DIMS, 4, 1).amp
-    np.testing.assert_allclose(out, 2.0 * basis_state(DIMS, 3, 1).amp)
+    out = a @ basis_state(DIMS, 1, 0)
+    np.testing.assert_allclose(out, basis_state(DIMS, 0, 0))
+    out = a @ basis_state(DIMS, 4, 1)
+    np.testing.assert_allclose(out, 2.0 * basis_state(DIMS, 3, 1))
     # vacuum annihilates
-    assert np.all(a @ basis_state(DIMS, 0, 1).amp == 0)
+    assert np.all(a @ basis_state(DIMS, 0, 1) == 0)
 
 
 def test_annihilation_matrix_elements():
@@ -49,9 +58,9 @@ def test_tls_operators():
     sm = tls_operator("sigma_minus", DIMS)
     proj = tls_operator("excited_projector", DIMS)
     np.testing.assert_allclose(
-        sm @ basis_state(DIMS, 3, 1).amp, basis_state(DIMS, 3, 0).amp
+        sm @ basis_state(DIMS, 3, 1), basis_state(DIMS, 3, 0)
     )
-    assert np.all(proj @ basis_state(DIMS, 2, 0).amp == 0)
+    assert np.all(proj @ basis_state(DIMS, 2, 0) == 0)
     # sigma_+ sigma_- = |e><e|
     np.testing.assert_allclose(sm.conj().T @ sm, proj)
     sx = tls_operator("sigma_x", DIMS)
@@ -80,29 +89,37 @@ def test_commutator_truncation():
     assert comm[top, top] == pytest.approx(-DIMS.n_max)
 
 
-def test_dimension_mismatch_rejected():
-    # a state or density matrix of another truncation fails to build
-    with pytest.raises(DimensionMismatchError):
-        StateVector(DIMS, basis_state(SpaceDims(4), 0, 0).amp)
-    with pytest.raises(DimensionMismatchError):
-        DensityMatrix(DIMS, np.eye(SpaceDims(4).total_dim) / SpaceDims(4).total_dim)
+def test_dimension_mismatch_rejected(dissipative_n2):
+    # a state of another truncation, or a density matrix in place of a state
+    # vector and the reverse, is refused by name wherever a state enters
+    p = dissipative_n2
+    psi = basis_state(SpaceDims(4), 0, 0)
+    for psi0 in (psi, pure_density(basis_state(p.dims, 0, 0))):
+        with pytest.raises(DimensionMismatchError, match="psi0 has shape"):
+            mcwf_trajectory(p, psi0, 1.0, seed=0, sample_dt=0.5)
+        with pytest.raises(DimensionMismatchError, match="psi0 has shape"):
+            run_trajectories(p, psi0, 1.0, 0.5, n_trajectories=2, base_seed=0)
+    L = build_liouvillian(p)
+    for rho in (pure_density(psi), basis_state(p.dims, 0, 0)):
+        with pytest.raises(DimensionMismatchError, match="rho0 has shape"):
+            lindblad_evolve(L, rho, [0.0, 1.0])
+        with pytest.raises(DimensionMismatchError, match="rho_ss has shape"):
+            g2_bundle_delayed(p, 1, [1.0], propagator=LiouvillePropagator(L), rho_ss=rho)
 
 
 def test_expectation_examples():
     a = fock_annihilation(DIMS)
     num = a.conj().T @ a
-    psi = basis_state(DIMS, 3, 0).amp
+    psi = basis_state(DIMS, 3, 0)
     assert np.vdot(psi, num @ psi) == pytest.approx(3.0)
     proj = tls_operator("excited_projector", DIMS)
     for m, s, expected in ((2, 1, 1.0), (2, 0, 0.0)):
-        psi = basis_state(DIMS, m, s).amp
+        psi = basis_state(DIMS, m, s)
         assert np.vdot(psi, proj @ psi) == pytest.approx(expected)
     # mixture average
-    rho = (
-        0.5 * basis_state(DIMS, 0, 0).to_density_matrix().mat
-        + 0.5 * basis_state(DIMS, 2, 0).to_density_matrix().mat
-    )
-    assert np.trace(num @ DensityMatrix(DIMS, rho).mat) == pytest.approx(1.0)
+    rho = 0.5 * pure_density(basis_state(DIMS, 0, 0))
+    rho += 0.5 * pure_density(basis_state(DIMS, 2, 0))
+    assert np.trace(num @ rho) == pytest.approx(1.0)
 
 
 def test_operators_are_fresh_complex_arrays():
@@ -118,17 +135,29 @@ def test_operators_are_fresh_complex_arrays():
     assert fock_annihilation(DIMS)[i, j] == 1.0
 
 
-def test_states_immutable():
-    psi = basis_state(DIMS, 1, 0)
-    with pytest.raises(ValueError):
-        psi.amp[0] = 1.0
-    with pytest.raises(ValueError):
-        psi.to_density_matrix().mat[0, 0] = 1.0
+def test_states_are_fresh_complex_arrays(dissipative_n2):
+    # states, like operators, are complex128 arrays of the space's shape, and
+    # no call shares its array
+    p = dissipative_n2
+    d = p.dims.total_dim
+    makers = [
+        (lambda: basis_state(p.dims, 1, 0), (d,)),
+        (lambda: dressed_state(p, 1, "+"), (d,)),
+        (lambda: steady_state(build_liouvillian(p)), (d, d)),
+    ]
+    for make, shape in makers:
+        state = make()
+        assert state.dtype == np.complex128
+        assert state.shape == shape
+        state[...] = 5.0
+        assert np.all(make() != 5.0)
 
 
-def test_nan_density_matrix_rejected():
-    # each check is written so that a NaN deviation fails it, not passes
-    mat = np.eye(DIMS.total_dim, dtype=complex) / DIMS.total_dim
+def test_nan_density_matrix_rejected(dissipative_n2):
+    # lindblad_evolve checks rho0 before it propagates; each check is written
+    # so that a NaN deviation fails it, not passes
+    d = dissipative_n2.dims.total_dim
+    mat = np.eye(d, dtype=complex) / d
     mat[3, 3] = np.nan
-    with pytest.raises(ValueError, match="not Hermitian"):
-        DensityMatrix(DIMS, mat).validate()
+    with pytest.raises(ValueError, match="not Hermitian: deviation nan"):
+        lindblad_evolve(build_liouvillian(dissipative_n2), mat, [0.0, 1.0])

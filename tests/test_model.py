@@ -238,8 +238,8 @@ class TestEffectiveMollow:
             eff = omega_eff_mollow(p)
             h = build_H_I(p)
             evals, evecs = np.linalg.eigh(h)
-            top = dressed_state(p, 0, "+").amp
-            bot = dressed_state(p, p.n, "-").amp
+            top = dressed_state(p, 0, "+")
+            bot = dressed_state(p, p.n, "-")
             i = np.argmax(np.abs(evecs.conj().T @ top))
             k = np.argmax(np.abs(evecs.conj().T @ bot))
             split = abs(evals[i] - evals[k])

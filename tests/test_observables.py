@@ -5,12 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bundlejc.dynamics import LiouvillePropagator, build_liouvillian, steady_state
+from bundlejc.dynamics import (
+    LiouvillePropagator,
+    SteadyStateWorkspace,
+    build_liouvillian,
+    steady_state,
+)
 from bundlejc.hilbert import (
-    DensityMatrix,
     DimensionMismatchError,
     SpaceDims,
-    StateVector,
     basis_state,
     fock_annihilation,
 )
@@ -22,7 +25,7 @@ from bundlejc.observables import (
     photon_distribution,
     tau_min,
 )
-from oracles import dressed_population
+from oracles import dressed_population, pure_density
 
 
 def fock_mixture(dims, weights):
@@ -30,15 +33,14 @@ def fock_mixture(dims, weights):
     mat = np.zeros((dims.total_dim,) * 2, dtype=complex)
     for m, w in enumerate(weights):
         mat[dims.index(m, 0), dims.index(m, 0)] = w
-    return DensityMatrix(dims, mat / np.trace(mat).real)
+    return mat / np.trace(mat).real
 
 
 def coherent_state(dims, alpha):
     amp = np.zeros(dims.total_dim, dtype=complex)
     for m in range(dims.n_max + 1):
         amp[dims.index(m, 0)] = alpha**m / math.sqrt(math.factorial(m))
-    amp /= np.linalg.norm(amp)
-    return StateVector(dims, amp).to_density_matrix()
+    return pure_density(amp / np.linalg.norm(amp))
 
 
 class TestPhotonDistribution:
@@ -46,7 +48,7 @@ class TestPhotonDistribution:
         dims = SpaceDims(5)
         for m in (0, 2, 5):
             for s in (0, 1):
-                pm = photon_distribution(basis_state(dims, m, s).to_density_matrix())
+                pm = photon_distribution(pure_density(basis_state(dims, m, s)))
                 expected = np.zeros(6)
                 expected[m] = 1.0
                 np.testing.assert_allclose(pm, expected, atol=1e-12)
@@ -62,7 +64,7 @@ class TestPhotonDistribution:
 class TestDressedPopulations:
     def test_completeness(self, unitary_n2):
         psi = basis_state(unitary_n2.dims, 0, 0)
-        pops = dressed_populations(psi.amp, unitary_n2)
+        pops = dressed_populations(psi, unitary_n2)
         assert pops.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_ground_state_split(self, unitary_n2):
@@ -81,9 +83,8 @@ class TestDressedPopulations:
     def test_vectorised_matches_per_element(self, unitary_n2):
         rng = np.random.default_rng(4)
         d = unitary_n2.dims.total_dim
-        psi = StateVector(
-            unitary_n2.dims, rng.normal(size=d) + 1j * rng.normal(size=d)
-        ).normalized()
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
         per_element = np.array(
             [
                 [dressed_population(psi, unitary_n2, m, br) for br in "+-"]
@@ -91,7 +92,7 @@ class TestDressedPopulations:
             ]
         )
         np.testing.assert_allclose(
-            dressed_populations(psi.amp, unitary_n2), per_element, rtol=0, atol=1e-14
+            dressed_populations(psi, unitary_n2), per_element, rtol=0, atol=1e-14
         )
 
     def test_history_matches_single_states(self, unitary_n2):
@@ -108,7 +109,7 @@ class TestDressedPopulations:
 
     def test_density_matrix_agrees_with_state_vector(self, unitary_n2):
         psi = basis_state(unitary_n2.dims, 2, 1)
-        rho = psi.to_density_matrix()
+        rho = pure_density(psi)
         for m in (0, 2):
             for br in ("+", "-"):
                 assert dressed_population(rho, unitary_n2, m, br) == pytest.approx(
@@ -120,7 +121,7 @@ class TestEqualTime:
     def test_fock_state_values(self):
         # g^(l) of |m> is m! / (m - l)! / m^l
         dims = SpaceDims(6)
-        rho = basis_state(dims, 4, 0).to_density_matrix()
+        rho = pure_density(basis_state(dims, 4, 0))
         for ell in (1, 2, 3, 4):
             expected = (
                 math.factorial(4) / math.factorial(4 - ell) / 4.0**ell
@@ -138,21 +139,21 @@ class TestEqualTime:
         dims = SpaceDims(10)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(dims.total_dim,) * 2) + 1j * rng.normal(size=(dims.total_dim,) * 2)
-        rho = DensityMatrix(dims, x @ x.conj().T / np.trace(x @ x.conj().T).real)
+        rho = x @ x.conj().T / np.trace(x @ x.conj().T).real
         a = fock_annihilation(dims)
-        n_mean = np.trace(a.conj().T @ a @ rho.mat).real
+        n_mean = np.trace(a.conj().T @ a @ rho).real
         for ell in (1, 2, 3, 4):
             al = np.linalg.matrix_power(a, ell)
-            expected = np.trace(al.conj().T @ al @ rho.mat).real / n_mean**ell
+            expected = np.trace(al.conj().T @ al @ rho).real / n_mean**ell
             assert g_equal_time(rho, ell) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_vacuum_rejected(self):
-        rho = basis_state(SpaceDims(3), 0, 0).to_density_matrix()
+        rho = pure_density(basis_state(SpaceDims(3), 0, 0))
         with pytest.raises(ValueError, match="undefined"):
             g_equal_time(rho, 2)
 
     def test_bad_order_rejected(self):
-        rho = basis_state(SpaceDims(3), 1, 0).to_density_matrix()
+        rho = pure_density(basis_state(SpaceDims(3), 1, 0))
         with pytest.raises(ValueError):
             g_equal_time(rho, 0)
 
@@ -244,7 +245,7 @@ class TestDelayedBundleCorrelation:
 
     def test_requires_decay(self, unitary_n2):
         prop = LiouvillePropagator(build_liouvillian(unitary_n2))
-        rho = basis_state(unitary_n2.dims, 0, 0).to_density_matrix()
+        rho = pure_density(basis_state(unitary_n2.dims, 0, 0))
         with pytest.raises(ValueError, match="kappa"):
             g2_bundle_delayed(unitary_n2, 1, np.array([1.0]), propagator=prop, rho_ss=rho)
 
@@ -270,8 +271,17 @@ class TestDelayedBundleCorrelation:
         with pytest.raises(ValueError, match="propagator"):
             g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=rho_ss)
 
+    def test_state_that_is_not_stationary_rejected(self, dissipative_n2, dissipative_n2_ss):
+        # the delta_a = 0 steady state against the resonant propagator gives
+        # g_2(tau_min) = 2.78 in place of 0.138; its residual ||L rho|| is
+        # 6.6e-3 ||L||_F, where a true steady state's is under 1e-17 ||L||_F
+        prop, _ = dissipative_n2_ss
+        other = SteadyStateWorkspace(prop.L).solve(0.0)
+        with pytest.raises(ValueError, match="rho_ss is not the steady state"):
+            g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=other)
+
     def test_steady_state_of_other_space_rejected(self, dissipative_n2, dissipative_n2_ss):
         prop, _ = dissipative_n2_ss
-        small = basis_state(SpaceDims(10), 0, 0).to_density_matrix()
+        small = pure_density(basis_state(SpaceDims(10), 0, 0))
         with pytest.raises(ValueError, match="rho_ss"):
             g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=small)
