@@ -267,8 +267,9 @@ def derived_quantities(m: ModelParams) -> dict:
             c_plus_sq=d.c_plus**2,
             c_minus_sq=d.c_minus**2,
         )
-        eff = omega_eff_mollow(m)
-        out.update(omega_eff=eff.omega_eff, eps1=eff.eps1, eps2=eff.eps2)
+        with suppress(ZeroDivisionError):  # singular Mollow model: no entries
+            eff = omega_eff_mollow(m)
+            out.update(omega_eff=eff.omega_eff, eps1=eff.eps1, eps2=eff.eps2)
     if m.delta_n != 0:
         table = {"mu_1": resonance_detuning(m), "branch": resonant_branch(m)}
         for mu in (2, 3):
@@ -308,7 +309,10 @@ def _json_default(obj):
 
 def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
-    eff = omega_eff_mollow(m)
+    try:
+        eff = omega_eff_mollow(m)
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"[model] delta_a: preset 'superrabi': {exc}") from exc
     t_final = cfg.integrator.t_final
     if t_final is None:
         t_final = 1.25 * math.pi / abs(eff.omega_eff)

@@ -21,18 +21,21 @@ build_liouvillian (the one way to make an L; lindblad_evolve,
 LiouvillePropagator and steady_state all start from one), _hermitian_basis
 and SteadyStateWorkspace.  Schrodinger propagation and the quantum-jump
 trajectories need only numpy, so a run that never builds L never loads scipy
-(about 0.3 s of start-up).  The module is kept whole rather than split along
-that line, because the benchmark tracer (perfbench/tracing.py) wraps the
-functions whose __module__ is bundlejc.dynamics and reads
-bundlejc.dynamics.LiouvillePropagator.
+(about 0.3 s of start-up).  multiprocessing is imported the same way, only
+where run_trajectories starts its worker pool (about 15 ms), so a lone
+trajectory and every Liouvillian path never load it.  The module is kept
+whole rather than split along these lines, because the benchmark tracer
+(perfbench/tracing.py) wraps the functions whose __module__ is
+bundlejc.dynamics and reads bundlejc.dynamics.LiouvillePropagator.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -581,6 +584,14 @@ def mcwf_trajectory(
     return TrajectoryRecord(seed=seed, times=times, states=states, jumps=jumps)
 
 
+def _ensemble_member(
+    seed: int, p: ModelParams, psi0, t_final: float, sample_dt: float, _prop
+) -> TrajectoryRecord:
+    """One member of run_trajectories.  Module-level and private, so a pool
+    pickles it by name even when the public functions have been wrapped."""
+    return mcwf_trajectory(p, psi0, t_final, seed, sample_dt, _prop=_prop)
+
+
 def run_trajectories(
     p: ModelParams,
     psi0: np.ndarray,
@@ -589,15 +600,43 @@ def run_trajectories(
     n_trajectories: int,
     base_seed: int,
 ) -> list[TrajectoryRecord]:
-    """Ensemble of n_trajectories unravelings run in turn, trajectory i with
-    seed base_seed + i, all sharing one jump propagator."""
+    """Ensemble of n_trajectories unravelings, trajectory i with seed
+    base_seed + i, all sharing one jump propagator; returned in seed order.
+
+    The members are independent, so they run in min(n_trajectories, CPUs in
+    the affinity mask) forked worker processes, each running the scalar code
+    of mcwf_trajectory; the affinity mask (taskset) is the only control.  One
+    worker, or a platform without os.sched_getaffinity, runs them in-process
+    through the same per-member function.  Either way each record is the lone
+    mcwf_trajectory with its seed, bit for bit."""
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1; got {n_trajectories}")
-    prop = _JumpPropagator(p)
-    return [
-        mcwf_trajectory(p, psi0, t_final, base_seed + i, sample_dt, _prop=prop)
-        for i in range(n_trajectories)
-    ]
+    # refuse bad input before any process starts
+    _check_horizon(t_final=t_final, sample_dt=sample_dt)
+    _check_psi0(psi0, p.dims.total_dim)
+    member = partial(
+        _ensemble_member, p=p, psi0=psi0, t_final=t_final, sample_dt=sample_dt,
+        _prop=_JumpPropagator(p),
+    )
+    seeds = range(base_seed, base_seed + n_trajectories)
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(n_trajectories, len(affinity(0))) if affinity is not None else 1
+    if workers == 1:
+        return [member(seed) for seed in seeds]
+    import multiprocessing  # deferred: its pool machinery costs about 15 ms to import
+
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        return pool.map(member, seeds)
+    except BaseException:
+        # map raises a member's exception only once every member has ended,
+        # but an interrupt (Ctrl-C reaches the workers too) can kill a worker
+        # mid-member, and a closed pool would wait for that member forever
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
 
 
 def trajectory_average(records: list[TrajectoryRecord], observable: np.ndarray):

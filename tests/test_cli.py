@@ -233,24 +233,24 @@ CHEAP_POINTS = {
 # the presets that never build a Liouvillian
 NUMPY_ONLY_PRESETS = ("superrabi", "trajectory", "resonances")
 
-# run in a fresh interpreter: the stages in order, each with the scipy
-# modules loaded once it is done, then whether a steadyscan run after them
-# loaded scipy.sparse.linalg
+# run in a fresh interpreter: the stages in order, each with the scipy and
+# multiprocessing modules loaded once it is done, then whether a steadyscan
+# run after them loaded scipy.sparse.linalg
 SCIPY_PROBE = """
 import json, sys
 from bundlejc.cli import main
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+def deferred_loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy", "multiprocessing")))
 
 configs, out, numpy_only = json.loads(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3])
-seen = {"import bundlejc.cli": scipy_loaded()}
+seen = {"import bundlejc.cli": deferred_loaded()}
 for preset, cfg in configs.items():
     assert main([preset, "--config", cfg, "--dry-run"]) == 0
-    seen[preset + " --dry-run"] = scipy_loaded()
+    seen[preset + " --dry-run"] = deferred_loaded()
 for preset in numpy_only:
     assert main([preset, "--config", configs[preset], "--out", out + "/" + preset]) == 0
-    seen[preset] = scipy_loaded()
+    seen[preset] = deferred_loaded()
 assert main(["steadyscan", "--config", configs["steadyscan"], "--out", out + "/steadyscan"]) == 0
 print(json.dumps({"seen": seen, "steadyscan": "scipy.sparse.linalg" in sys.modules}))
 """
@@ -260,7 +260,9 @@ def test_scipy_loads_only_where_a_liouvillian_is_built(tmp_path):
     # every run pays at start-up for what it imports, and scipy costs about
     # 0.3 s of it; only the code that builds or factors a Liouvillian imports
     # scipy, so the library import, every dry run and the presets that need
-    # only eigh, the H_nh eig and closed forms load none of it
+    # only eigh, the H_nh eig and closed forms load none of it.  Likewise only
+    # a parallel run_trajectories imports multiprocessing (about 15 ms), which
+    # no preset calls: the trajectory preset runs one trajectory in-process
     configs = {}
     for preset, text in CHEAP_POINTS.items():
         configs[preset] = str(tmp_path / f"{preset}.ini")
@@ -471,6 +473,31 @@ class TestMain:
         assert run_cli(["jcregime", "--config", cfg_file, "--out", out_dir]) == 1
         err = capsys.readouterr().err
         assert err.startswith("bundlejc: [model]") and "singular" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_mollow_singular_point(self, tmp_path, capsys):
+        # x = n delta_a + E_+ = 0 at j = 0: the Mollow effective model is
+        # singular; the dry run and resonances leave its entries out, and
+        # superrabi, whose analytic column needs it, names the field
+        text = (
+            "[model]\nn = 1\nj = 0.0\nomega_l = 1.0\ndelta_n = -2.0\n"
+            "delta_a = -0.3660254037844386\n\n[integrator]\nt_final = 1.0\n"
+        )
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(text)
+        assert run_cli(["superrabi", "--config", cfg_file, "--dry-run"]) == 0
+        printed = capsys.readouterr().out
+        derived = json.loads(printed[printed.index("\n{") :])
+        assert "omega" in derived and "omega_eff" not in derived
+        assert run_cli(["resonances", "--config", cfg_file, "--out", tmp_path / "res"]) == 0
+        meta = json.loads((tmp_path / "res" / "resonances_metadata.json").read_text())
+        assert "omega_eff" not in meta["derived"]
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        assert run_cli(["superrabi", "--config", cfg_file, "--out", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bundlejc: [model] delta_a") and "singular" in err
         assert "Traceback" not in err
         assert not out_dir.exists()
 

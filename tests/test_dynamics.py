@@ -1,5 +1,8 @@
 import logging
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -310,6 +313,8 @@ class TestMcwf:
         psi0[1] = np.nan
         with pytest.raises(ValueError, match="psi0 must be normalized; its norm is nan"):
             mcwf_trajectory(dissipative_n2, psi0, 5.0, seed=1, sample_dt=0.5)
+        with pytest.raises(ValueError, match="psi0 must be normalized; its norm is nan"):
+            run_trajectories(dissipative_n2, psi0, 5.0, 0.5, n_trajectories=2, base_seed=1)
 
     def test_seed_reproducibility(self, dissipative_n2):
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
@@ -331,6 +336,77 @@ class TestMcwf:
             np.testing.assert_array_equal(rec.states, alone.states)
             assert rec.jumps == alone.jumps
         assert sum(len(rec.jumps) for rec in recs) > 0
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2], ids=["no_affinity", "one_cpu", "two_cpus"])
+    def test_ensemble_paths_match_single_runs(self, dissipative_n2, monkeypatch, cpus):
+        # the affinity mask picks the path: in-process without
+        # os.sched_getaffinity or with one CPU, else forked workers (5 members
+        # over 2 split unevenly); either way member i is the lone trajectory
+        # with seed base_seed + i, bit for bit and in seed order
+        if cpus is None:
+            monkeypatch.delattr(dynamics.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(
+                dynamics.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
+        lone = dynamics.mcwf_trajectory
+
+        def tagged(*args, **kwargs):  # marks the process each member ran in
+            rec = lone(*args, **kwargs)
+            rec.pid = os.getpid()
+            return rec
+
+        monkeypatch.setattr(dynamics, "mcwf_trajectory", tagged)
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+        recs = run_trajectories(dissipative_n2, psi0, 60.0, 0.5, n_trajectories=5, base_seed=5)
+        assert [rec.pid == os.getpid() for rec in recs] == [cpus != 2] * 5
+        for i, rec in enumerate(recs):
+            alone = lone(dissipative_n2, psi0, 60.0, seed=5 + i, sample_dt=0.5)
+            assert rec.seed == alone.seed == 5 + i
+            np.testing.assert_array_equal(rec.times, alone.times)
+            np.testing.assert_array_equal(rec.states, alone.states)
+            assert rec.jumps == alone.jumps
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_caller(self, dissipative_n2, monkeypatch):
+        # a member that fails in a worker raises its own type and message in
+        # the caller, and the pool's processes are gone once the call returns
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(dynamics, "JUMP_MAX_ITER", 1)
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+        with pytest.raises(RuntimeError, match="not converged"):
+            run_trajectories(dissipative_n2, psi0, 200.0, 10.0, n_trajectories=2, base_seed=1)
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_stops_workers(self, dissipative_n2, monkeypatch):
+        # Ctrl-C reaches every process in the group: here the worker of the
+        # first member dies mid-member while the caller gets one
+        # KeyboardInterrupt; the call must still end with no child left,
+        # though that member never returns
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, lone = os.getpid(), dynamics.mcwf_trajectory
+
+        def interrupted(p, psi0, t_final, seed, *args, **kwargs):
+            if seed == 1:
+                os.kill(caller, signal.SIGINT)
+                os._exit(1)
+            return lone(p, psi0, t_final, seed, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "mcwf_trajectory", interrupted)
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+
+        def hung(signum, frame):
+            raise TimeoutError("run_trajectories still waiting 60 s after the interrupt")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_trajectories(dissipative_n2, psi0, 5.0, 0.5, n_trajectories=2, base_seed=1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     # at sample_dt = 400 the squared norm underflows to 0 within one step
     @pytest.mark.parametrize(
