@@ -24,12 +24,10 @@ from .dynamics import (
     TrajectoryRecord,
     TruncationError,
     build_liouvillian,
-    lindblad_evolve,
     mcwf_trajectory,
     run_trajectories,
     schrodinger_evolve,
     steady_state,
-    trajectory_average,
 )
 from .observables import (
     CorrelationCurve,

@@ -163,7 +163,10 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"[model] {exc}") from exc
     if delta_a == "resonance":
-        model = replace(model, delta_a=resonance_detuning(model))
+        try:
+            model = replace(model, delta_a=resonance_detuning(model))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"[model] delta_a = resonance cannot be resolved: {exc}") from exc
 
     scan = ScanBlock(**raw.get("scan", {}))
     if scan.points < 2:
@@ -363,8 +366,9 @@ def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     n_bundle = cfg.scan.bundle_n if cfg.scan.bundle_n is not None else m.n
-    prop = LiouvillePropagator(build_liouvillian(m))
-    rho = steady_state(prop.L)
+    L = build_liouvillian(m)
+    rho = steady_state(L)  # a TruncationError here costs no eig
+    prop = LiouvillePropagator(L)
     tau_grid = np.geomspace(
         tau_min(n_bundle, m.kappa), cfg.scan.tau_max / m.kappa, cfg.scan.tau_points
     )

@@ -5,10 +5,11 @@ The Liouvillian is a sparse (CSR) superoperator acting on the column-stacked
 vectorization of rho.  H, a and sigma_- all conserve k = (m - m') mod n, where
 m and m' are the photon numbers of the row and column of rho, so L is
 block-diagonal in k (a weak symmetry).  The steady state lies in the k = 0
-block and is found by sparse LU on that block alone; the spectral propagator
-eigendecomposes a block only when an operator has support in it, and a block
-closed under the adjoint (2k = 0 mod n) as a real matrix in a Hermitian
-operator basis.  There is one steady-state solver, SteadyStateWorkspace: it
+block and is found by sparse LU on that block alone.  The regression
+operators a^N rho_ss a^dagN of the delayed correlations lie there too, so the
+spectral propagator eigendecomposes the k = 0 block alone, once, as a real
+matrix in a Hermitian operator basis, and refuses an operator with support in
+another block.  There is one steady-state solver, SteadyStateWorkspace: it
 holds the k = 0 system of one L, and since delta_a moves only the diagonal of
 L, it rewrites just the k = 0 diagonal (with the arithmetic of
 build_liouvillian) to solve at any delta_a.  steady_state(L) is its solve at
@@ -17,9 +18,9 @@ each equation of motion has one propagator, an eigendecomposition, which is
 exact at the sample times.
 
 scipy is imported only where a Liouvillian is built or factored:
-build_liouvillian (the one way to make an L; lindblad_evolve,
-LiouvillePropagator and steady_state all start from one), _hermitian_basis
-and SteadyStateWorkspace.  Schrodinger propagation and the quantum-jump
+build_liouvillian (the one way to make an L; LiouvillePropagator and
+steady_state both start from one), _hermitian_basis and
+SteadyStateWorkspace.  Schrodinger propagation and the quantum-jump
 trajectories need only numpy, so a run that never builds L never loads scipy
 (about 0.3 s of start-up).  multiprocessing is imported the same way, only
 where run_trajectories starts its worker pool (about 15 ms), so a lone
@@ -53,12 +54,10 @@ __all__ = [
     "schrodinger_evolve",
     "build_liouvillian",
     "LiouvillePropagator",
-    "lindblad_evolve",
     "steady_state",
     "SteadyStateWorkspace",
     "mcwf_trajectory",
     "run_trajectories",
-    "trajectory_average",
 ]
 
 TAIL_TOL = 1e-8
@@ -220,94 +219,44 @@ def _hermitian_basis(idx: np.ndarray, d: int) -> sp.csr_array:
 
 
 class LiouvillePropagator:
-    """Spectral form of exp(L t), one eigendecomposition per symmetry sector.
+    """Spectral form of exp(L t) on the k = 0 sector, the one that holds the
+    steady state and every regression operator a^N rho_ss a^dagN.
 
-    A sector is decomposed the first time an operator with support in it is
-    propagated, and reused afterwards.  L maps Hermitian operators to
-    Hermitian ones, so a sector closed under the adjoint is decomposed as the
-    real matrix T K T^dag (T from _hermitian_basis) at about half the cost;
-    as X = T^dag (T X) for any X, arbitrary (not necessarily trace-one or
-    Hermitian) operators propagate, as the two-time regression pathway needs.
+    The sector is closed under the adjoint and L maps Hermitian operators to
+    Hermitian ones, so its block K is decomposed once, here, as the real
+    matrix T K T^dag (T from _hermitian_basis) at about half the cost of a
+    complex eig; as X = T^dag (T X) for any X, arbitrary (not necessarily
+    trace-one or Hermitian) k = 0 operators propagate, as the two-time
+    regression pathway needs.
     """
 
     def __init__(self, L: Liouvillian):
         self.L = L
-        self._spectra: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def _spectrum(self, k: int):
-        if k not in self._spectra:
-            block = self.L.block(k)
-            if 2 * k % len(self.L.sectors):
-                evals, evecs = np.linalg.eig(block.toarray())
-                self._spectra[k] = (evals, evecs, np.linalg.inv(evecs))
-            else:
-                t = _hermitian_basis(self.L.sectors[k], self.L.params.dims.total_dim)
-                real_form = t @ block @ t.conj().T
-                imag = np.abs(real_form.data.imag).max(initial=0.0)
-                if imag > 1e-14 * np.abs(real_form.data.real).max(initial=0.0):
-                    raise RuntimeError(f"sector k={k} not real in the Hermitian basis: {imag:.3e}")
-                evals, w = np.linalg.eig(real_form.real.toarray())
-                inv = np.linalg.inv(w) @ t  # before T^dag W: one dense matrix fewer at peak
-                self._spectra[k] = (evals, t.conj().T @ w, inv)
-        return self._spectra[k]
+        t = _hermitian_basis(L.sectors[0], L.params.dims.total_dim)
+        real_form = t @ L.block(0) @ t.conj().T
+        imag = np.abs(real_form.data.imag).max(initial=0.0)
+        if imag > 1e-14 * np.abs(real_form.data.real).max(initial=0.0):
+            raise RuntimeError(f"sector k=0 not real in the Hermitian basis: {imag:.3e}")
+        self._evals, w = np.linalg.eig(real_form.real.toarray())
+        self._inv = np.linalg.inv(w) @ t  # before T^dag W: one dense matrix fewer at peak
+        self._evecs = t.conj().T @ w
 
     def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:
-        """Returns an array of operators exp(L tau) op, one per tau."""
+        """Returns an array of operators exp(L tau) op, one per tau.  Raises a
+        ValueError, naming the sector, if op has an entry outside k = 0."""
         d = self.L.params.dims.total_dim
         v = vec(op_mat)
+        idx = self.L.sectors[0]
+        part = v[idx]
+        if np.count_nonzero(part) != np.count_nonzero(v):
+            k = next(k for k, other in enumerate(self.L.sectors) if k and np.any(v[other]))
+            raise ValueError(
+                f"op_mat has support in sector k={k}; the propagator holds k=0 only"
+            )
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         out = np.zeros((len(taus), d * d), dtype=complex)
-        for k, idx in enumerate(self.L.sectors):
-            part = v[idx]
-            if not np.any(part):
-                continue
-            evals, evecs, inv = self._spectrum(k)
-            out[:, idx] = (np.exp(np.outer(taus, evals)) * (inv @ part)) @ evecs.T
+        out[:, idx] = (np.exp(np.outer(taus, self._evals)) * (self._inv @ part)) @ self._evecs.T
         return out.reshape((len(taus), d, d)).transpose(0, 2, 1)
-
-
-def _check_density_matrix(rho: np.ndarray) -> None:
-    """Raise a ValueError unless rho is Hermitian, trace-one and positive; each
-    test is written so that a NaN fails it."""
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if not herm <= 1e-10:
-        raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
-    tr = rho.trace()
-    if not abs(tr - 1.0) <= 1e-8:
-        raise ValueError(f"density matrix trace {tr} deviates from 1")
-    ev_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if not ev_min >= -1e-8:
-        raise ValueError(f"density matrix not positive: min eigenvalue {ev_min:.3e}")
-
-
-def _check_density_history(history):
-    """Raise unless every rho is Hermitian, trace-one and positive; each test
-    is written so that a NaN fails it."""
-    for rho in history:
-        herm = np.max(np.abs(rho - rho.conj().T))
-        if not herm <= 1e-9:
-            raise RuntimeError(f"Hermiticity violated: {herm:.3e}")
-        tr = rho.trace().real
-        if not abs(tr - 1.0) <= 1e-7:
-            raise RuntimeError(f"trace violated: {tr}")
-        ev_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-        if not ev_min >= -1e-7:
-            raise RuntimeError(f"positivity violated: min eigenvalue {ev_min:.3e}")
-
-
-def lindblad_evolve(L: Liouvillian, rho0: np.ndarray, t_grid) -> np.ndarray:
-    """Propagate the density matrix rho0 under L; returns density matrices at
-    each grid time."""
-    d = L.params.dims.total_dim
-    if np.shape(rho0) != (d, d):
-        raise DimensionMismatchError(
-            f"rho0 has shape {np.shape(rho0)}; the space needs ({d}, {d})"
-        )
-    _check_density_matrix(rho0)
-    t_grid = np.asarray(t_grid, dtype=float)
-    history = LiouvillePropagator(L).propagate(rho0, t_grid - t_grid[0])
-    _check_density_history(history)
-    return history
 
 
 def steady_state(L: Liouvillian) -> np.ndarray:
@@ -637,31 +586,3 @@ def run_trajectories(
     finally:
         pool.close()
         pool.join()
-
-
-def trajectory_average(records: list[TrajectoryRecord], observable: np.ndarray):
-    """Ensemble mean of <psi|O|psi> over trajectories sharing one sample grid.
-
-    Returns (times, mean, standard_error)."""
-    if not records:
-        raise ValueError("need at least one trajectory record")
-    times = records[0].times
-    for rec in records[1:]:
-        if not np.array_equal(rec.times, times):
-            raise ValueError("trajectory records have mismatched sample grids")
-    d = records[0].states.shape[1]
-    if observable.shape != (d, d):
-        raise DimensionMismatchError(
-            f"observable has shape {observable.shape}; the states need ({d}, {d})"
-        )
-    vals = np.empty((len(records), len(times)))
-    for i, rec in enumerate(records):
-        vals[i] = np.einsum(
-            "ti,ij,tj->t", rec.states.conj(), observable, rec.states
-        ).real
-    mean = vals.mean(axis=0)
-    if len(records) > 1:
-        stderr = vals.std(axis=0, ddof=1) / math.sqrt(len(records))
-    else:
-        stderr = np.zeros_like(mean)
-    return times, mean, stderr

@@ -32,8 +32,8 @@ __all__ = [
     "omega_eff_jc",
 ]
 
-# Run time, not precision, sets the cap: the first g_N^(2)(tau) on a fresh
-# LiouvillePropagator (the k = 0 eigendecomposition, then 200 delays) takes
+# Run time, not precision, sets the cap: a LiouvillePropagator (the k = 0
+# eigendecomposition) and one g_N^(2)(tau) on it (200 delays) take
 # 0.89-1.01 s at n = 2, n_max = 20 and 0.12 s at n_max = 12 (5 calls each after
 # a warm-up call; 2-vCPU host, OpenBLAS 0.3.31 on 2 threads).
 # The factorial ratios are exact: math.perm is an integer, rounded once.

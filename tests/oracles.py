@@ -2,9 +2,12 @@
 they check: the driven Hamiltonian without the n-photon coupling (its
 spectrum is the dressed ladder), the undriven n-photon JC Hamiltonian and its
 doublet eigenvectors, one dressed-state population at a time, a
-Liouvillian applied to a matrix, the steady state by one direct sparse LU, and
-the density matrix |psi><psi| of a pure state.
+Liouvillian applied to a matrix, the steady state by one direct sparse LU, the
+density matrix |psi><psi| of a pure state, a density-matrix invariant check,
+and the ensemble average of trajectory records.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,3 +85,26 @@ def lu_steady_state(L):
 def pure_density(psi):
     """|psi><psi| of the amplitudes psi, as a (d, d) density matrix."""
     return np.outer(psi, psi.conj())
+
+
+def check_density_matrix(rho):
+    """Raise a ValueError unless rho is Hermitian, trace-one and positive; each
+    test is written so that a NaN fails it."""
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if not herm <= 1e-10:
+        raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
+    tr = rho.trace()
+    if not abs(tr - 1.0) <= 1e-8:
+        raise ValueError(f"density matrix trace {tr} deviates from 1")
+    ev_min = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
+    if not ev_min >= -1e-8:
+        raise ValueError(f"density matrix not positive: min eigenvalue {ev_min:.3e}")
+
+
+def trajectory_average(records, observable):
+    """(times, mean, standard error) of <psi|O|psi> over two or more
+    trajectory records that share one sample grid."""
+    states = np.stack([rec.states for rec in records])
+    vals = np.einsum("rti,ij,rtj->rt", states.conj(), observable, states).real
+    stderr = vals.std(axis=0, ddof=1) / math.sqrt(len(records))
+    return records[0].times, vals.mean(axis=0), stderr

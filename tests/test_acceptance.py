@@ -15,13 +15,10 @@ from scipy.stats import kstest
 from bundlejc.dynamics import (
     LiouvillePropagator,
     SteadyStateWorkspace,
-    _check_density_matrix,
     build_liouvillian,
-    lindblad_evolve,
     mcwf_trajectory,
     run_trajectories,
     steady_state,
-    trajectory_average,
 )
 from bundlejc.hilbert import basis_state, fock_annihilation
 from bundlejc.model import (
@@ -41,7 +38,7 @@ from bundlejc.observables import (
     tau_min,
 )
 from dop853 import dop853
-from oracles import build_H_jc
+from oracles import build_H_jc, check_density_matrix, trajectory_average
 
 
 def report(num, name, ok, detail=""):
@@ -208,8 +205,9 @@ def test_criterion_5_bundle_ordering(dissipative_n2, dissipative_n3):
     for p_res in (dissipative_n2, dissipative_n3):
         for da, regime in ((p_res.delta_a, "resonant"), (0.0, "detuned")):
             p = replace(p_res, delta_a=da)
-            prop = LiouvillePropagator(build_liouvillian(p))
-            rho = SteadyStateWorkspace(prop.L).solve(p.delta_a)
+            L = build_liouvillian(p)
+            rho = SteadyStateWorkspace(L).solve(p.delta_a)
+            prop = LiouvillePropagator(L)
             n = p.n
             t0 = tau_min(n, p.kappa)
             curve = g2_bundle_delayed(
@@ -246,7 +244,8 @@ def test_criterion_6_trajectory_consistency(dissipative_n2):
     a = fock_annihilation(p.dims)
     num = a.conj().T @ a
     times, mean, stderr = trajectory_average(recs, num)
-    exact_hist = lindblad_evolve(build_liouvillian(p), np.outer(psi0, psi0.conj()), times)
+    prop = LiouvillePropagator(build_liouvillian(p))
+    exact_hist = prop.propagate(np.outer(psi0, psi0.conj()), times)
     exact = np.array([np.trace(num @ rho).real for rho in exact_hist])
     dev = np.abs(mean - exact)
     within = bool(np.all(dev <= 4.0 * np.maximum(stderr, 1e-12)))
@@ -380,7 +379,7 @@ def test_criterion_9_invariant_fuzz():
         )
         try:
             rho = SteadyStateWorkspace(build_liouvillian(p)).solve(p.delta_a)
-            _check_density_matrix(rho)
+            check_density_matrix(rho)
         except Exception as exc:  # noqa: BLE001 - any invariant break counts
             failures.append(f"steady sample {i}: {exc}")
 

@@ -455,6 +455,25 @@ class TestMain:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    @pytest.mark.parametrize(
+        "old, new",
+        [("delta_n = -49.5", "delta_n = 0.0"), ("omega_l = 21.0", "omega_l = 1e300")],
+        ids=("delta_n_zero", "omega_l_overflow"),
+    )
+    def test_unresolvable_resonance_names_delta_a(self, tmp_path, capsys, old, new, dry_run):
+        # delta_a defaults to the n-photon resonance, which delta_n = 0 leaves
+        # undefined and omega_l = 1e300 overflows
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(CHEAP_POINTS["g2tau"].replace(old, new))
+        out_dir = tmp_path / "out"
+        args = ["g2tau", "--config", cfg_file, "--out", out_dir] + ["--dry-run"] * dry_run
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bundlejc: [model] delta_a")
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_superrabi_j_zero_runs_with_t_final(self, tmp_path):
         # with a horizon given, the undriven-coupling run is well defined
         config = CHEAP_POINTS["superrabi"].replace("j = 1.0", "j = 0.0")

@@ -18,12 +18,10 @@ from bundlejc.dynamics import (
     TruncationError,
     _hermitian_basis,
     build_liouvillian,
-    lindblad_evolve,
     mcwf_trajectory,
     run_trajectories,
     schrodinger_evolve,
     steady_state,
-    trajectory_average,
     unvec,
     vec,
 )
@@ -36,7 +34,13 @@ from bundlejc.hilbert import (
 from bundlejc.model import ModelParams, build_H_I
 from bundlejc.observables import sweep
 from dop853 import dop853
-from oracles import apply_liouvillian, lu_steady_state, pure_density
+from oracles import (
+    apply_liouvillian,
+    check_density_matrix,
+    lu_steady_state,
+    pure_density,
+    trajectory_average,
+)
 
 
 def decay_params(kappa=0.0, gamma=0.0, n_max=4):
@@ -71,6 +75,14 @@ def random_density(dims, seed):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / rho.trace().real
+
+
+def k0_part(L, op):
+    """op with every entry outside the k = 0 sector of L set to 0."""
+    d = L.params.dims.total_dim
+    x = np.zeros(d * d, dtype=complex)
+    x[L.sectors[0]] = vec(op)[L.sectors[0]]
+    return unvec(x, d)
 
 
 class TestVectorization:
@@ -108,7 +120,7 @@ class TestLiouvillian:
     def test_evolution_preserves_trace_and_hermiticity(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
         rho0 = pure_density(basis_state(dissipative_n2.dims, 0, 0))
-        history = lindblad_evolve(L, rho0, np.linspace(0.0, 5.0, 11))
+        history = LiouvillePropagator(L).propagate(rho0, np.linspace(0.0, 5.0, 11))
         for rho in history:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
@@ -120,7 +132,7 @@ class TestLindbladAnalytic:
         L = build_liouvillian(p)
         rho0 = pure_density(basis_state(p.dims, 3, 0))
         t_grid = np.linspace(0.0, 4.0, 9)
-        history = lindblad_evolve(L, rho0, t_grid)
+        history = LiouvillePropagator(L).propagate(rho0, t_grid)
         a = fock_annihilation(p.dims)
         num = a.conj().T @ a
         for t, rho in zip(t_grid, history):
@@ -132,24 +144,16 @@ class TestLindbladAnalytic:
         L = build_liouvillian(p)
         rho0 = pure_density(basis_state(p.dims, 0, 1))
         t_grid = np.linspace(0.0, 6.0, 7)
-        history = lindblad_evolve(L, rho0, t_grid)
+        history = LiouvillePropagator(L).propagate(rho0, t_grid)
         proj = tls_operator("excited_projector", p.dims)
         for t, rho in zip(t_grid, history):
             assert np.trace(proj @ rho).real == pytest.approx(np.exp(-0.4 * t), abs=1e-9)
-
-    def test_nan_in_history_rejected(self):
-        # each check is written so that a NaN deviation fails it, not passes
-        p = decay_params(kappa=0.7)
-        rho = pure_density(basis_state(p.dims, 3, 0))
-        rho[0, 0] = np.nan
-        with pytest.raises(RuntimeError, match="Hermiticity violated: nan"):
-            dynamics._check_density_history([rho])
 
     def test_schemes_agree(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
         rho0 = pure_density(basis_state(dissipative_n2.dims, 0, 0))
         t_grid = np.linspace(0.0, 2.0, 5)
-        spectral = lindblad_evolve(L, rho0, t_grid)
+        spectral = LiouvillePropagator(L).propagate(rho0, t_grid)
         d = dissipative_n2.dims.total_dim
         adaptive = [unvec(v, d) for v in dop853(L.mat, vec(rho0), t_grid)]
         np.testing.assert_allclose(adaptive, spectral, atol=1e-7)
@@ -165,7 +169,7 @@ class TestSteadyState:
     def test_residual_and_validity(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
         rho = steady_state(L)
-        dynamics._check_density_matrix(rho)
+        check_density_matrix(rho)
         residual = np.max(np.abs(apply_liouvillian(L, rho)))
         assert residual < 1e-8 * scipy.sparse.linalg.norm(L.mat)
 
@@ -173,7 +177,7 @@ class TestSteadyState:
         L = build_liouvillian(dissipative_n2)
         rho_ss = steady_state(L)
         rho0 = pure_density(basis_state(dissipative_n2.dims, 0, 0))
-        late = lindblad_evolve(L, rho0, np.array([0.0, 400.0]))[-1]
+        late = LiouvillePropagator(L).propagate(rho0, 400.0)[0]
         np.testing.assert_allclose(late, rho_ss, atol=1e-7)
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
@@ -492,55 +496,26 @@ class TestMcwf:
         assert np.all(dev < 4.0 * np.maximum(stderr[1:], 1e-3))
 
 
-class TestTrajectoryAverage:
-    def test_single_record_zero_stderr(self):
-        p = decay_params(kappa=1.0)
-        rec = mcwf_trajectory(p, basis_state(p.dims, 1, 0), 2.0, seed=0, sample_dt=0.5)
-        a = fock_annihilation(p.dims)
-        _, mean, stderr = trajectory_average([rec], a.conj().T @ a)
-        assert np.all(stderr == 0.0)
-        assert mean[0] == pytest.approx(1.0)
-
-    def test_mismatched_grids_rejected(self):
-        p = decay_params(kappa=1.0)
-        psi0 = basis_state(p.dims, 1, 0)
-        r1 = mcwf_trajectory(p, psi0, 2.0, seed=0, sample_dt=0.5)
-        r2 = mcwf_trajectory(p, psi0, 2.0, seed=0, sample_dt=1.0)
-        a = fock_annihilation(p.dims)
-        num = a.conj().T @ a
-        with pytest.raises(ValueError, match="mismatched"):
-            trajectory_average([r1, r2], num)
-
-    def test_empty_rejected(self):
-        p = decay_params()
-        a = fock_annihilation(p.dims)
-        num = a.conj().T @ a
-        with pytest.raises(ValueError):
-            trajectory_average([], num)
-
-    def test_shape_mismatch_names_observable(self):
-        p = decay_params(kappa=1.0, n_max=4)
-        rec = mcwf_trajectory(p, basis_state(p.dims, 1, 0), 2.0, seed=0, sample_dt=0.5)
-        a = fock_annihilation(replace(p, n_max=3).dims)
-        with pytest.raises(DimensionMismatchError, match="observable"):
-            trajectory_average([rec], a.conj().T @ a)
-
-
 class TestPropagator:
     def test_identity_at_zero_delay(self, dissipative_n2):
-        prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
-        rho = random_density(dissipative_n2.dims, seed=9)
-        out = prop.propagate(rho, [0.0])[0]
-        np.testing.assert_allclose(out, rho, atol=1e-9)
-
-    def test_matches_lindblad_evolve(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
-        prop = LiouvillePropagator(L)
-        rho0 = pure_density(basis_state(dissipative_n2.dims, 0, 0))
-        taus = np.array([0.0, 1.0, 3.0])
-        from_prop = prop.propagate(rho0, taus)
-        from_evolve = lindblad_evolve(L, rho0, taus)
-        np.testing.assert_allclose(from_prop, from_evolve, atol=1e-10)
+        op = k0_part(L, random_density(dissipative_n2.dims, seed=9))
+        out = LiouvillePropagator(L).propagate(op, [0.0])[0]
+        np.testing.assert_allclose(out, op, atol=1e-9)
+
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_refuses_operator_outside_k0(self, point, request):
+        # a random density has support in every sector; |m=2><m=0| lies in
+        # k = 2 at n = 3 alone.  Nothing is dropped without a word
+        p = request.getfixturevalue(point)
+        prop = LiouvillePropagator(build_liouvillian(p))
+        op = random_density(p.dims, seed=9)
+        with pytest.raises(ValueError, match="sector k=1"):
+            prop.propagate(op, [1.0])
+        if p.n == 3:
+            op = np.outer(basis_state(p.dims, 2, 0), basis_state(p.dims, 0, 0))
+            with pytest.raises(ValueError, match="sector k=2"):
+                prop.propagate(op, [1.0])
 
 
 def oracle_point(n, kappa, gamma):
@@ -583,28 +558,6 @@ class TestSectoredLiouvillian:
         assert mat.nbytes == mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
         assert mat.nbytes < 1_000_000
 
-    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
-    def test_propagator_matches_expm(self, point, request):
-        p = request.getfixturevalue(point)
-        L = build_liouvillian(p)
-        d = p.dims.total_dim
-        rho = random_density(p.dims, seed=11)
-        assert all(np.any(vec(rho)[idx]) for idx in L.sectors)
-        taus = [0.0, 0.7, 4.0]
-        got = LiouvillePropagator(L).propagate(rho, taus)
-        lmat = dense_liouvillian(p)
-        for tau, out in zip(taus, got):
-            exact = unvec(scipy.linalg.expm(lmat * tau) @ vec(rho), d)
-            np.testing.assert_allclose(out, exact, rtol=0, atol=1e-9)
-
-    def test_regression_operator_decomposes_k0_only(self, dissipative_n3):
-        L = build_liouvillian(dissipative_n3)
-        prop = LiouvillePropagator(L)
-        rho = steady_state(L)
-        a3 = np.linalg.matrix_power(fock_annihilation(dissipative_n3.dims), 3)
-        prop.propagate(a3 @ rho @ a3.conj().T, [1.0, 2.0])
-        assert list(prop._spectra) == [0]
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kappa,gamma", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.2), (1.0, 0.2)])
     def test_self_adjoint_sectors_real_in_hermitian_basis(self, n, kappa, gamma):
@@ -626,42 +579,50 @@ class TestSectoredLiouvillian:
                 atol=4 * np.finfo(float).eps * np.abs(dense).max(),
             )
 
-    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3", "n1"])
     def test_real_form_propagates_non_hermitian_operator(self, point, request):
         # a^n rho_ss lies in k = 0 but is not Hermitian, so only X = T^dag (T X)
-        # makes the real decomposition exact for it
-        p = request.getfixturevalue(point)
+        # makes the real decomposition exact for it; the k = 0 part of a random
+        # density fills every k = 0 entry, and at n = 1 every entry is in k = 0
+        p = oracle_point(1, 1.0, 0.2) if point == "n1" else request.getfixturevalue(point)
         L = build_liouvillian(p)
         d = p.dims.total_dim
         an = np.linalg.matrix_power(fock_annihilation(p.dims), p.n)
-        op = an @ steady_state(L)
-        assert np.abs(op - op.conj().T).max() > 1e-3
+        regression = an @ steady_state(L)
+        assert np.abs(regression - regression.conj().T).max() > 1e-3
+        ops = [regression, k0_part(L, random_density(p.dims, seed=11))]
         k0 = L.sectors[0]
-        assert np.count_nonzero(vec(op)) == np.count_nonzero(vec(op)[k0])
-        prop = LiouvillePropagator(L)
+        assert np.count_nonzero(vec(ops[1])) == len(k0)
+        if p.n == 1:
+            assert len(k0) == d * d
         taus = [0.0, 0.7, 4.0]
-        got = prop.propagate(op, taus)
-        assert list(prop._spectra) == [0]
+        prop = LiouvillePropagator(L)
+        got = [prop.propagate(op, taus) for op in ops]
         # L is block-diagonal in k, so exp(L tau) acts on k = 0 through its block
         block = dense_liouvillian(p)[np.ix_(k0, k0)]
-        for tau, out in zip(taus, got):
-            exact = np.zeros(d * d, dtype=complex)
-            exact[k0] = scipy.linalg.expm(block * tau) @ vec(op)[k0]
-            np.testing.assert_allclose(out, unvec(exact, d), rtol=0, atol=1e-9)
+        for i, tau in enumerate(taus):
+            step = scipy.linalg.expm(block * tau)
+            for op, out in zip(ops, got):
+                exact = np.zeros(d * d, dtype=complex)
+                exact[k0] = step @ vec(op)[k0]
+                np.testing.assert_allclose(out[i], unvec(exact, d), rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("point, real", [("dissipative_n2", [0, 1]), ("dissipative_n3", [0])])
-    def test_real_form_decomposes_sectors_closed_under_adjoint(
-        self, point, real, request, monkeypatch
-    ):
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_decomposes_k0_block_once(self, point, request, monkeypatch):
+        # one real eig, of the k = 0 block, in the constructor; propagating
+        # the regression operator a^n rho_ss a^dagn decomposes nothing more
         p = request.getfixturevalue(point)
         L = build_liouvillian(p)
-        seen = []
-        basis = dynamics._hermitian_basis
-        monkeypatch.setattr(
-            dynamics, "_hermitian_basis", lambda idx, d: seen.append(idx) or basis(idx, d)
-        )
-        LiouvillePropagator(L).propagate(random_density(p.dims, seed=11), [1.0])
-        assert [k for k, idx in enumerate(L.sectors) if any(idx is s for s in seen)] == real
+        rho = steady_state(L)
+        shapes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: shapes.append((m.shape, m.dtype)) or eig(m))
+        prop = LiouvillePropagator(L)
+        k0 = len(L.sectors[0])
+        assert shapes == [((k0, k0), np.float64)]
+        an = np.linalg.matrix_power(fock_annihilation(p.dims), p.n)
+        prop.propagate(an @ rho @ an.conj().T, [1.0, 2.0])
+        assert len(shapes) == 1
 
     def test_complex_real_form_rejected(self, dissipative_n2, monkeypatch):
         basis = dynamics._hermitian_basis
@@ -673,9 +634,8 @@ class TestSectoredLiouvillian:
             return t
 
         monkeypatch.setattr(dynamics, "_hermitian_basis", rotated_basis)
-        prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
         with pytest.raises(RuntimeError, match="not real in the Hermitian basis"):
-            prop.propagate(random_density(dissipative_n2.dims, seed=3), [1.0])
+            LiouvillePropagator(build_liouvillian(dissipative_n2))
 
 
 def dense_k0_steady_state(p):
