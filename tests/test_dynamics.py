@@ -558,6 +558,22 @@ class TestSectoredLiouvillian:
         assert mat.nbytes == mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
         assert mat.nbytes < 1_000_000
 
+    @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
+    def test_propagator_matches_expm(self, point, request):
+        # against exp(L tau) of the whole dense L, not of the k = 0 block: the
+        # entries outside k = 0 must stay 0, as block-diagonality promises
+        p = request.getfixturevalue(point)
+        L = build_liouvillian(p)
+        d = p.dims.total_dim
+        op = k0_part(L, random_density(p.dims, seed=11))
+        assert np.count_nonzero(vec(op)) == len(L.sectors[0])
+        taus = [0.0, 0.7, 4.0]
+        got = LiouvillePropagator(L).propagate(op, taus)
+        lmat = dense_liouvillian(p)
+        for tau, out in zip(taus, got):
+            exact = unvec(scipy.linalg.expm(lmat * tau) @ vec(op), d)
+            np.testing.assert_allclose(out, exact, rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("kappa,gamma", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.2), (1.0, 0.2)])
     def test_self_adjoint_sectors_real_in_hermitian_basis(self, n, kappa, gamma):
@@ -609,20 +625,34 @@ class TestSectoredLiouvillian:
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
     def test_decomposes_k0_block_once(self, point, request, monkeypatch):
-        # one real eig, of the k = 0 block, in the constructor; propagating
-        # the regression operator a^n rho_ss a^dagn decomposes nothing more
+        # one real eig, of the k = 0 block, in the constructor
         p = request.getfixturevalue(point)
         L = build_liouvillian(p)
-        rho = steady_state(L)
         shapes = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda m: shapes.append((m.shape, m.dtype)) or eig(m))
-        prop = LiouvillePropagator(L)
+        LiouvillePropagator(L)
         k0 = len(L.sectors[0])
         assert shapes == [((k0, k0), np.float64)]
-        an = np.linalg.matrix_power(fock_annihilation(p.dims), p.n)
-        prop.propagate(an @ rho @ an.conj().T, [1.0, 2.0])
-        assert len(shapes) == 1
+
+    def test_regression_operator_decomposes_k0_only(self, dissipative_n3, monkeypatch):
+        # every bundle order's regression operator a^N rho_ss a^dagN lies in
+        # k = 0, so it propagates through the constructor's one eig
+        L = build_liouvillian(dissipative_n3)
+        rho = steady_state(L)
+        prop = LiouvillePropagator(L)
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
+        k0 = L.sectors[0]
+        a = fock_annihilation(dissipative_n3.dims)
+        for N in (1, 2, 3):
+            an = np.linalg.matrix_power(a, N)
+            op = an @ rho @ an.conj().T
+            assert np.count_nonzero(vec(op)) == np.count_nonzero(vec(op)[k0]) > 0
+            out = prop.propagate(op, [1.0, 2.0])
+            assert np.all(np.isfinite(out))
+        assert calls == []
 
     def test_complex_real_form_rejected(self, dissipative_n2, monkeypatch):
         basis = dynamics._hermitian_basis

@@ -148,3 +148,13 @@ def test_states_are_fresh_complex_arrays(dissipative_n2):
         assert state.shape == shape
         state[...] = 5.0
         assert np.all(make() != 5.0)
+
+
+def test_nan_density_matrix_rejected(dissipative_n2):
+    # g2_bundle_delayed checks rho_ss against the Liouvillian before it
+    # propagates; the residual bound is written so that a NaN fails it
+    L = build_liouvillian(dissipative_n2)
+    rho = steady_state(L)
+    rho[3, 3] = np.nan
+    with pytest.raises(ValueError, match=r"\|\|L rho_ss\|\| = nan"):
+        g2_bundle_delayed(dissipative_n2, 1, [1.0], propagator=LiouvillePropagator(L), rho_ss=rho)
