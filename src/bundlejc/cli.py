@@ -192,27 +192,7 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"[integrator] {exc}") from exc
 
-    if REGISTRY[preset].dissipative and model.kappa <= 0:
-        raise ConfigError(f"[model] preset {preset!r} needs kappa > 0")
-    if preset in ("superrabi", "trajectory") and model.omega_l <= 0:
-        raise ConfigError(
-            f"[model] omega_l = {model.omega_l}: preset {preset!r} starts in the "
-            "laser-dressed state |0>|+>, which needs omega_l > 0"
-        )
-    if preset == "superrabi":  # unitary: a decay rate would be dropped unread
-        for name in ("kappa", "gamma"):
-            value = getattr(model, name)
-            if value > 0:
-                raise ConfigError(
-                    f"[model] {name} = {value}: preset 'superrabi' "
-                    "is unitary and needs kappa = gamma = 0"
-                )
-        if model.j == 0 and integrator.t_final is None:
-            raise ConfigError(
-                "[model] j = 0: the super-Rabi frequency vanishes, so preset "
-                "'superrabi' has no default horizon; set [integrator] t_final"
-            )
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         preset=preset,
         model=model,
         scan=scan,
@@ -220,6 +200,18 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
         seeds=SeedsBlock(**raw.get("seeds", {})),
         output=OutputBlock(**raw.get("output", {})),
     )
+    rates = {k: getattr(model, k) for k in ("j", "omega_l", "delta_n", "delta_a", "kappa", "gamma")}
+    top = max(rates, key=lambda k: abs(rates[k]))
+    try:  # the sidecar holds no Infinity or NaN, and the solvers square each rate
+        derived = derived_quantities(model)
+        json.dumps([derived, rates[top] * rates[top]], allow_nan=False)
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"[model] {top} = {rates[top]}: out of floating-point range") from exc
+    entry = REGISTRY[preset]
+    for key, holds, reason in ((_NEEDS_KAPPA,) if entry.dissipative else ()) + entry.requires:
+        if not holds(cfg, derived):
+            raise ConfigError(f"[model] {key} = {getattr(model, key)}: preset {preset!r} {reason}")
+    return cfg
 
 
 def resolved_config_text(cfg: ExperimentConfig) -> str:
@@ -312,13 +304,8 @@ def _json_default(obj):
 
 def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
-    try:
-        eff = omega_eff_mollow(m)
-    except ZeroDivisionError as exc:
-        raise ConfigError(f"[model] delta_a: preset 'superrabi': {exc}") from exc
-    t_final = cfg.integrator.t_final
-    if t_final is None:
-        t_final = 1.25 * math.pi / abs(eff.omega_eff)
+    eff = omega_eff_mollow(m)
+    t_final = cfg.integrator.t_final or 1.25 * math.pi / abs(eff.omega_eff)
     n_pts = 1000
     if cfg.integrator.sample_dt is not None:
         n_pts = max(2, int(round(t_final / cfg.integrator.sample_dt)) + 1)
@@ -396,10 +383,7 @@ def _run_jcregime(cfg: ExperimentConfig) -> tuple[dict, dict]:
     for k, mm in enumerate(eig.m_values):
         rows.append((int(mm), "plus", eig.e_plus[k], eig.c_plus[k], eig.c_minus[k], eig.omega_m[k]))
         rows.append((int(mm), "minus", eig.e_minus[k], eig.c_plus[k], eig.c_minus[k], eig.omega_m[k]))
-    try:
-        extra = {"omega_eff_jc": omega_eff_jc(m)}
-    except ZeroDivisionError as exc:
-        raise ConfigError(f"[model] preset 'jcregime': {exc}") from exc
+    extra = {"omega_eff_jc": omega_eff_jc(m)}
     rho = steady_state(build_liouvillian(m))
     extra["n_photon_population"] = float(photon_distribution(rho)[m.n])
     header = ["m", "branch", "energy", "c_plus", "c_minus", "omega_m"]
@@ -430,23 +414,47 @@ def _run_custom(cfg: ExperimentConfig) -> tuple[dict, dict]:
     return tables, {"equal_time_correlations": gs}
 
 
+_NEEDS_KAPPA = ("kappa", lambda c, d: c.model.kappa > 0, "needs kappa > 0")
+_DRESSED_START = ("omega_l", lambda c, d: c.model.omega_l > 0,
+                  "starts in the laser-dressed state |0>|+>, which needs omega_l > 0")
+_RELAXES = ("gamma", lambda c, d: c.model.j != 0 or c.model.gamma > 0,
+            "needs gamma > 0 at j = 0, where the TLS has no unique steady state")
+
+
 class Preset(NamedTuple):
     """run(cfg) computes the preset's tables, {stem: (header, rows)}, and its
     sidecar entries, and writes nothing; a dissipative preset needs kappa > 0
-    and is in units of kappa, the others in units of J."""
+    and is in units of kappa, the others in units of J.  A requirement is
+    (field, holds(cfg, derived_quantities), reason); parse_config refuses a
+    config failing one, naming the [model] field, so --dry-run refuses it too."""
 
     run: Callable[[ExperimentConfig], tuple[dict, dict]]
     dissipative: bool
+    requires: tuple = ()
 
 
 REGISTRY = {
-    "superrabi": Preset(_run_superrabi, dissipative=False),
-    "steadyscan": Preset(_run_steadyscan, dissipative=True),
-    "trajectory": Preset(_run_trajectory, dissipative=True),
-    "g2tau": Preset(_run_g2tau, dissipative=True),
-    "jcregime": Preset(_run_jcregime, dissipative=True),
-    "resonances": Preset(_run_resonances, dissipative=False),
-    "custom": Preset(_run_custom, dissipative=True),
+    "superrabi": Preset(_run_superrabi, False, (
+        _DRESSED_START,
+        ("kappa", lambda c, d: c.model.kappa == 0, "is unitary and needs kappa = gamma = 0"),
+        ("gamma", lambda c, d: c.model.gamma == 0, "is unitary and needs kappa = gamma = 0"),
+        ("delta_a", lambda c, d: "omega_eff" in d, "has a singular Mollow model here"),
+        ("j", lambda c, d: c.integrator.t_final or abs(d["omega_eff"]) >= sys.float_info.min,
+         "has no default horizon 1.25 pi/|omega_eff| at omega_eff ~ 0; set [integrator] t_final"),
+    )),
+    "steadyscan": Preset(_run_steadyscan, True),
+    "trajectory": Preset(_run_trajectory, True, (_DRESSED_START,)),
+    "g2tau": Preset(_run_g2tau, True, (_RELAXES,)),
+    "jcregime": Preset(_run_jcregime, True, (
+        ("delta_a", lambda c, d: "omega_eff_jc" in d, "has a singular JC-regime model here"),
+        ("j", lambda c, d: c.model.delta_n**2 + 4.0 * c.model.j**2 > 0,
+         "has no JC doublet splitting Omega_m where j and delta_n vanish"),
+        _RELAXES,
+    )),
+    "resonances": Preset(_run_resonances, False, (
+        ("delta_n", lambda c, d: "resonance_table" in d, "has no resonant branch at delta_n = 0"),
+    )),
+    "custom": Preset(_run_custom, True, (_RELAXES,)),
 }
 
 

@@ -367,7 +367,8 @@ class SteadyStateWorkspace:
             b[0] = 1.0
             try:
                 x0 = splu(constrained).solve(b)
-                residual = np.linalg.norm(self._block @ x0)
+                with np.errstate(over="ignore"):  # an overflow fails the check below
+                    residual = np.linalg.norm(self._block @ x0)
             except RuntimeError:  # SuperLU: the factor is exactly singular
                 pass
             why = f"sparse LU residual {residual:.3e}"

@@ -65,11 +65,11 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.kappa < 0 or self.gamma < 0:
-            raise ValueError("decay rates must be >= 0")
         for name in ("j", "omega_l", "delta_n", "delta_a", "kappa", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+            if name in ("kappa", "gamma") and getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0: it is a decay rate")
         if self.n_max < self.n:
             raise ValueError(
                 f"n_max={self.n_max} < n={self.n}: the coupling term vanishes identically"

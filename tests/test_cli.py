@@ -1,13 +1,18 @@
 import configparser
+import contextlib
 import csv
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundlejc.cli import (
     _SCHEMA,
@@ -218,6 +223,56 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def assert_refused(tmp_path, capsys, preset, text, named, dry_run):
+    """main, with or without --dry-run, exits 1 with parse_config's refusal,
+    which starts with `named`, as its one stderr line, and writes nothing;
+    returns that refusal."""
+    with pytest.raises(ConfigError) as refusal:
+        parse_config(text, preset)
+    assert str(refusal.value).startswith(named)
+    cfg_file = tmp_path / "cfg.ini"
+    cfg_file.write_text(text)
+    out_dir = tmp_path / "out"
+    assert run_cli([preset, "--config", cfg_file, "--out", out_dir] + ["--dry-run"] * dry_run) == 1
+    assert capsys.readouterr().err == f"bundlejc: {refusal.value}\n"
+    assert not out_dir.exists()
+    return str(refusal.value)
+
+
+# model points a preset cannot take, with the [model] field its refusal names
+J0_NO_TLS_DECAY = (
+    DISSIPATIVE.replace("j = 0.3", "j = 0.0").replace("gamma = 0.1", "gamma = 0.0")
+    .replace("n_max = 8", "n_max = 6")
+)
+REFUSED_MODEL_POINTS = [
+    pytest.param("steadyscan", DISSIPATIVE.replace("kappa = 1.0", "kappa = 0.0"),
+                 "[model] kappa = 0.0", id="dissipative_kappa"),
+    # no resonant branch, whatever delta_a
+    pytest.param("resonances", MINIMAL.replace("delta_n = -49.5", "delta_n = 0.0") + "delta_a = 1.0\n",
+                 "[model] delta_n = 0.0", id="resonances_delta_n"),
+    # at j = 0 without TLS decay the driven TLS never relaxes to one steady state
+    *[pytest.param(preset, J0_NO_TLS_DECAY, "[model] gamma = 0.0", id=f"{preset}_gamma")
+      for preset in ("g2tau", "jcregime", "custom")],
+    # Omega_m = 0: the JC doublets have no mixing angle
+    pytest.param("jcregime", DISSIPATIVE.replace("j = 0.3", "j = 0.0").replace(
+        "delta_n = -49.5", "delta_n = 0.0") + "delta_a = 1.0\n", "[model] j = 0.0",
+        id="jcregime_doublets"),
+    # omega_eff underflows to 0, so the default horizon would be infinite
+    pytest.param("superrabi", "[model]\nn = 1\nj = 1e-300\nomega_l = 1e-300\ndelta_n = -1.0\n"
+                 "delta_a = 0.5\n", "[model] j = 1e-300", id="superrabi_horizon"),
+    # rates out of floating-point range, named by the largest
+    *[pytest.param("custom", DISSIPATIVE.replace(old, new) + "delta_a = 1.0\n", named, id=ident)
+      for old, new, named, ident in [
+          ("j = 0.3", "j = 1e300", "[model] j = 1e+300", "j_1e300"),
+          ("omega_l = 21.0", "omega_l = 1e300", "[model] omega_l = 1e+300", "omega_l_1e300"),
+          ("delta_n = -49.5", "delta_n = 1e300", "[model] delta_n = 1e+300", "delta_n_1e300"),
+          ("j = 0.3\nomega_l = 21.0", "j = 1e200\nomega_l = 1e200", "[model] j = 1e+200",
+           "j_omega_l_1e200"),
+          ("kappa = 1.0", "kappa = 1e300", "[model] kappa = 1e+300", "kappa_1e300"),
+      ]],
+]
+
+
 # a cheap point of every preset
 CHEAP_POINTS = {
     "superrabi": "[model]\nn = 2\nj = 1.0\nomega_l = 70.0\ndelta_n = -165.0\nn_max = 8\n"
@@ -420,14 +475,11 @@ class TestMain:
         assert f"{field} must" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
     @pytest.mark.parametrize("field", ["kappa", "gamma"])
-    def test_superrabi_decay_rate_exit_code(self, tmp_path, capsys, field):
-        cfg_file = tmp_path / "cfg.ini"
-        cfg_file.write_text(MINIMAL + f"{field} = 5.0\n")
-        out_dir = tmp_path / "out"
-        assert run_cli(["superrabi", "--config", cfg_file, "--out", out_dir]) == 1
-        assert f"[model] {field} = 5.0" in capsys.readouterr().err
-        assert not out_dir.exists()
+    def test_superrabi_decay_rate_exit_code(self, tmp_path, capsys, field, dry_run):
+        text = MINIMAL + f"{field} = 5.0\n"
+        assert_refused(tmp_path, capsys, "superrabi", text, f"[model] {field} = 5.0", dry_run)
 
     @pytest.mark.parametrize(
         "preset, config, named",
@@ -443,17 +495,18 @@ class TestMain:
         ],
         ids=("superrabi_j", "superrabi_omega_l", "trajectory_omega_l"),
     )
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
     def test_undefined_start_or_horizon_names_field(
-        self, tmp_path, capsys, preset, config, named
+        self, tmp_path, capsys, preset, config, named, dry_run
     ):
-        cfg_file = tmp_path / "cfg.ini"
-        cfg_file.write_text(config)
-        out_dir = tmp_path / "out"
-        assert run_cli([preset, "--config", cfg_file, "--out", out_dir]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"bundlejc: {named}")
-        assert "Traceback" not in err
-        assert not out_dir.exists()
+        assert_refused(tmp_path, capsys, preset, config, named, dry_run)
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    @pytest.mark.parametrize("preset, config, named", REFUSED_MODEL_POINTS)
+    def test_model_requirement_names_field(self, tmp_path, capsys, preset, config, named, dry_run):
+        # every model point a preset cannot take is refused before it runs,
+        # so the dry run refuses it too, with the same line
+        assert_refused(tmp_path, capsys, preset, config, named, dry_run)
 
     @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
     @pytest.mark.parametrize(
@@ -482,43 +535,34 @@ class TestMain:
         assert run_cli(["superrabi", "--config", cfg_file, "--out", tmp_path / "out"]) == 0
         assert (tmp_path / "out" / "superrabi.csv").stat().st_size > 0
 
-    def test_jcregime_singular_model_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    def test_jcregime_singular_model_writes_nothing(self, tmp_path, capsys, dry_run):
         # j = 0 and delta_a = 0 make the JC-regime effective model singular
         text = DISSIPATIVE.replace("j = 0.3", "j = 0.0") + "delta_a = 0.0\n"
-        assert "omega_eff_jc" not in derived_quantities(parse_config(text, "jcregime").model)
-        cfg_file = tmp_path / "cfg.ini"
-        cfg_file.write_text(text)
-        out_dir = tmp_path / "out"
-        assert run_cli(["jcregime", "--config", cfg_file, "--out", out_dir]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("bundlejc: [model]") and "singular" in err
-        assert "Traceback" not in err
-        assert not out_dir.exists()
+        assert "omega_eff_jc" not in derived_quantities(parse_config(text, "custom").model)
+        assert "singular" in assert_refused(tmp_path, capsys, "jcregime", text, "[model]", dry_run)
 
-    def test_mollow_singular_point(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    def test_mollow_singular_point(self, tmp_path, capsys, dry_run):
         # x = n delta_a + E_+ = 0 at j = 0: the Mollow effective model is
-        # singular; the dry run and resonances leave its entries out, and
-        # superrabi, whose analytic column needs it, names the field
+        # singular; resonances leaves its entries out, and superrabi, whose
+        # analytic column needs it, names the field
         text = (
             "[model]\nn = 1\nj = 0.0\nomega_l = 1.0\ndelta_n = -2.0\n"
             "delta_a = -0.3660254037844386\n\n[integrator]\nt_final = 1.0\n"
         )
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(text)
-        assert run_cli(["superrabi", "--config", cfg_file, "--dry-run"]) == 0
-        printed = capsys.readouterr().out
-        derived = json.loads(printed[printed.index("\n{") :])
+        res = tmp_path / "res"
+        assert run_cli(["resonances", "--config", cfg_file, "--out", res] + ["--dry-run"] * dry_run) == 0
+        if dry_run:
+            printed = capsys.readouterr().out
+            derived = json.loads(printed[printed.index("\n{") :])
+        else:
+            derived = json.loads((res / "resonances_metadata.json").read_text())["derived"]
         assert "omega" in derived and "omega_eff" not in derived
-        assert run_cli(["resonances", "--config", cfg_file, "--out", tmp_path / "res"]) == 0
-        meta = json.loads((tmp_path / "res" / "resonances_metadata.json").read_text())
-        assert "omega_eff" not in meta["derived"]
-        capsys.readouterr()
-        out_dir = tmp_path / "out"
-        assert run_cli(["superrabi", "--config", cfg_file, "--out", out_dir]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("bundlejc: [model] delta_a") and "singular" in err
-        assert "Traceback" not in err
-        assert not out_dir.exists()
+        refusal = assert_refused(tmp_path, capsys, "superrabi", text, "[model] delta_a", dry_run)
+        assert "singular" in refusal
 
     def test_seed_override_changes_jumps(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
@@ -568,3 +612,58 @@ class TestMain:
         assert p_bot[k] == pytest.approx(
             float(rows[k]["analytic_sin2"]), abs=0.05
         )
+
+
+# 0, the float extremes and ordinary rates; negative decay rates are refused
+RATES = st.sampled_from([0.0, 1e-300, -1e-300, 1e300, -1e300]) | st.floats(-100.0, 100.0)
+# the presets cheap enough to run in full at n_max <= 4.  trajectory and
+# g2tau are left out: at kappa = 1e-300 their default horizon 50/kappa and
+# tau grid up to tau_max/kappa still overflow numpy with a RuntimeWarning
+FULL_RUN_PRESETS = ("resonances", "superrabi", "jcregime")
+
+
+@st.composite
+def model_sections(draw):
+    n = draw(st.integers(1, 3))
+    lines = [f"n = {n}", f"n_max = {draw(st.integers(n, 4))}"]
+    for key in ("j", "omega_l", "delta_n", "kappa", "gamma", "delta_a"):
+        if key != "delta_a" or draw(st.booleans()):  # else delta_a = resonance
+            lines.append(f"{key} = {draw(RATES)!r}")
+    return "[model]\n" + "\n".join(lines) + "\n"
+
+
+def main_stderr(args):
+    """(exit code, stderr) of main(args), its stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in args])
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=model_sections())
+def test_main_runs_or_refuses_naming_a_field(model):
+    # every dry run exits 0, or exits 1 naming a [section] key; nothing
+    # escapes main, and filterwarnings = error fails a stray warning.  A full
+    # run refuses exactly what its dry run refuses: it may still fail in the
+    # solver, but never with a config error of its own
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file, out_dir = Path(tmp) / "cfg.ini", Path(tmp) / "out"
+        cfg_file.write_text(model)
+        for preset in REGISTRY:
+            args = [preset, "--config", cfg_file, "--out", out_dir]
+            code, err = main_stderr(args + ["--dry-run"])
+            refused = re.match(r"bundlejc: \[(\w+)\] (\w+)", err)
+            if code == 0:
+                assert err == ""
+            else:
+                assert code == 1 and refused, err
+                assert refused[2] in _SCHEMA.get(refused[1], ()), err
+            assert not out_dir.exists()
+            if preset in FULL_RUN_PRESETS:
+                run_code, run_err = main_stderr(args)
+                if code == 1:
+                    assert (run_code, run_err) == (code, err)
+                else:
+                    assert run_code == 0 or not run_err.splitlines()[-1].startswith("bundlejc: [")
+                shutil.rmtree(out_dir, ignore_errors=True)
