@@ -420,6 +420,31 @@ _DRESSED_START = ("omega_l", lambda c, d: c.model.omega_l > 0,
 _RELAXES = ("gamma", lambda c, d: c.model.j != 0 or c.model.gamma > 0,
             "needs gamma > 0 at j = 0, where the TLS has no unique steady state")
 
+# The time-resolved presets propagate by exp(lambda t) over a horizon T, with
+# the eigenvalues of L (g2tau), of H_nh (trajectory) or of H (superrabi).  A
+# backward-stable eig leaves each eigenvalue off by about eps times the
+# generator's norm, at least eps r for the largest [model] rate r (more by the
+# eigenvalue's condition number), so exp(lambda T) is off by a factor up to
+# exp(eps r T) in size or phase.  Keeping eps r T <= 1e-6 bounds that to
+# 1 + 1e-6 for a well-conditioned eigenvalue.  Far past it (kappa = 1e-300,
+# T = 50/kappa) the exp overflowed: g2tau wrote nan rows, the jump time
+# diverged, and superrabi at omega_eff ~ 1e-300 printed an overflow warning.
+_MAX_HORIZON_RATE = 1e-6 / sys.float_info.epsilon
+
+
+def _fits_roundoff(field: str, horizon: Callable[[ExperimentConfig, dict], float], name: str):
+    """The requirement that horizon(cfg, derived_quantities) times the largest
+    [model] rate stays within _MAX_HORIZON_RATE, naming the field that sets
+    the default horizon."""
+
+    def holds(c: ExperimentConfig, d: dict) -> bool:
+        m = c.model
+        rate = max(abs(m.j), abs(m.omega_l), abs(m.delta_n), abs(m.delta_a), m.kappa, m.gamma)
+        return horizon(c, d) * rate <= _MAX_HORIZON_RATE
+
+    return (field, holds,
+            f"needs {name} times the largest rate <= {_MAX_HORIZON_RATE:.2e} (eig round-off)")
+
 
 class Preset(NamedTuple):
     """run(cfg) computes the preset's tables, {stem: (header, rows)}, and its
@@ -441,10 +466,20 @@ REGISTRY = {
         ("delta_a", lambda c, d: "omega_eff" in d, "has a singular Mollow model here"),
         ("j", lambda c, d: c.integrator.t_final or abs(d["omega_eff"]) >= sys.float_info.min,
          "has no default horizon 1.25 pi/|omega_eff| at omega_eff ~ 0; set [integrator] t_final"),
+        _fits_roundoff("j", lambda c, d: c.integrator.t_final or 1.25 * math.pi / abs(
+            d["omega_eff"]), "the horizon t_final (default 1.25 pi/|omega_eff|)"),
     )),
     "steadyscan": Preset(_run_steadyscan, True),
-    "trajectory": Preset(_run_trajectory, True, (_DRESSED_START,)),
-    "g2tau": Preset(_run_g2tau, True, (_RELAXES,)),
+    "trajectory": Preset(_run_trajectory, True, (
+        _DRESSED_START,
+        _fits_roundoff("kappa", lambda c, d: c.integrator.t_final or 50.0 / c.model.kappa,
+                       "the horizon t_final (default 50/kappa)"),
+    )),
+    "g2tau": Preset(_run_g2tau, True, (
+        _RELAXES,
+        _fits_roundoff("kappa", lambda c, d: c.scan.tau_max / c.model.kappa,
+                       "the horizon tau_max/kappa"),
+    )),
     "jcregime": Preset(_run_jcregime, True, (
         ("delta_a", lambda c, d: "omega_eff_jc" in d, "has a singular JC-regime model here"),
         ("j", lambda c, d: c.model.delta_n**2 + 4.0 * c.model.j**2 > 0,

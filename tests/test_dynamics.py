@@ -31,8 +31,8 @@ from bundlejc.hilbert import (
     fock_annihilation,
     tls_operator,
 )
-from bundlejc.model import ModelParams, build_H_I
-from bundlejc.observables import sweep
+from bundlejc.model import ModelParams, at_resonance, build_H_I
+from bundlejc.observables import photon_distribution, sweep
 from dop853 import dop853
 from oracles import (
     apply_liouvillian,
@@ -723,32 +723,118 @@ class TestSteadyStateWorkspace:
                 assert abs(g - expected) <= tol
 
     @staticmethod
-    def assert_bit_for_bit(p, grid):
+    def assert_rewrite_reproduces_build(p, grid, atol):
         # the workspace is built at p's own delta_a and rewrites the diagonal
-        # for each point; steady_state solves one built at the point itself
-        # (here without its truncation check: n = 3 overflows n_max near 0)
+        # for each point; the system it factors must be, bit for bit, the
+        # k = 0 block of an L built at the point with row 0 replaced by the
+        # trace row, so its solve matches a workspace built there bit for bit.
+        # The direct SuperLU of that block is an independent check of the
+        # banded solve (here without steady_state's truncation check: n = 3
+        # overflows n_max near 0)
         ws = SteadyStateWorkspace(build_liouvillian(p))
         for delta_a in grid:
             L = build_liouvillian(replace(p, delta_a=delta_a))
-            expected = lu_steady_state(L)
-            np.testing.assert_array_equal(ws.solve(delta_a), expected)
-            np.testing.assert_array_equal(SteadyStateWorkspace(L).solve(delta_a), expected)
+            got = ws.solve(delta_a)
+            block = L.block(0).toarray()
+            np.testing.assert_array_equal(ws._block.toarray(), block)
+            block[0] = vec(np.eye(p.dims.total_dim))[L.sectors[0]]
+            np.testing.assert_array_equal(ws._constrained.toarray(), block)
+            np.testing.assert_array_equal(SteadyStateWorkspace(L).solve(delta_a), got)
+            np.testing.assert_allclose(got, lu_steady_state(L), rtol=0, atol=atol)
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
     def test_reproduces_steady_state_bit_for_bit(self, point, request):
         # the workspace rewrites the diagonal with build_liouvillian's own
-        # arithmetic, so SuperLU factors the very matrix the direct LU does
+        # arithmetic.  SuperLU and the refined banded LU agree to 1.2e-14
+        # here, most of it SuperLU's: the banded solve is within 2e-16 of a
+        # long-double reference
         p = request.getfixturevalue(point)
-        self.assert_bit_for_bit(p, np.r_[self.grid(p), -p.delta_n / p.n])
+        self.assert_rewrite_reproduces_build(p, np.r_[self.grid(p), -p.delta_n / p.n], 1e-13)
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
     def test_bit_for_bit_where_a_coherence_diagonal_vanishes(self, point, request):
         # at gamma = 0 the (0,g)/(0,e) coherence diagonal is i delta_sigma,
-        # exactly 0 at delta_a = -Delta/n, where build_liouvillian stores no entry
+        # exactly 0 at delta_a = -Delta/n, where build_liouvillian stores no
+        # entry and the workspace stores a zero.  The problem is worse
+        # conditioned without TLS decay: the two LUs agree to 1.2e-13, and
+        # the dense SVD null vector sits 8e-12 to 2e-11 from both
         p = replace(request.getfixturevalue(point), gamma=0.0)
         vanishing = -p.delta_n / p.n
         assert replace(p, delta_a=vanishing).delta_sigma == 0.0
-        self.assert_bit_for_bit(p, [0.0, vanishing, vanishing + 0.5, vanishing])
+        self.assert_rewrite_reproduces_build(
+            p, [0.0, vanishing, vanishing + 0.5, vanishing], 1e-10
+        )
+
+    def test_tail_populations_to_full_relative_precision(self, dissipative_n2):
+        # P_12 is 6.5e-19 here.  The refinement step holds every P_m to the
+        # relative precision of a dense LU of the same system (without it the
+        # banded P_12 was 37 % off); absolute bounds cannot see the tail
+        p = dissipative_n2
+        ws = SteadyStateWorkspace(build_liouvillian(p))
+        got = photon_distribution(ws.solve(p.delta_a))
+        a = ws._constrained.toarray()
+        b = np.zeros(len(a), dtype=complex)
+        b[0] = 1.0
+        x = np.linalg.solve(a, b)
+        x = x + np.linalg.solve(a, b - a @ x)
+        d = p.dims.total_dim
+        full = np.zeros(d * d, dtype=complex)
+        full[ws._idx] = x
+        expected = photon_distribution(unvec(full, d))
+        assert expected[-1] < 1e-18
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_dense_oracle_at_other_photon_orders(self, n):
+        # at n = 1 the k = 0 block is the whole space; at n = 4 it is a
+        # quarter of it
+        p = oracle_point(n, 1.0, 0.1)
+        L = build_liouvillian(p)
+        if n == 1:
+            assert len(L.sectors[0]) == p.dims.total_dim**2
+        ws = SteadyStateWorkspace(L)
+        for delta_a in (-2.0, p.delta_a, 3.0):
+            rho = dense_k0_steady_state(replace(p, delta_a=delta_a))
+            np.testing.assert_allclose(ws.solve(delta_a), rho, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, null_dim",
+        [
+            # no drive, no coupling and no TLS decay: |0,g> and |0,e> are
+            # both stationary, and the factor is exactly singular
+            (ModelParams(
+                n=2, j=0.0, omega_l=0.0, delta_n=0.3, delta_a=0.5, kappa=1.0, gamma=0.0,
+                n_max=4,
+            ), 2),
+            # j and gamma at 1e-300 leave the driven TLS unrelaxed to working
+            # precision: the LU returns a null vector of size 1e280, and its
+            # residual overflows
+            (at_resonance(ModelParams(
+                n=1, j=1e-300, omega_l=46.0, delta_n=1.0, delta_a=0.0, kappa=1.0,
+                gamma=1e-300, n_max=3,
+            )), 2),
+            # kappa = 1e-300 leaves the photon number unrelaxed to working
+            # precision: the refined LU solution has residual 0, but its trace
+            # row cancelled (Tr x = 3e-280 i), which only the trace check sees
+            (ModelParams(
+                n=2, j=2.0, omega_l=1.0, delta_n=1.0, delta_a=35.400000000000006,
+                kappa=1e-300, gamma=0.0, n_max=2,
+            ), 6),
+        ],
+        ids=["exactly_singular", "residual_overflows", "trace_lost"],
+    )
+    def test_singular_lu_falls_back_and_names_degeneracy(self, p, null_dim, caplog):
+        # kappa > 0, so the banded LU runs; its solution fails the check, and
+        # the dense SVD null space names the degeneracy
+        with caplog.at_level(logging.WARNING, logger="bundlejc"):
+            with pytest.raises(
+                RuntimeError, match=f"degenerate steady state: null-space dimension {null_dim}"
+            ):
+                steady_state(build_liouvillian(p))
+        assert [r.getMessage() for r in caplog.records] == [
+            "steady state on the k=0 block: banded LU residual inf; "
+            "falling back to a dense SVD null space"
+        ]
 
     def test_truncation_flag_past_the_window(self, dissipative_n3):
         # n_max = 15 cannot hold the n = 3 ladder near delta_a = 0
