@@ -1,21 +1,21 @@
 """Time evolution: Schrodinger integration, Lindblad dynamics, steady states,
 and Monte Carlo wave-function (quantum-jump) trajectories.
 
-The Liouvillian is a sparse (CSR) superoperator acting on the column-stacked
-vectorization of rho.  H, a and sigma_- all conserve k = (m - m') mod n, where
-m and m' are the photon numbers of the row and column of rho, so L is
-block-diagonal in k (a weak symmetry).  The steady state lies in the k = 0
-block and is found by one banded LU of that block alone, its unknowns ordered
-once by reverse Cuthill-McKee.  The regression operators a^N rho_ss a^dagN of
-the delayed correlations lie there too, so the spectral propagator
-eigendecomposes the k = 0 block alone, once, as a real matrix in a Hermitian
-operator basis, and refuses an operator with support in another block.  There
-is one steady-state solver, SteadyStateWorkspace: it holds the k = 0 system of
-one L, and since delta_a moves only the diagonal of L, it rewrites just the
-k = 0 diagonal (with the arithmetic of build_liouvillian) to solve at any
-delta_a.  steady_state(L) is its solve at the delta_a of L, then a truncation
-check.  H and L do not depend on time, so each equation of motion has one
-propagator, an eigendecomposition, which is exact at the sample times.
+The Liouvillian acts on the column-stacked vectorization of rho.  H, a and
+sigma_- all conserve k = (m - m') mod n, where m and m' are the photon
+numbers of the row and column of rho, so L is block-diagonal in k (a weak
+symmetry).  The steady state and the regression operators a^N rho_ss a^dagN
+of the delayed correlations all lie in k = 0, so build_liouvillian makes only
+the k = 0 block K, as a sparse (CSR) matrix, and every consumer refuses an
+operator with an entry in another sector.  The steady state is found by one
+banded LU of K, its unknowns ordered once by reverse Cuthill-McKee; the
+spectral propagator eigendecomposes K once, as a real matrix in a Hermitian
+operator basis.  There is one steady-state solver, SteadyStateWorkspace: it
+holds the system of one K, and since delta_a moves only the diagonal of L, it
+rewrites just that diagonal (with the arithmetic of build_liouvillian) to
+solve at any delta_a.  steady_state(L) is its solve at the delta_a of L, then
+a truncation check.  H and L do not depend on time, so each equation of motion
+has one propagator, an eigendecomposition, which is exact at the sample times.
 
 scipy is imported only where a Liouvillian is built or factored:
 build_liouvillian (the one way to make an L; LiouvillePropagator and
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hilbert import DimensionMismatchError, SpaceDims, fock_annihilation, tls_operator
+from .hilbert import DimensionMismatchError, fock_annihilation, tls_operator
 from .model import ModelParams, _detuning_terms, build_H_I
 
 if TYPE_CHECKING:
@@ -129,27 +129,30 @@ def _csr_class() -> type[sp.csr_array]:
     return _CSR
 
 
+def _sector(idx: np.ndarray, d: int, n: int) -> np.ndarray:
+    """k = (m_i - m_j) mod n of each vec index idx = i + d j (index i is 2m_i + s)."""
+    j, i = np.divmod(idx, d)
+    return (i // 2 - j // 2) % n
+
+
 @dataclass(frozen=True)
 class Liouvillian:
-    """Sparse superoperator on column-stacked rho, built from params.
-
-    sectors[k] holds the vec indices of the entries rho[i, j] whose photon
-    numbers satisfy (m_i - m_j) mod n = k; mat has no entry between sectors.
-    """
+    """The k = 0 block K of L on column-stacked rho, built from params: idx
+    holds, in increasing order, the vec indices of the entries rho[i, j] with
+    (m_i - m_j) mod n = 0, and mat[p, q] is the entry of L between idx[p] and
+    idx[q].  L has no entry between two values of k."""
 
     params: ModelParams
     mat: sp.csr_array  # of _csr_class()
-    sectors: tuple[np.ndarray, ...]
+    idx: np.ndarray
 
-    def block(self, k: int) -> sp.csr_array:
-        idx = self.sectors[k]
-        return self.mat[idx][:, idx]
-
-
-def _sectors(dims: SpaceDims, n: int) -> tuple[np.ndarray, ...]:
-    m = np.arange(dims.total_dim) // 2
-    k = vec((m[:, None] - m[None, :]) % n)
-    return tuple(np.flatnonzero(k == sector) for sector in range(n))
+    def k0_entries(self, op: np.ndarray, name: str) -> np.ndarray:
+        """vec(op) at idx; a ValueError names the sector of an entry outside k = 0."""
+        v = vec(op)
+        if np.count_nonzero(v[self.idx]) != np.count_nonzero(v):
+            k = _sector(np.flatnonzero(v), self.params.dims.total_dim, self.params.n)
+            raise ValueError(f"{name} has support in sector k={k[k > 0].min()}; L holds k=0 only")
+        return v[self.idx]
 
 
 def _kron_coo(x: np.ndarray, y: np.ndarray):
@@ -182,23 +185,26 @@ def _damped_generator(h, decays) -> np.ndarray:
 
 
 def build_liouvillian(p: ModelParams) -> Liouvillian:
-    """L(rho) = -i[H_I, rho] + kappa D[a] rho + gamma D[sigma_-] rho.
+    """L(rho) = -i[H_I, rho] + kappa D[a] rho + gamma D[sigma_-] rho, k = 0 block.
 
     Written as L rho = G rho + rho G^dag + sum_c rate_c C rho C^dag with
     G = -i H_I - (1/2) sum_c rate_c C^dag C, and assembled in COO form from
-    the nonzeros of the d x d operators: vec(X rho Y) = kron(Y^T, X) vec(rho).
+    the nonzeros of the d x d operators: vec(X rho Y) = kron(Y^T, X) vec(rho),
+    keeping the triplets whose row (and so column) lies in k = 0.
     """
-    dims = p.dims
-    d = dims.total_dim
+    d = p.dims.total_dim
     jumps = [(rate, c) for rate, c in _decay_channels(p) if rate > 0]
     g = _damped_generator(build_H_I(p), [(rate, c.conj().T @ c) for rate, c in jumps])
     eye = np.eye(d)
     terms = [_kron_coo(eye, g), _kron_coo(g.conj(), eye)]
     terms += [_kron_coo(c.conj(), rate * c) for rate, c in jumps]
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
-    lmat = _csr_class()((vals, (rows, cols)), shape=(d * d, d * d))
-    lmat.eliminate_zeros()
-    return Liouvillian(p, lmat, _sectors(dims, p.n))
+    idx = np.flatnonzero(_sector(np.arange(d * d), d, p.n) == 0)
+    keep = _sector(rows, d, p.n) == 0
+    rows, cols = np.searchsorted(idx, rows[keep]), np.searchsorted(idx, cols[keep])
+    kmat = _csr_class()((vals[keep], (rows, cols)), shape=(len(idx),) * 2)
+    kmat.eliminate_zeros()
+    return Liouvillian(p, kmat, idx)
 
 
 def _hermitian_basis(idx: np.ndarray, d: int) -> sp.csr_array:
@@ -232,8 +238,8 @@ class LiouvillePropagator:
 
     def __init__(self, L: Liouvillian):
         self.L = L
-        t = _hermitian_basis(L.sectors[0], L.params.dims.total_dim)
-        real_form = t @ L.block(0) @ t.conj().T
+        t = _hermitian_basis(L.idx, L.params.dims.total_dim)
+        real_form = t @ L.mat @ t.conj().T
         imag = np.abs(real_form.data.imag).max(initial=0.0)
         if imag > 1e-14 * np.abs(real_form.data.real).max(initial=0.0):
             raise RuntimeError(f"sector k=0 not real in the Hermitian basis: {imag:.3e}")
@@ -244,15 +250,8 @@ class LiouvillePropagator:
     def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:
         """Returns an array of operators exp(L tau) op, one per tau.  Raises a
         ValueError, naming the sector, if op has an entry outside k = 0."""
-        d = self.L.params.dims.total_dim
-        v = vec(op_mat)
-        idx = self.L.sectors[0]
-        part = v[idx]
-        if np.count_nonzero(part) != np.count_nonzero(v):
-            k = next(k for k, other in enumerate(self.L.sectors) if k and np.any(v[other]))
-            raise ValueError(
-                f"op_mat has support in sector k={k}; the propagator holds k=0 only"
-            )
+        d, idx = self.L.params.dims.total_dim, self.L.idx
+        part = self.L.k0_entries(op_mat, "op_mat")
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         out = np.zeros((len(taus), d * d), dtype=complex)
         out[:, idx] = (np.exp(np.outer(taus, self._evals)) * (self._inv @ part)) @ self._evecs.T
@@ -283,17 +282,16 @@ def _diagonal_positions(m: sp.csc_array, diag: np.ndarray) -> np.ndarray:
 
 
 class SteadyStateWorkspace:
-    """The k = 0 steady-state system of L along delta_a, built once.
+    """The steady-state system of the k = 0 block K along delta_a, built once.
 
     delta_a enters H_I only on its diagonal, as delta_a (N + n |e><e|) (since
     delta_sigma = Delta + n delta_a), so it moves only the diagonal of L:
     L_(i,j),(i,j) = G_ii + conj(G_jj), with G = -i H_I - (1/2) sum_c rate_c
-    C^dag C.  That entry is constant for a population (i = j).  The k = 0
-    block K and its constrained form (row 0 replaced by the nonzeros of the
-    trace row) are kept in CSC with every coherence diagonal in the pattern;
-    `solve` rewrites those entries from the d diagonal values of G, with the
-    arithmetic of build_liouvillian, and factors afresh.  ||L||_F is the fixed
-    off-diagonal sum plus sum_(i,j) |G_ii + conj(G_jj)|^2.
+    C^dag C.  That entry is constant for a population (i = j).  K and its
+    constrained form (row 0 replaced by the nonzeros of the trace row) are
+    kept in CSC with every coherence diagonal in the pattern; `solve` rewrites
+    those entries from the d diagonal values of G, with the arithmetic of
+    build_liouvillian, and factors afresh.
 
     So the pattern does not depend on delta_a, and neither does its reverse
     Cuthill-McKee ordering (Cuthill & McKee 1969), taken here once.  Reordered,
@@ -310,18 +308,14 @@ class SteadyStateWorkspace:
         p = L.params
         d = p.dims.total_dim
         self._p = p
-        self._idx = L.sectors[0]
+        self._idx = L.idx
         a = fock_annihilation(p.dims)
         self._num = np.diagonal(a.conj().T @ a)  # as build_H_I forms N: sqrt(m)^2, not m
         self._pe = np.diagonal(tls_operator("excited_projector", p.dims))
         self._decays = [
             (rate, np.diagonal(c.conj().T @ c)) for rate, c in _decay_channels(p) if rate > 0
         ]
-        lmat = L.mat
-        lrow = np.repeat(np.arange(lmat.shape[0]), np.diff(lmat.indptr))
-        self._offdiag_sq = float(np.sum(np.abs(lmat.data[lmat.indices != lrow]) ** 2))
-
-        k0 = L.block(0).tocoo()
+        k0 = L.mat.tocoo()
         moving = np.flatnonzero(self._idx % (d + 1))  # coherences: vec index i + d j, i != j
         self._j, self._i = np.divmod(self._idx[moving], d)
         data = np.concatenate([k0.data, np.zeros(len(moving), dtype=complex)])
@@ -365,11 +359,11 @@ class SteadyStateWorkspace:
         refinement on that factor (zgbtrs); a stored entry that is exactly 0
         just sits in the band.  L is block-diagonal in k, so ||K x|| is the
         residual ||L rho|| of the full L.  If the factor is exactly singular,
-        Tr x is not 1 to 1e-9, the residual exceeds 1e-9 ||L||_F, or L has no
-        cavity decay (kappa = 0: nothing relaxes the photon number, and LU
-        would return one of possibly many stationary states), the null space
-        of K is inspected densely, with a logged warning, to tell a degenerate
-        steady state from a solver failure.
+        Tr x is not 1 to 1e-9, the residual exceeds 1e-9 ||K||_F (K at this
+        delta_a), or L has no cavity decay (kappa = 0: nothing relaxes the
+        photon number, and LU would return one of possibly many stationary
+        states), the null space of K is inspected densely, with a logged
+        warning, to tell a degenerate steady state from a solver failure.
         """
         from scipy.linalg.lapack import zgbsv, zgbtrs
 
@@ -378,9 +372,7 @@ class SteadyStateWorkspace:
         diag = g[self._i] + g[self._j].conj()
         self._block.data[self._block_diag] = diag
         self._constrained.data[self._constrained_diag] = diag
-        l_scale = math.sqrt(
-            self._offdiag_sq + float(np.sum(np.abs(g[:, None] + g.conj()[None, :]) ** 2))
-        )
+        k_scale = np.linalg.norm(self._block.data)
 
         residual = np.inf
         if q.kappa > 0:
@@ -406,7 +398,7 @@ class SteadyStateWorkspace:
         else:
             why = "no cavity decay, so no LU residual proves uniqueness"
 
-        if not residual <= 1e-9 * l_scale:
+        if not residual <= 1e-9 * k_scale:
             log.warning(
                 "steady state on the k=0 block: %s; falling back to a dense SVD null space",
                 why,
@@ -418,7 +410,7 @@ class SteadyStateWorkspace:
             x0 = vh[-1].conj()
             x0 = x0 / (self._trace @ x0)
             residual = np.linalg.norm(self._block @ x0)
-            if not residual <= 1e-9 * l_scale:
+            if not residual <= 1e-9 * k_scale:
                 raise RuntimeError(f"steady-state residual too large: {residual:.3e}")
 
         d = q.dims.total_dim

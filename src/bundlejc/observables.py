@@ -23,7 +23,6 @@ from .dynamics import (
     LiouvillePropagator,
     SteadyStateWorkspace,
     build_liouvillian,
-    vec,
 )
 from .hilbert import DimensionMismatchError, fock_annihilation
 from .model import ModelParams, dressed
@@ -117,8 +116,9 @@ def g2_bundle_delayed(
     under the Liouvillian and measured with a^dagN a^N; both denominator
     factors are the stationary value.  N=1 recovers the standard g2(tau).
     propagator must hold the Liouvillian L of p, and rho_ss must be its steady
-    state, normally steady_state(propagator.L): ||L vec(rho_ss)|| may be at
-    most 1e-9 ||L||_F, the residual bound of the steady-state solver.  One
+    state, normally steady_state(propagator.L): it may have no entry outside
+    k = 0, and ||L vec(rho_ss)|| may be at most 1e-9 ||K||_F (K = L.mat, the
+    k = 0 block), the residual bound of the steady-state solver.  One
     propagator serves every N and grid.
 
     The default grid is 200 delays from tau_min to 30/kappa.  Every delay
@@ -149,12 +149,12 @@ def g2_bundle_delayed(
         raise DimensionMismatchError(
             f"rho_ss has shape {np.shape(rho_ss)}; p's space needs ({d}, {d})"
         )
-    lmat = propagator.L.mat
-    residual = np.linalg.norm(lmat @ vec(rho_ss))
-    if not residual <= 1e-9 * np.linalg.norm(lmat.data):
+    kmat = propagator.L.mat
+    residual = np.linalg.norm(kmat @ propagator.L.k0_entries(rho_ss, "rho_ss"))
+    if not residual <= 1e-9 * np.linalg.norm(kmat.data):
         raise ValueError(
             f"rho_ss is not the steady state of the propagator's Liouvillian: "
-            f"||L rho_ss|| = {residual:.3e}, over 1e-9 ||L||_F"
+            f"||L rho_ss|| = {residual:.3e}, over 1e-9 ||K||_F"
         )
 
     a = fock_annihilation(p.dims)

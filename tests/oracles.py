@@ -1,8 +1,9 @@
 """Dense oracles that only the tests use, kept apart from the library code
 they check: the driven Hamiltonian without the n-photon coupling (its
 spectrum is the dressed ladder), the undriven n-photon JC Hamiltonian and its
-doublet eigenvectors, one dressed-state population at a time, a
-Liouvillian applied to a matrix, the steady state by one direct sparse LU, the
+doublet eigenvectors, one dressed-state population at a time, the k = 0
+part of a Liouvillian applied to a matrix, the steady state by one direct
+sparse LU, the
 density matrix |psi><psi| of a pure state, a density-matrix invariant check,
 and the ensemble average of trajectory records.
 """
@@ -63,20 +64,24 @@ def dressed_population(state, p, m, branch):
 
 
 def apply_liouvillian(L, rho):
-    """L rho, as a matrix, through the column-stacked vectorization."""
-    return unvec(L.mat @ vec(rho), L.params.dims.total_dim)
+    """The k = 0 part of L rho, as a matrix (every other entry 0), through the
+    column-stacked vectorization: L is block-diagonal in k, so it is K = L.mat
+    applied to the k = 0 entries of rho."""
+    d = L.params.dims.total_dim
+    x = np.zeros(d * d, dtype=complex)
+    x[L.idx] = L.mat @ vec(rho)[L.idx]
+    return unvec(x, d)
 
 
 def lu_steady_state(L):
-    """Steady state of L by one sparse LU on its own k = 0 block K, with row 0
+    """Steady state of L by one sparse LU on its k = 0 block K, with row 0
     replaced by the trace row; no residual check and no fallback."""
     d = L.params.dims.total_dim
-    idx = L.sectors[0]
-    trace_row = sp.csr_array(vec(np.eye(d))[idx][None, :])
-    b = np.zeros(len(idx), dtype=complex)
+    trace_row = sp.csr_array(vec(np.eye(d))[L.idx][None, :])
+    b = np.zeros(len(L.idx), dtype=complex)
     b[0] = 1.0
     x = np.zeros(d * d, dtype=complex)
-    x[idx] = splu(sp.vstack([trace_row, L.block(0)[1:]], format="csc")).solve(b)
+    x[L.idx] = splu(sp.vstack([trace_row, L.mat[1:]], format="csc")).solve(b)
     rho = unvec(x, d)
     rho = (rho + rho.conj().T) / 2.0
     return rho / rho.trace().real

@@ -69,6 +69,14 @@ def dense_liouvillian(p):
     return lmat
 
 
+def sector_indices(p, k):
+    """Oracle: the vec indices of the entries rho[i, j] whose photon numbers
+    m_i, m_j (the basis index is 2m + s) satisfy (m_i - m_j) mod n = k."""
+    d = p.dims.total_dim
+    m = np.arange(d) // 2
+    return np.flatnonzero(vec((m[:, None] - m[None, :]) % p.n) == k)
+
+
 def random_density(dims, seed):
     rng = np.random.default_rng(seed)
     d = dims.total_dim
@@ -77,11 +85,12 @@ def random_density(dims, seed):
     return rho / rho.trace().real
 
 
-def k0_part(L, op):
-    """op with every entry outside the k = 0 sector of L set to 0."""
-    d = L.params.dims.total_dim
+def k0_part(p, op):
+    """op with every entry outside the k = 0 sector of p set to 0."""
+    d = p.dims.total_dim
+    k0 = sector_indices(p, 0)
     x = np.zeros(d * d, dtype=complex)
-    x[L.sectors[0]] = vec(op)[L.sectors[0]]
+    x[k0] = vec(op)[k0]
     return unvec(x, d)
 
 
@@ -109,9 +118,13 @@ class TestLiouvillian:
             return 0.5 * (2 * op @ rho @ od - rho @ od @ op - od @ op @ rho)
 
         direct = -1j * (h @ rho - rho @ h) + dissipative_n2.kappa * diss(a) + dissipative_n2.gamma * diss(sm)
-        np.testing.assert_allclose(apply_liouvillian(L, rho), direct, atol=1e-10)
+        # L holds only its k = 0 block, so the k = 0 part is what is compared
+        np.testing.assert_allclose(
+            apply_liouvillian(L, rho), k0_part(dissipative_n2, direct), atol=1e-10
+        )
 
     def test_trace_annihilated(self, dissipative_n2):
+        # the trace reads only populations, all of which lie in k = 0
         L = build_liouvillian(dissipative_n2)
         for seed in range(100):
             rho = random_density(dissipative_n2.dims, seed=seed)
@@ -155,8 +168,11 @@ class TestLindbladAnalytic:
         t_grid = np.linspace(0.0, 2.0, 5)
         spectral = LiouvillePropagator(L).propagate(rho0, t_grid)
         d = dissipative_n2.dims.total_dim
-        adaptive = [unvec(v, d) for v in dop853(L.mat, vec(rho0), t_grid)]
-        np.testing.assert_allclose(adaptive, spectral, atol=1e-7)
+        # rho0 lies in k = 0, where L acts through its block K = L.mat alone
+        assert np.count_nonzero(vec(rho0)[L.idx]) == np.count_nonzero(rho0)
+        adaptive = np.zeros((len(t_grid), d * d), dtype=complex)
+        adaptive[:, L.idx] = dop853(L.mat, vec(rho0)[L.idx], t_grid)
+        np.testing.assert_allclose([unvec(v, d) for v in adaptive], spectral, atol=1e-7)
 
 
 class TestSteadyState:
@@ -170,6 +186,8 @@ class TestSteadyState:
         L = build_liouvillian(dissipative_n2)
         rho = steady_state(L)
         check_density_matrix(rho)
+        # rho lies in k = 0, so the k = 0 part of L rho is all of it
+        assert np.count_nonzero(vec(rho)[L.idx]) == np.count_nonzero(rho)
         residual = np.max(np.abs(apply_liouvillian(L, rho)))
         assert residual < 1e-8 * scipy.sparse.linalg.norm(L.mat)
 
@@ -402,6 +420,9 @@ class TestMcwf:
         def hung(signum, frame):
             raise TimeoutError("run_trajectories still waiting 60 s after the interrupt")
 
+        # a background job of a non-interactive shell starts with SIGINT
+        # ignored, and then the interrupt would never arrive
+        previous_int = signal.signal(signal.SIGINT, signal.default_int_handler)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
@@ -410,6 +431,7 @@ class TestMcwf:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+            signal.signal(signal.SIGINT, previous_int)
         assert multiprocessing.active_children() == []
 
     # at sample_dt = 400 the squared norm underflows to 0 within one step
@@ -499,7 +521,7 @@ class TestMcwf:
 class TestPropagator:
     def test_identity_at_zero_delay(self, dissipative_n2):
         L = build_liouvillian(dissipative_n2)
-        op = k0_part(L, random_density(dissipative_n2.dims, seed=9))
+        op = k0_part(dissipative_n2, random_density(dissipative_n2.dims, seed=9))
         out = LiouvillePropagator(L).propagate(op, [0.0])[0]
         np.testing.assert_allclose(out, op, atol=1e-9)
 
@@ -530,26 +552,55 @@ class TestSectoredLiouvillian:
     @pytest.mark.parametrize("kappa,gamma", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.2), (1.0, 0.2)])
     def test_matches_dense_kron(self, n, kappa, gamma):
         p = oracle_point(n, kappa, gamma)
+        L = build_liouvillian(p)
         dense = dense_liouvillian(p)
+        idx = sector_indices(p, 0)
+        np.testing.assert_array_equal(L.idx, idx)
         # the two sum the same terms in a different order: equal to a few ulps
         np.testing.assert_allclose(
-            build_liouvillian(p).mat.toarray(),
-            dense,
+            L.mat.toarray(),
+            dense[np.ix_(idx, idx)],
             rtol=0,
             atol=4 * np.finfo(float).eps * np.abs(dense).max(),
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kappa,gamma", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.2), (1.0, 0.2)])
+    def test_k0_block_bit_for_bit(self, n, kappa, gamma):
+        # against the k = 0 rows and columns of the whole L, assembled densely
+        # by numpy kron in the arithmetic of build_liouvillian, from G = -i H_I
+        # - (1/2) sum_c rate_c C^dag C.  Only a diagonal entry of L sums two
+        # terms, G_ii + conj(G_jj), so keeping the k = 0 triplets alone moves
+        # no bit
+        p = oracle_point(n, kappa, gamma)
+        d = p.dims.total_dim
+        eye = np.eye(d)
+        channels = [
+            (p.kappa, fock_annihilation(p.dims)),
+            (p.gamma, tls_operator("sigma_minus", p.dims)),
+        ]
+        jumps = [(rate, c) for rate, c in channels if rate > 0]
+        g = -1j * build_H_I(p)
+        for rate, c in jumps:
+            g = g - 0.5 * rate * (c.conj().T @ c)
+        full = np.kron(eye, g) + np.kron(g.conj(), eye)
+        for rate, c in jumps:
+            full = full + np.kron(c.conj(), rate * c)
+        idx = sector_indices(p, 0)
+        np.testing.assert_array_equal(build_liouvillian(p).mat.toarray(), full[np.ix_(idx, idx)])
+
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
     def test_off_sector_blocks_vanish(self, point, request):
+        # the premise of building the k = 0 block alone: the sectors partition
+        # the vec indices, and the dense kron L has no entry between two
         p = request.getfixturevalue(point)
-        L = build_liouvillian(p)
-        assert len(L.sectors) == p.n
+        sectors = [sector_indices(p, k) for k in range(p.n)]
         np.testing.assert_array_equal(
-            np.sort(np.concatenate(L.sectors)), np.arange(p.dims.total_dim**2)
+            np.sort(np.concatenate(sectors)), np.arange(p.dims.total_dim**2)
         )
-        dense = L.mat.toarray()
-        for k, rows in enumerate(L.sectors):
-            for k2, cols in enumerate(L.sectors):
+        dense = dense_liouvillian(p)
+        for k, rows in enumerate(sectors):
+            for k2, cols in enumerate(sectors):
                 if k != k2:
                     assert not np.any(dense[np.ix_(rows, cols)])
 
@@ -565,8 +616,8 @@ class TestSectoredLiouvillian:
         p = request.getfixturevalue(point)
         L = build_liouvillian(p)
         d = p.dims.total_dim
-        op = k0_part(L, random_density(p.dims, seed=11))
-        assert np.count_nonzero(vec(op)) == len(L.sectors[0])
+        op = k0_part(p, random_density(p.dims, seed=11))
+        assert np.count_nonzero(vec(op)) == len(L.idx)
         taus = [0.0, 0.7, 4.0]
         got = LiouvillePropagator(L).propagate(op, taus)
         lmat = dense_liouvillian(p)
@@ -581,12 +632,14 @@ class TestSectoredLiouvillian:
         L = build_liouvillian(p)
         dense = dense_liouvillian(p)
         for k in [k for k in range(n) if 2 * k % n == 0]:
-            idx = L.sectors[k]
+            idx = sector_indices(p, k)
             t = _hermitian_basis(idx, p.dims.total_dim)
             np.testing.assert_allclose(
                 (t @ t.conj().T).toarray(), np.eye(len(idx)), rtol=0, atol=1e-14
             )
-            real_form = (t @ L.block(k) @ t.conj().T).toarray()
+            # K at k = 0; the oracle's block at k = n/2, which L does not hold
+            block = L.mat if k == 0 else scipy.sparse.csr_array(dense[np.ix_(idx, idx)])
+            real_form = (t @ block @ t.conj().T).toarray()
             assert not np.any(real_form.imag)
             np.testing.assert_allclose(
                 real_form,
@@ -606,8 +659,8 @@ class TestSectoredLiouvillian:
         an = np.linalg.matrix_power(fock_annihilation(p.dims), p.n)
         regression = an @ steady_state(L)
         assert np.abs(regression - regression.conj().T).max() > 1e-3
-        ops = [regression, k0_part(L, random_density(p.dims, seed=11))]
-        k0 = L.sectors[0]
+        ops = [regression, k0_part(p, random_density(p.dims, seed=11))]
+        k0 = sector_indices(p, 0)
         assert np.count_nonzero(vec(ops[1])) == len(k0)
         if p.n == 1:
             assert len(k0) == d * d
@@ -632,7 +685,7 @@ class TestSectoredLiouvillian:
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda m: shapes.append((m.shape, m.dtype)) or eig(m))
         LiouvillePropagator(L)
-        k0 = len(L.sectors[0])
+        k0 = len(L.idx)
         assert shapes == [((k0, k0), np.float64)]
 
     def test_regression_operator_decomposes_k0_only(self, dissipative_n3, monkeypatch):
@@ -644,7 +697,7 @@ class TestSectoredLiouvillian:
         calls = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m.shape) or eig(m))
-        k0 = L.sectors[0]
+        k0 = L.idx
         a = fock_annihilation(dissipative_n3.dims)
         for N in (1, 2, 3):
             an = np.linalg.matrix_power(a, N)
@@ -676,8 +729,7 @@ def dense_k0_steady_state(p):
     lives there, and it costs a small fraction of the full SVD.
     """
     d = p.dims.total_dim
-    m = np.arange(d) // 2
-    k0 = np.flatnonzero(vec((m[:, None] - m[None, :]) % p.n) == 0)
+    k0 = sector_indices(p, 0)
     _, svals, vh = np.linalg.svd(dense_liouvillian(p)[np.ix_(k0, k0)])
     assert svals[-2] > 1e-6 * svals[0]  # a unique steady state
     x = np.zeros(d * d, dtype=complex)
@@ -735,9 +787,9 @@ class TestSteadyStateWorkspace:
         for delta_a in grid:
             L = build_liouvillian(replace(p, delta_a=delta_a))
             got = ws.solve(delta_a)
-            block = L.block(0).toarray()
+            block = L.mat.toarray()
             np.testing.assert_array_equal(ws._block.toarray(), block)
-            block[0] = vec(np.eye(p.dims.total_dim))[L.sectors[0]]
+            block[0] = vec(np.eye(p.dims.total_dim))[L.idx]
             np.testing.assert_array_equal(ws._constrained.toarray(), block)
             np.testing.assert_array_equal(SteadyStateWorkspace(L).solve(delta_a), got)
             np.testing.assert_allclose(got, lu_steady_state(L), rtol=0, atol=atol)
@@ -765,13 +817,23 @@ class TestSteadyStateWorkspace:
             p, [0.0, vanishing, vanishing + 0.5, vanishing], 1e-10
         )
 
-    def test_tail_populations_to_full_relative_precision(self, dissipative_n2):
-        # P_12 is 6.5e-19 here.  The refinement step holds every P_m to the
-        # relative precision of a dense LU of the same system (without it the
-        # banded P_12 was 37 % off); absolute bounds cannot see the tail
-        p = dissipative_n2
+    @pytest.mark.parametrize(
+        "point, delta_a",
+        [("dissipative_n2", None), ("dissipative_n3", np.linspace(-40.0, 40.0, 801)[32])],
+        ids=["n2_resonance", "n3_far_detuned"],
+    )
+    def test_tail_populations_to_full_relative_precision(self, point, delta_a, request):
+        # P_12 is 6.5e-19 at the n = 2 resonance.  The refinement step holds
+        # every P_m to the relative precision of a dense LU of the same system
+        # (without it the banded P_12 was 37 % off); absolute bounds cannot
+        # see the tail.  At n = 3, delta_a = -36.8 (a row of criterion 4's
+        # grid) P_m>3 is about 1e-11, and the sweep's g3 and g4 are ratios of
+        # such tails: an absolute error of 1e-16 in each P_m can move g4 by
+        # 1e-3 relative
+        p = request.getfixturevalue(point)
+        delta_a = p.delta_a if delta_a is None else delta_a
         ws = SteadyStateWorkspace(build_liouvillian(p))
-        got = photon_distribution(ws.solve(p.delta_a))
+        got = photon_distribution(ws.solve(delta_a))
         a = ws._constrained.toarray()
         b = np.zeros(len(a), dtype=complex)
         b[0] = 1.0
@@ -783,6 +845,15 @@ class TestSteadyStateWorkspace:
         expected = photon_distribution(unvec(full, d))
         assert expected[-1] < 1e-18
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
+        header, rows = sweep(p, [delta_a])
+        m = np.arange(len(expected))
+        g = [
+            np.array([math.perm(k, ell) for k in m], dtype=float) @ expected
+            / (m @ expected) ** ell
+            for ell in (2, 3, 4)
+        ]
+        g2 = header.index("g2")
+        np.testing.assert_allclose(rows[0][g2 : g2 + 3], g, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_matches_dense_oracle_at_other_photon_orders(self, n):
@@ -791,7 +862,7 @@ class TestSteadyStateWorkspace:
         p = oracle_point(n, 1.0, 0.1)
         L = build_liouvillian(p)
         if n == 1:
-            assert len(L.sectors[0]) == p.dims.total_dim**2
+            assert len(L.idx) == p.dims.total_dim**2
         ws = SteadyStateWorkspace(L)
         for delta_a in (-2.0, p.delta_a, 3.0):
             rho = dense_k0_steady_state(replace(p, delta_a=delta_a))

@@ -274,11 +274,24 @@ class TestDelayedBundleCorrelation:
     def test_state_that_is_not_stationary_rejected(self, dissipative_n2, dissipative_n2_ss):
         # the delta_a = 0 steady state against the resonant propagator gives
         # g_2(tau_min) = 2.78 in place of 0.138; its residual ||L rho|| is
-        # 6.6e-3 ||L||_F, where a true steady state's is under 1e-17 ||L||_F
+        # 9.2e-3 ||K||_F (K the k = 0 block of L), where a true steady
+        # state's is under 1e-18 ||K||_F
         prop, _ = dissipative_n2_ss
         other = SteadyStateWorkspace(prop.L).solve(0.0)
         with pytest.raises(ValueError, match="rho_ss is not the steady state"):
             g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=other)
+
+    @pytest.mark.parametrize("size", [1e-3, 1e-30])
+    def test_state_outside_k0_rejected(self, dissipative_n2, dissipative_n2_ss, size):
+        # a coherence between photon numbers 1 and 0 lies in sector k = 1,
+        # which the Liouvillian does not hold; it is refused by name however
+        # small, not dropped or left to a residual bound
+        prop, rho_ss = dissipative_n2_ss
+        i, j = dissipative_n2.dims.index(1, 0), dissipative_n2.dims.index(0, 0)
+        off = rho_ss.copy()
+        off[i, j] = off[j, i] = size
+        with pytest.raises(ValueError, match="rho_ss has support in sector k=1"):
+            g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=off)
 
     def test_steady_state_of_other_space_rejected(self, dissipative_n2, dissipative_n2_ss):
         prop, _ = dissipative_n2_ss
