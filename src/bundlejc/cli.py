@@ -469,7 +469,7 @@ REGISTRY = {
         _fits_roundoff("j", lambda c, d: c.integrator.t_final or 1.25 * math.pi / abs(
             d["omega_eff"]), "the horizon t_final (default 1.25 pi/|omega_eff|)"),
     )),
-    "steadyscan": Preset(_run_steadyscan, True),
+    "steadyscan": Preset(_run_steadyscan, True, (_RELAXES,)),
     "trajectory": Preset(_run_trajectory, True, (
         _DRESSED_START,
         _fits_roundoff("kappa", lambda c, d: c.integrator.t_final or 50.0 / c.model.kappa,

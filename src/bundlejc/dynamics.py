@@ -32,7 +32,6 @@ bundlejc.dynamics and reads bundlejc.dynamics.LiouvillePropagator.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from dataclasses import dataclass, replace
@@ -61,8 +60,6 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-8
-
-log = logging.getLogger("bundlejc")
 
 
 class TruncationError(RuntimeError):
@@ -260,8 +257,8 @@ class LiouvillePropagator:
 
 def steady_state(L: Liouvillian) -> np.ndarray:
     """Unique stationary density matrix of L: SteadyStateWorkspace(L) solved
-    at the delta_a of L.  Raises TruncationError if the top Fock level holds
-    population TAIL_TOL or more; the workspace solve alone skips that check."""
+    at the delta_a of L, with its refusals.  Raises TruncationError if the top
+    Fock level holds population TAIL_TOL or more, a check the solve skips."""
     rho = SteadyStateWorkspace(L).solve(L.params.delta_a)
     dims = L.params.dims
     i = dims.index(dims.n_max, 0)  # |n_max, g>; |n_max, e> follows
@@ -306,6 +303,8 @@ class SteadyStateWorkspace:
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         p = L.params
+        if not p.kappa > 0:
+            raise ValueError(f"kappa must be > 0 for a unique steady state; got {p.kappa}")
         d = p.dims.total_dim
         self._p = p
         self._idx = L.idx
@@ -358,12 +357,12 @@ class SteadyStateWorkspace:
         (zgbsv) in the workspace's ordering, plus one step of iterative
         refinement on that factor (zgbtrs); a stored entry that is exactly 0
         just sits in the band.  L is block-diagonal in k, so ||K x|| is the
-        residual ||L rho|| of the full L.  If the factor is exactly singular,
-        Tr x is not 1 to 1e-9, the residual exceeds 1e-9 ||K||_F (K at this
-        delta_a), or L has no cavity decay (kappa = 0: nothing relaxes the
-        photon number, and LU would return one of possibly many stationary
-        states), the null space of K is inspected densely, with a logged
-        warning, to tell a degenerate steady state from a solver failure.
+        residual ||L rho|| of the full L.  One gate then decides: the factor
+        is nonsingular, |Tr x - 1| <= 1e-9, ||K x|| <= 1e-9 ||K||_F (K at
+        this delta_a) and the Hermitian, unit-trace rho has no eigenvalue
+        below -1e-12; else a RuntimeError names the check and the [model]
+        rates.  A K whose slowest relaxation is below round-off of its largest
+        rate passes the residual check with any near-null vector.
         """
         from scipy.linalg.lapack import zgbsv, zgbtrs
 
@@ -372,53 +371,53 @@ class SteadyStateWorkspace:
         diag = g[self._i] + g[self._j].conj()
         self._block.data[self._block_diag] = diag
         self._constrained.data[self._constrained_diag] = diag
-        k_scale = np.linalg.norm(self._block.data)
 
-        residual = np.inf
-        if q.kappa > 0:
-            ab = np.zeros((2 * self._kl + self._ku + 1, len(self._rhs)), complex, order="F")
-            ab[self._band] = self._constrained.data
-            lu, piv, x, info = zgbsv(self._kl, self._ku, ab, self._rhs, overwrite_ab=1)
-            if info < 0:
-                raise RuntimeError(f"zgbsv: argument {-info} has an illegal value")
-            if info == 0:  # else the factor is exactly singular
-                with np.errstate(over="ignore", invalid="ignore"):  # inf, nan fail below
-                    # one step of iterative refinement on the same factor, at a
-                    # tenth of its cost, takes the tail populations (1e-19 at
-                    # n_max = 12) from tens of percent off to full precision
-                    r = self._rhs.copy()
-                    r[self._where, 0] -= self._constrained @ x[self._where, 0]
-                    x0 = (x + zgbtrs(lu, self._kl, self._ku, r, piv)[0])[self._where, 0]
-                    residual = np.linalg.norm(self._block @ x0)
-                    if not abs(self._trace @ x0 - 1.0) <= 1e-9:
-                        # a factor singular to working precision can return a
-                        # huge null vector whose trace row was lost to cancellation
-                        residual = np.inf
-            why = f"banded LU residual {residual:.3e}"
-        else:
-            why = "no cavity decay, so no LU residual proves uniqueness"
-
-        if not residual <= 1e-9 * k_scale:
-            log.warning(
-                "steady state on the k=0 block: %s; falling back to a dense SVD null space",
-                why,
-            )
-            _, svals, vh = np.linalg.svd(self._block.toarray())
-            null_dim = int(np.sum(svals < 1e-10 * svals[0]))
-            if null_dim != 1:
-                raise RuntimeError(f"degenerate steady state: null-space dimension {null_dim}")
-            x0 = vh[-1].conj()
-            x0 = x0 / (self._trace @ x0)
+        ab = np.zeros((2 * self._kl + self._ku + 1, len(self._rhs)), complex, order="F")
+        ab[self._band] = self._constrained.data
+        lu, piv, x, info = zgbsv(self._kl, self._ku, ab, self._rhs, overwrite_ab=1)
+        if info < 0:
+            raise RuntimeError(f"zgbsv: argument {-info} has an illegal value")
+        if info > 0:
+            raise _refusal(q, "the banded LU factor is exactly singular")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan fail the gate
+            # one step of iterative refinement on the same factor, at a tenth
+            # of its cost, takes the tail populations (1e-19 at n_max = 12)
+            # from tens of percent off to full precision
+            r = self._rhs.copy()
+            r[self._where, 0] -= self._constrained @ x[self._where, 0]
+            x0 = (x + zgbtrs(lu, self._kl, self._ku, r, piv)[0])[self._where, 0]
+            # a nearly singular factor can return a null vector whose trace cancelled
+            trace_error = abs(self._trace @ x0 - 1.0)
             residual = np.linalg.norm(self._block @ x0)
-            if not residual <= 1e-9 * k_scale:
-                raise RuntimeError(f"steady-state residual too large: {residual:.3e}")
+        if not trace_error <= 1e-9:
+            raise _refusal(q, f"|Tr x - 1| = {trace_error:.3e} > 1e-9")
+        k_scale = np.linalg.norm(self._block.data)
+        if not residual <= 1e-9 * k_scale:
+            raise _refusal(q, f"residual {residual:.3e} > 1e-9 ||K||_F = {1e-9 * k_scale:.3e}")
 
         d = q.dims.total_dim
         x = np.zeros(d * d, dtype=complex)
         x[self._idx] = x0
         rho = unvec(x, d)
         rho = (rho + rho.conj().T) / 2.0
-        return rho / rho.trace().real
+        rho = rho / rho.trace().real
+        lowest = np.linalg.eigvalsh(rho)[0]
+        if not lowest >= -1e-12:
+            raise _refusal(q, f"smallest eigenvalue of rho {lowest:.3e} < -1e-12")
+        return rho
+
+
+def _refusal(q: ModelParams, why: str) -> RuntimeError:
+    """The gate's error: the failed check, the relaxation rates kappa, gamma
+    and j of q, and the smallest nonzero of them over the largest rate of q."""
+    rates = {k: abs(getattr(q, k)) for k in ("j", "omega_l", "delta_n", "delta_a", "kappa", "gamma")}
+    top = max(rates, key=rates.get)
+    slowest = min(rates[k] for k in ("kappa", "gamma", "j") if rates[k] > 0)
+    return RuntimeError(
+        f"steady state refused: {why}; no unique steady state to working precision at "
+        f"[model] kappa = {q.kappa}, gamma = {q.gamma}, j = {q.j}; the smallest nonzero of "
+        f"these over the largest rate |{top}| = {rates[top]:g} is {slowest / rates[top]:.1e}"
+    )
 
 
 @dataclass

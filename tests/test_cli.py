@@ -252,7 +252,7 @@ REFUSED_MODEL_POINTS = [
                  "[model] delta_n = 0.0", id="resonances_delta_n"),
     # at j = 0 without TLS decay the driven TLS never relaxes to one steady state
     *[pytest.param(preset, J0_NO_TLS_DECAY, "[model] gamma = 0.0", id=f"{preset}_gamma")
-      for preset in ("g2tau", "jcregime", "custom")],
+      for preset in ("g2tau", "jcregime", "custom", "steadyscan")],
     # Omega_m = 0: the JC doublets have no mixing angle
     pytest.param("jcregime", DISSIPATIVE.replace("j = 0.3", "j = 0.0").replace(
         "delta_n = -49.5", "delta_n = 0.0") + "delta_a = 1.0\n", "[model] j = 0.0",
@@ -280,6 +280,35 @@ REFUSED_MODEL_POINTS = [
                  "delta_n = 1.0\n", "[model] j = 1e-300", id="superrabi_roundoff"),
 ]
 
+
+# model points whose steady state only the factor can refuse: the slowest
+# relaxation of K lies below round-off of its largest rate, so the banded LU
+# returns a near-null vector that is no density matrix (n = 2: P_1 = -4.5e-5
+# and g2 = 96 at kappa = 1e-16; n = 1 at delta_a = 0: P_e = 3178 at
+# j = 1e-10) or none at all (j = gamma = 1e-300).  Each passes its dry run
+UNRELAXED_N2 = (
+    "[model]\nn = 2\nj = 0.3\nomega_l = 21.0\ndelta_n = -49.5\ngamma = 0.0\nn_max = 12\n"
+)
+UNRELAXED_N1 = "[model]\nn = 1\nomega_l = 46.0\ndelta_n = 1.0\nkappa = 1.0\nn_max = 3\n"
+UNRELAXED_POINTS = [
+    *[pytest.param("custom", UNRELAXED_N2 + f"delta_a = 24.0\nkappa = {kappa}\n",
+                   f"kappa = {kappa}, gamma = 0.0, j = 0.3", id=f"n2_kappa_{kappa}")
+      for kappa in ("1e-16", "1e-12")],
+    pytest.param("custom", UNRELAXED_N1 + "delta_a = 0.0\nj = 1e-10\ngamma = 0.0\n",
+                 "kappa = 1.0, gamma = 0.0, j = 1e-10", id="n1_j_1e-10"),
+    *[pytest.param(preset, UNRELAXED_N1 + "j = 1e-300\ngamma = 1e-300\n",
+                   "kappa = 1.0, gamma = 1e-300, j = 1e-300", id=f"{preset}_j_gamma_1e-300")
+      for preset in ("custom", "jcregime", "g2tau")],
+]
+UNRELAXED_SCANS = [
+    *[pytest.param(UNRELAXED_N2 + f"kappa = {kappa}\n\n[scan]\nmin = 22\nmax = 26\npoints = 5\n",
+                   f"kappa = {kappa}, gamma = 0.0, j = 0.3", id=f"n2_kappa_{kappa}")
+      for kappa in ("1e-16", "1e-12")],
+    # the default 801-point grid; 12 rows pass the gate and overflow n_max = 2
+    pytest.param("[model]\nn = 2\nn_max = 2\nj = 2.0\nomega_l = 1.0\ndelta_n = 1.0\n"
+                 "kappa = 1e-300\ngamma = 0.0\n", "kappa = 1e-300, gamma = 0.0, j = 2.0",
+                 id="n2_kappa_1e-300"),
+]
 
 # a cheap point of every preset
 CHEAP_POINTS = {
@@ -428,6 +457,32 @@ class TestMain:
         cfg_file.write_text(DISSIPATIVE.replace("n_max = 8", "n_max = 2"))
         assert run_cli(["custom", "--config", cfg_file, "--out", tmp_path]) == 1
         assert "truncation" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("preset, config, rates", UNRELAXED_POINTS)
+    def test_unrelaxed_steady_state_names_rates(self, tmp_path, capsys, preset, config, rates):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(config)
+        out_dir = tmp_path / "out"
+        assert run_cli([preset, "--config", cfg_file, "--dry-run"]) == 0
+        capsys.readouterr()
+        assert run_cli([preset, "--config", cfg_file, "--out", out_dir]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("bundlejc: solver failure: steady state refused: ")
+        assert f"[model] {rates}; the smallest nonzero of these over the largest rate" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("config, rates", UNRELAXED_SCANS)
+    def test_unrelaxed_scan_flags_rows_naming_rates(self, tmp_path, config, rates):
+        # a sweep runs on past a refused point, and the row's flag says why
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(config)
+        assert run_cli(["steadyscan", "--config", cfg_file, "--out", tmp_path]) == 0
+        with open(tmp_path / "steadyscan.csv", newline="") as fh:
+            flags = [row["flag"] for row in csv.DictReader(fh)]
+        assert all(flags)
+        for flag in (flag for flag in flags if flag != "truncation"):
+            assert flag.startswith("solver: steady state refused: ")
+            assert f"[model] {rates}; the smallest nonzero of these" in flag
 
     def test_trajectory_determinism_bit_for_bit(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
@@ -624,11 +679,12 @@ class TestMain:
 
 # 0, the float extremes and ordinary rates; negative decay rates are refused
 RATES = st.sampled_from([0.0, 1e-300, -1e-300, 1e300, -1e300]) | st.floats(-100.0, 100.0)
-# the presets cheap enough to run in full at n_max <= 4.  g2tau is left out:
-# it warns, by design, when it clamps a g value that round-off made slightly
-# negative (n = 1, n_max = 1, j = 1, omega_l = 21, delta_n = 1, kappa = 10,
-# gamma = 1 clamps one at -1.8e-12), and filterwarnings = error fails that
-FULL_RUN_PRESETS = ("resonances", "superrabi", "jcregime", "trajectory")
+# the presets cheap enough to run in full at n_max <= 4 (steadyscan on the
+# drawn 9-point grid).  g2tau is left out: it warns, by design, when it clamps
+# a g value that round-off made slightly negative (n = 1, n_max = 1, j = 1,
+# omega_l = 21, delta_n = 1, kappa = 10, gamma = 1 clamps one at -1.8e-12),
+# and filterwarnings = error fails that
+FULL_RUN_PRESETS = ("resonances", "superrabi", "jcregime", "trajectory", "custom", "steadyscan")
 
 
 @st.composite
@@ -638,7 +694,7 @@ def model_sections(draw):
     for key in ("j", "omega_l", "delta_n", "kappa", "gamma", "delta_a"):
         if key != "delta_a" or draw(st.booleans()):  # else delta_a = resonance
             lines.append(f"{key} = {draw(RATES)!r}")
-    return "[model]\n" + "\n".join(lines) + "\n"
+    return "[model]\n" + "\n".join(lines) + "\n\n[scan]\npoints = 9\n"
 
 
 def main_stderr(args):

@@ -2,6 +2,7 @@ import logging
 import math
 import multiprocessing
 import os
+import re
 import signal
 from dataclasses import replace
 
@@ -207,28 +208,51 @@ class TestSteadyState:
         rho = steady_state(build_liouvillian(p))
         np.testing.assert_allclose(rho, null / np.trace(null), rtol=0, atol=1e-12)
 
-    def test_fallback_logged_before_degenerate_error(self, caplog):
-        # no decay, drive or coupling: every Fock-state population is stationary,
-        # so the k=0 block is exactly singular and LU cannot factor it
-        p = ModelParams(n=2, j=0.0, omega_l=0.0, delta_n=0.3, delta_a=0.5, n_max=4)
-        L = build_liouvillian(p)
-        with caplog.at_level(logging.WARNING, logger="bundlejc"):
-            with pytest.raises(RuntimeError, match="degenerate steady state"):
-                steady_state(L)
-        fallback = [r for r in caplog.records if "SVD" in r.getMessage()]
-        assert len(fallback) == 1
-        assert fallback[0].levelno == logging.WARNING
-        assert fallback[0].name == "bundlejc"
-        assert "residual" in fallback[0].getMessage()
+    def test_refusal_names_check_and_rates(self, caplog):
+        # no drive, coupling or TLS decay: |0,g> and |0,e> are both stationary,
+        # so the k=0 block is exactly singular and LU cannot factor it.  The
+        # refusal is one error, naming the check and the rates; nothing is
+        # logged, and no second solver runs
+        p = ModelParams(n=2, j=0.0, omega_l=0.0, delta_n=0.3, delta_a=0.5, kappa=1.0, n_max=4)
+        with caplog.at_level(logging.DEBUG):
+            with pytest.raises(RuntimeError) as refusal:
+                steady_state(build_liouvillian(p))
+        assert str(refusal.value) == (
+            "steady state refused: the banded LU factor is exactly singular; no unique "
+            "steady state to working precision at [model] kappa = 1.0, gamma = 0.0, j = 0.0; "
+            "the smallest nonzero of these over the largest rate |kappa| = 1 is 1.0e+00"
+        )
+        assert caplog.records == []
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
-    def test_no_cavity_decay_is_degenerate(self, dissipative_n2, gamma):
+    def test_no_cavity_decay_refused(self, dissipative_n2, gamma):
         # kappa = 0: with gamma = 0 nothing relaxes (null space 26), with
         # gamma > 0 the photon number mod n is conserved (null space 2); LU
         # alone would return one stationary state of many without a word
         L = build_liouvillian(replace(dissipative_n2, kappa=0.0, gamma=gamma))
-        with pytest.raises(RuntimeError, match="degenerate steady state"):
+        with pytest.raises(ValueError, match=r"^kappa must be > 0 for a unique steady state"):
             steady_state(L)
+
+    @pytest.mark.parametrize(
+        "kappa, lowest", [(1e-8, None), (1e-10, None), (1e-12, "-6.144e-03"), (1e-16, "-1.029e-01")]
+    )
+    def test_negative_state_refused(self, dissipative_n2, kappa, lowest):
+        # gamma = 0 and kappa far below the largest rate (|delta_n| = 49.5):
+        # the slowest relaxation of K falls below its round-off, and the
+        # solve passes the trace and residual checks with a near-null vector
+        # that is no density matrix.  kappa = 1e-10 gives a smallest
+        # eigenvalue of -3.5e-15, inside the atol 1e-12 at which the suite
+        # calls rho equal to its dense oracle, so it is accepted
+        p = replace(dissipative_n2, kappa=kappa, gamma=0.0, delta_a=24.0)
+        ws = SteadyStateWorkspace(build_liouvillian(p))
+        if lowest is None:
+            assert np.linalg.eigvalsh(ws.solve(p.delta_a))[0] >= -1e-12
+        else:
+            with pytest.raises(RuntimeError, match=(
+                f"^steady state refused: smallest eigenvalue of rho {lowest} < -1e-12; .* "
+                rf"\[model\] kappa = {kappa}, gamma = 0.0, j = 0.3; .* \|delta_n\| = 49.5 is "
+            )):
+                ws.solve(p.delta_a)
 
     def test_truncation_guard(self, dissipative_n2):
         # same physical point with a clearly undersized Fock space
@@ -747,12 +771,12 @@ class TestSteadyStateWorkspace:
         return np.sort(np.r_[np.linspace(-9.0, 9.0, 5), p.delta_a, p.delta_a + 1.5])
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
-    def test_sweep_rows_match_dense_oracle(self, point, request, caplog):
+    def test_sweep_rows_match_dense_oracle(self, point, request):
         p = request.getfixturevalue(point)
         grid = self.grid(p)
-        with caplog.at_level(logging.WARNING, logger="bundlejc"):
-            header, rows = sweep(p, grid)
-        assert not caplog.records  # sparse LU held at every point: no SVD fallback
+        header, rows = sweep(p, grid)
+        # every point passed the solve's gate (n = 3 overflows n_max near 0)
+        assert all(row[-1] in ("", "truncation") for row in rows)
         g2 = header.index("g2")
         ws = SteadyStateWorkspace(build_liouvillian(p))
         for delta_a, row in zip(grid, rows):
@@ -869,43 +893,37 @@ class TestSteadyStateWorkspace:
             np.testing.assert_allclose(ws.solve(delta_a), rho, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "p, null_dim",
+        "p, check",
         [
             # no drive, no coupling and no TLS decay: |0,g> and |0,e> are
             # both stationary, and the factor is exactly singular
             (ModelParams(
                 n=2, j=0.0, omega_l=0.0, delta_n=0.3, delta_a=0.5, kappa=1.0, gamma=0.0,
                 n_max=4,
-            ), 2),
+            ), "the banded LU factor is exactly singular"),
             # j and gamma at 1e-300 leave the driven TLS unrelaxed to working
-            # precision: the LU returns a null vector of size 1e280, and its
+            # precision: the LU returns a null vector of size 1e264, whose
             # residual overflows
             (at_resonance(ModelParams(
                 n=1, j=1e-300, omega_l=46.0, delta_n=1.0, delta_a=0.0, kappa=1.0,
                 gamma=1e-300, n_max=3,
-            )), 2),
+            )), r"\|Tr x - 1\| = 4.031e\+264 > 1e-9"),
             # kappa = 1e-300 leaves the photon number unrelaxed to working
             # precision: the refined LU solution has residual 0, but its trace
             # row cancelled (Tr x = 3e-280 i), which only the trace check sees
             (ModelParams(
                 n=2, j=2.0, omega_l=1.0, delta_n=1.0, delta_a=35.400000000000006,
                 kappa=1e-300, gamma=0.0, n_max=2,
-            ), 6),
+            ), r"\|Tr x - 1\| = 1.000e\+00 > 1e-9"),
         ],
         ids=["exactly_singular", "residual_overflows", "trace_lost"],
     )
-    def test_singular_lu_falls_back_and_names_degeneracy(self, p, null_dim, caplog):
-        # kappa > 0, so the banded LU runs; its solution fails the check, and
-        # the dense SVD null space names the degeneracy
-        with caplog.at_level(logging.WARNING, logger="bundlejc"):
-            with pytest.raises(
-                RuntimeError, match=f"degenerate steady state: null-space dimension {null_dim}"
-            ):
-                steady_state(build_liouvillian(p))
-        assert [r.getMessage() for r in caplog.records] == [
-            "steady state on the k=0 block: banded LU residual inf; "
-            "falling back to a dense SVD null space"
-        ]
+    def test_singular_lu_refused_naming_the_check(self, p, check):
+        # the banded LU's solution fails the gate, and the error names the
+        # check it failed and the rates
+        rates = f"[model] kappa = {p.kappa}, gamma = {p.gamma}, j = {p.j}; "
+        with pytest.raises(RuntimeError, match=f"^steady state refused: {check}; .*{re.escape(rates)}"):
+            steady_state(build_liouvillian(p))
 
     def test_truncation_flag_past_the_window(self, dissipative_n3):
         # n_max = 15 cannot hold the n = 3 ladder near delta_a = 0
@@ -914,17 +932,14 @@ class TestSteadyStateWorkspace:
         assert rows[0][-2] >= 1e-8
         assert rows[1][-1] == ""
 
-    def test_no_cavity_decay_flags_every_row(self, caplog):
+    def test_no_cavity_decay_sweep_refused(self):
+        # kappa = 0 has no unique steady state at any delta_a, so the sweep
+        # refuses before its first row, as the dissipative presets do
         p = ModelParams(
             n=2, j=0.3, omega_l=2.0, delta_n=-1.5, delta_a=0.4, gamma=0.1, n_max=4
         )
-        with caplog.at_level(logging.WARNING, logger="bundlejc"):
-            _, rows = sweep(p, [-1.0, 0.0, 0.4])
-        for row in rows:
-            assert row[-1].startswith("solver: degenerate steady state")
-            assert all(np.isnan(row[1:-1]))
-        fallback = [r for r in caplog.records if "SVD" in r.getMessage()]
-        assert len(fallback) == len(rows)
+        with pytest.raises(ValueError, match=r"^kappa must be > 0 for a unique steady state; got 0.0"):
+            sweep(p, [-1.0, 0.0, 0.4])
 
     def test_non_finite_delta_a_rejected(self, dissipative_n2):
         with pytest.raises(ValueError, match="finite"):
