@@ -30,7 +30,6 @@ from .dynamics import (
     steady_state,
 )
 from .observables import (
-    CorrelationCurve,
     dressed_populations,
     g2_bundle_delayed,
     g_equal_time,

@@ -200,13 +200,14 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
         seeds=SeedsBlock(**raw.get("seeds", {})),
         output=OutputBlock(**raw.get("output", {})),
     )
-    rates = {k: getattr(model, k) for k in ("j", "omega_l", "delta_n", "delta_a", "kappa", "gamma")}
-    top = max(rates, key=lambda k: abs(rates[k]))
+    top, rate = model.largest_rate()
     try:  # the sidecar holds no Infinity or NaN, and the solvers square each rate
         derived = derived_quantities(model)
-        json.dumps([derived, rates[top] * rates[top]], allow_nan=False)
+        json.dumps([derived, rate * rate], allow_nan=False)
     except (ArithmeticError, ValueError) as exc:
-        raise ConfigError(f"[model] {top} = {rates[top]}: out of floating-point range") from exc
+        raise ConfigError(
+            f"[model] {top} = {getattr(model, top)}: out of floating-point range"
+        ) from exc
     entry = REGISTRY[preset]
     for key, holds, reason in ((_NEEDS_KAPPA,) if entry.dissipative else ()) + entry.requires:
         if not holds(cfg, derived):
@@ -289,17 +290,9 @@ def _sidecar(cfg: ExperimentConfig, out_dir: Path, extra: dict) -> Path:
     }
     path = out_dir / f"{cfg.preset}_metadata.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -356,19 +349,16 @@ def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
     L = build_liouvillian(m)
     rho = steady_state(L)  # a TruncationError here costs no eig
     prop = LiouvillePropagator(L)
-    tau_grid = np.geomspace(
-        tau_min(n_bundle, m.kappa), cfg.scan.tau_max / m.kappa, cfg.scan.tau_points
-    )
-    curve_n = g2_bundle_delayed(m, n_bundle, tau_grid, propagator=prop, rho_ss=rho)
-    tau_grid_1 = np.concatenate(
-        ([0.0], np.geomspace(0.01 / m.kappa, cfg.scan.tau_max / m.kappa, cfg.scan.tau_points))
-    )
-    curve_1 = g2_bundle_delayed(m, 1, tau_grid_1, propagator=prop, rho_ss=rho)
-    rows = [("g1", t, v) for t, v in zip(curve_1.abscissa, curve_1.values)]
-    rows += [(f"g{n_bundle}_bundle", t, v) for t, v in zip(curve_n.abscissa, curve_n.values)]
+    t_floor, t_max = tau_min(n_bundle, m.kappa), cfg.scan.tau_max / m.kappa
+    grid_n = np.geomspace(t_floor, t_max, cfg.scan.tau_points)
+    g_n = g2_bundle_delayed(m, n_bundle, grid_n, propagator=prop, rho_ss=rho)
+    grid_1 = np.concatenate(([0.0], np.geomspace(0.01 / m.kappa, t_max, cfg.scan.tau_points)))
+    g_1 = g2_bundle_delayed(m, 1, grid_1, propagator=prop, rho_ss=rho)
+    rows = [("g1", t, v) for t, v in zip(grid_1, g_1)]
+    rows += [(f"g{n_bundle}_bundle", t, v) for t, v in zip(grid_n, g_n)]
     return {"g2tau": (["curve", "tau", "value"], rows)}, {
         "bundle_n": n_bundle,
-        "tau_min": tau_min(n_bundle, m.kappa),
+        "tau_min": t_floor,
         "tau_min_note": "g_N value at tau_min is the approximate zero-delay value",
         "g_equal_time_2": g_equal_time(rho, 2),
     }
@@ -438,9 +428,7 @@ def _fits_roundoff(field: str, horizon: Callable[[ExperimentConfig, dict], float
     the default horizon."""
 
     def holds(c: ExperimentConfig, d: dict) -> bool:
-        m = c.model
-        rate = max(abs(m.j), abs(m.omega_l), abs(m.delta_n), abs(m.delta_a), m.kappa, m.gamma)
-        return horizon(c, d) * rate <= _MAX_HORIZON_RATE
+        return horizon(c, d) * c.model.largest_rate()[1] <= _MAX_HORIZON_RATE
 
     return (field, holds,
             f"needs {name} times the largest rate <= {_MAX_HORIZON_RATE:.2e} (eig round-off)")
@@ -528,14 +516,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seeds=replace(cfg.seeds, base_seed=args.seed))
         if args.dry_run:
             print(resolved_config_text(cfg))
-            print(
-                json.dumps(
-                    derived_quantities(cfg.model),
-                    indent=2,
-                    sort_keys=True,
-                    default=_json_default,
-                )
-            )
+            print(json.dumps(derived_quantities(cfg.model), indent=2, sort_keys=True))
             return 0
         paths = run_preset(cfg)
     except (ConfigError, OSError) as exc:

@@ -410,13 +410,12 @@ class SteadyStateWorkspace:
 def _refusal(q: ModelParams, why: str) -> RuntimeError:
     """The gate's error: the failed check, the relaxation rates kappa, gamma
     and j of q, and the smallest nonzero of them over the largest rate of q."""
-    rates = {k: abs(getattr(q, k)) for k in ("j", "omega_l", "delta_n", "delta_a", "kappa", "gamma")}
-    top = max(rates, key=rates.get)
-    slowest = min(rates[k] for k in ("kappa", "gamma", "j") if rates[k] > 0)
+    top, rate = q.largest_rate()
+    slowest = min(abs(getattr(q, k)) for k in ("kappa", "gamma", "j") if getattr(q, k) != 0)
     return RuntimeError(
         f"steady state refused: {why}; no unique steady state to working precision at "
         f"[model] kappa = {q.kappa}, gamma = {q.gamma}, j = {q.j}; the smallest nonzero of "
-        f"these over the largest rate |{top}| = {rates[top]:g} is {slowest / rates[top]:.1e}"
+        f"these over the largest rate |{top}| = {rate:g} is {slowest / rate:.1e}"
     )
 
 
@@ -599,7 +598,12 @@ def run_trajectories(
 
     pool = multiprocessing.get_context("fork").Pool(workers)
     try:
-        return pool.map(member, seeds)
+        result = pool.map_async(member, seeds)
+        while not result.ready():
+            # timed: Ctrl-C can land on a pool thread, and the caller runs
+            # the handler only once its own wait returns
+            result.wait(0.1)
+        return result.get()
     except BaseException:
         # map raises a member's exception only once every member has ended,
         # but an interrupt (Ctrl-C reaches the workers too) can kill a worker

@@ -39,6 +39,9 @@ __all__ = [
 # The factorial ratios are exact: math.perm is an integer, rounded once.
 N_MAX_CAP = 20
 
+# the [model] rates, in the order that breaks a tie for the largest
+RATES = ("j", "omega_l", "delta_n", "delta_a", "kappa", "gamma")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -65,7 +68,7 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        for name in ("j", "omega_l", "delta_n", "delta_a", "kappa", "gamma"):
+        for name in RATES:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
             if name in ("kappa", "gamma") and getattr(self, name) < 0:
@@ -76,6 +79,10 @@ class ModelParams:
             )
         if self.n_max > N_MAX_CAP:
             raise ValueError(f"n_max={self.n_max} exceeds the cap {N_MAX_CAP}")
+
+    def largest_rate(self) -> tuple[str, float]:
+        """(field, |value|) of the rate of largest magnitude, the first in RATES on a tie."""
+        return max(((k, abs(getattr(self, k))) for k in RATES), key=lambda kv: kv[1])
 
     @property
     def delta_sigma(self) -> float:
@@ -122,8 +129,6 @@ class JcEigensystem:
     by Omega_m.
     """
 
-    n: int
-    delta_a: float
     bare_energies: np.ndarray  # energies of |g, m> for 0 <= m < n
     m_values: np.ndarray  # m = n .. n_max
     e_plus: np.ndarray
@@ -249,8 +254,6 @@ def jc_eigensystem(p: ModelParams) -> JcEigensystem:
     c_minus = np.sqrt((omega_m - p.delta_n) / (2.0 * omega_m))
     base = (m_values - p.n / 2.0) * p.delta_a
     return JcEigensystem(
-        n=p.n,
-        delta_a=p.delta_a,
         bare_energies=np.arange(p.n) * p.delta_a,
         m_values=m_values,
         e_plus=base + (p.delta_sigma + omega_m) / 2.0,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import matrix_power
@@ -28,7 +27,6 @@ from .hilbert import DimensionMismatchError, fock_annihilation
 from .model import ModelParams, dressed
 
 __all__ = [
-    "CorrelationCurve",
     "photon_distribution",
     "dressed_populations",
     "g_equal_time",
@@ -36,15 +34,6 @@ __all__ = [
     "g2_bundle_delayed",
     "sweep",
 ]
-
-
-@dataclass(frozen=True)
-class CorrelationCurve:
-    """Delayed g_N^(2)(tau): order = N, abscissa = the tau values."""
-
-    order: int
-    abscissa: np.ndarray
-    values: np.ndarray
 
 
 def photon_distribution(rho: np.ndarray) -> np.ndarray:
@@ -109,8 +98,8 @@ def g2_bundle_delayed(
     *,
     propagator: LiouvillePropagator,
     rho_ss: np.ndarray,
-) -> CorrelationCurve:
-    """Delayed second-order correlation of the N-photon bundle.
+) -> np.ndarray:
+    """Delayed g_N^(2)(tau) of the N-photon bundle, one value per delay in tau_grid.
 
     Quantum regression: the collapsed operator a^N rho_ss a^dagN is propagated
     under the Liouvillian and measured with a^dagN a^N; both denominator
@@ -126,10 +115,6 @@ def g2_bundle_delayed(
     which the bundle correlation is not meaningful.  N=1 grids, tau = 0
     included, are otherwise taken as given.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if p.kappa <= 0:
-        raise ValueError("kappa must be > 0 for emission correlations")
     t_floor = tau_min(N, p.kappa)
     if tau_grid is None:
         tau_grid = np.geomspace(t_floor, 30.0 / p.kappa, 200)
@@ -166,8 +151,7 @@ def g2_bundle_delayed(
     collapsed = an @ rho_ss @ an.conj().T
     propagated = propagator.propagate(collapsed, tau_grid)
     values = np.einsum("ij,tji->t", meas, propagated).real / denom**2
-    values = _clamp_nonnegative(values)
-    return CorrelationCurve(order=N, abscissa=tau_grid, values=values)
+    return _clamp_nonnegative(values)
 
 
 def _scan_point(ws: SteadyStateWorkspace, m_top: int, delta_a: float) -> tuple:

@@ -50,7 +50,7 @@ def jc_eigenvector(eig, dims, m, branch):
     cpm = eig.c_plus[k] if branch == "+" else eig.c_minus[k]
     cmp_ = eig.c_minus[k] if branch == "+" else eig.c_plus[k]
     amp[dims.index(m, 0)] = cmp_
-    amp[dims.index(m - eig.n, 1)] = sign * cpm
+    amp[dims.index(m - eig.m_values[0], 1)] = sign * cpm
     return amp
 
 

@@ -210,10 +210,9 @@ def test_criterion_5_bundle_ordering(dissipative_n2, dissipative_n3):
             prop = LiouvillePropagator(L)
             n = p.n
             t0 = tau_min(n, p.kappa)
-            curve = g2_bundle_delayed(
+            short, long_ = g2_bundle_delayed(
                 p, n, np.array([t0, 100.0 / p.kappa]), propagator=prop, rho_ss=rho
             )
-            short, long_ = curve.values
             key = f"n={n} {regime}"
             if regime == "resonant":
                 checks[f"{key} bundle antibunching"] = short < (1.0 - 0.05) * long_
@@ -222,7 +221,7 @@ def test_criterion_5_bundle_ordering(dissipative_n2, dissipative_n3):
             g1_grid = np.concatenate(([0.0], np.geomspace(0.05, 30.0, 15) / p.kappa))
             g1 = g2_bundle_delayed(p, 1, g1_grid, propagator=prop, rho_ss=rho)
             checks[f"{key} photon bunching"] = bool(
-                np.all(g1.values[0] > g1.values[1:])
+                np.all(g1[0] > g1[1:])
             )
     ok = all(checks.values())
     bad = [k for k, v in checks.items() if not v]
@@ -344,7 +343,7 @@ def expected_pair_counts(p, n_first):
     taus = np.linspace(edges[:-1], edges[1:], 41, axis=1)
     g2 = g2_bundle_delayed(
         p, 1, taus.ravel(), propagator=LiouvillePropagator(L), rho_ss=rho
-    ).values.reshape(taus.shape)
+    ).reshape(taus.shape)
     integral = np.sum((g2[:, 1:] + g2[:, :-1]) / 2 * np.diff(taus, axis=1), axis=1)
     return n_first * rate * integral, n_first * rate * np.diff(edges)
 

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +25,7 @@ from bundlejc.cli import (
     resolved_config_text,
 )
 from bundlejc.model import resonance_detuning, resonance_detuning_higher
-from bundlejc.observables import sweep
+from bundlejc.observables import sweep, tau_min
 
 MINIMAL = """
 [model]
@@ -656,6 +657,26 @@ class TestMain:
         assert total == pytest.approx(1.0, abs=1e-8)
         meta = json.loads((tmp_path / "custom_metadata.json").read_text())
         assert meta["equal_time_correlations"]["g2"] > 1.0
+
+    def test_g2tau_tau_columns_are_its_grids(self, tmp_path):
+        # g2_bundle_delayed returns values only, so each tau written comes from
+        # the preset's own grids: g1 on 0 and 0.01/kappa .. tau_max/kappa, g_N
+        # on tau_min .. tau_max/kappa, tau_points geometric delays each
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(
+            DISSIPATIVE.replace("kappa = 1.0", "kappa = 2.0")
+            + "\n[scan]\ntau_points = 7\ntau_max = 20.0\n"
+        )
+        assert run_cli(["g2tau", "--config", cfg_file, "--out", tmp_path]) == 0
+        with open(tmp_path / "g2tau.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        grids = {
+            "g1": np.concatenate(([0.0], np.geomspace(0.01 / 2.0, 10.0, 7))),
+            "g2_bundle": np.geomspace(tau_min(2, 2.0), 10.0, 7),
+        }
+        for curve, grid in grids.items():
+            assert [r["tau"] for r in rows if r["curve"] == curve] == [f"{t:.8e}" for t in grid]
+        assert len(rows) == 15
 
     def test_superrabi_oscillation(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"

@@ -181,28 +181,30 @@ class TestDelayedBundleCorrelation:
     def test_zero_delay_matches_equal_time(self, dissipative_n2, dissipative_n2_ss):
         # two independent pathways to g^(2)(0) must agree
         prop, rho_ss = dissipative_n2_ss
-        curve = g2_bundle_delayed(
+        g2 = g2_bundle_delayed(
             dissipative_n2, 1, np.array([0.0]), propagator=prop, rho_ss=rho_ss
         )
-        assert curve.values[0] == pytest.approx(
+        assert g2[0] == pytest.approx(
             g_equal_time(rho_ss, 2), abs=1e-8
         )
 
     def test_long_delay_decorrelates(self, dissipative_n2, dissipative_n2_ss):
         prop, rho_ss = dissipative_n2_ss
         for order in (1, 2):
-            curve = g2_bundle_delayed(
+            g2 = g2_bundle_delayed(
                 dissipative_n2, order, np.array([200.0]), propagator=prop, rho_ss=rho_ss
             )
-            assert curve.values[-1] == pytest.approx(1.0, abs=0.02)
+            assert g2[-1] == pytest.approx(1.0, abs=0.02)
 
     def test_default_grid_starts_at_tau_min(self, dissipative_n2, dissipative_n2_ss):
+        # the default grid is 200 geometric delays from tau_min to 30/kappa
         prop, rho_ss = dissipative_n2_ss
-        curve = g2_bundle_delayed(dissipative_n2, 2, propagator=prop, rho_ss=rho_ss)
-        assert len(curve.abscissa) == 200
-        assert curve.abscissa[0] == pytest.approx(tau_min(2, dissipative_n2.kappa))
-        assert curve.abscissa[-1] == pytest.approx(30.0 / dissipative_n2.kappa)
-        assert curve.order == 2
+        kappa = dissipative_n2.kappa
+        grid = np.geomspace(tau_min(2, kappa), 30.0 / kappa, 200)
+        np.testing.assert_array_equal(
+            g2_bundle_delayed(dissipative_n2, 2, propagator=prop, rho_ss=rho_ss),
+            g2_bundle_delayed(dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss),
+        )
 
     def test_grid_below_tau_min_rejected(self, dissipative_n2, dissipative_n2_ss):
         # tau_min(2, kappa = 1) = 1.5: a bundle grid reaching below it is an
@@ -232,16 +234,22 @@ class TestDelayedBundleCorrelation:
             g2_bundle_delayed(dissipative_n2, order, grid, propagator=prop, rho_ss=rho_ss)
 
     def test_order_one_grid_taken_as_given(self, dissipative_n2, dissipative_n2_ss):
+        # an unsorted grid, tau = 0 included, comes back in its own order; the
+        # rtol allows for BLAS matmul, whose bits depend on the batch size
         prop, rho_ss = dissipative_n2_ss
-        grid = np.array([0.1, 1.0, 2.0, 5.0])
+        grid = np.array([5.0, 0.1, 2.0, 0.0, 1.0])
         g1 = g2_bundle_delayed(dissipative_n2, 1, grid, propagator=prop, rho_ss=rho_ss)
-        np.testing.assert_array_equal(g1.abscissa, grid)
+        one_by_one = [
+            g2_bundle_delayed(dissipative_n2, 1, [tau], propagator=prop, rho_ss=rho_ss)[0]
+            for tau in grid
+        ]
+        np.testing.assert_allclose(g1, one_by_one, rtol=1e-12)
 
     def test_values_nonnegative(self, dissipative_n2, dissipative_n2_ss):
         prop, rho_ss = dissipative_n2_ss
         grid = np.geomspace(tau_min(2, dissipative_n2.kappa), 30.0 / dissipative_n2.kappa, 50)
-        curve = g2_bundle_delayed(dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss)
-        assert np.all(curve.values >= 0.0)
+        g2 = g2_bundle_delayed(dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss)
+        assert np.all(g2 >= 0.0)
 
     def test_requires_decay(self, unitary_n2):
         prop = LiouvillePropagator(build_liouvillian(unitary_n2))
