@@ -171,8 +171,9 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
     scan = ScanBlock(**raw.get("scan", {}))
     if scan.points < 2:
         raise ConfigError("[scan] points must be >= 2")
-    if not (math.isfinite(scan.min) and math.isfinite(scan.max)):
-        raise ConfigError("[scan] bounds must be finite")
+    for key in ("min", "max"):
+        if not math.isfinite(getattr(scan, key)):
+            raise ConfigError(f"[scan] {key} must be finite; got {getattr(scan, key)}")
     if any(mu < 2 for mu in scan.mu_values):
         raise ConfigError("[scan] mu_values must all be >= 2")
     if scan.bundle_n is not None and not 1 <= scan.bundle_n <= model.n_max:

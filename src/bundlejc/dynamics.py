@@ -501,12 +501,7 @@ def _check_horizon(**fields: float) -> None:
 
 
 def mcwf_trajectory(
-    p: ModelParams,
-    psi0: np.ndarray,
-    t_final: float,
-    seed: int,
-    sample_dt: float,
-    _prop: _JumpPropagator | None = None,
+    p: ModelParams, psi0: np.ndarray, t_final: float, seed: int, sample_dt: float
 ) -> TrajectoryRecord:
     """Single quantum-jump trajectory of the master equation from the
     unit-norm amplitudes psi0.
@@ -520,10 +515,17 @@ def mcwf_trajectory(
     """
     _check_horizon(t_final=t_final, sample_dt=sample_dt)
     norm = _check_psi0(psi0, p.dims.total_dim)
-    prop = _prop if _prop is not None else _JumpPropagator(p)
+    return _unravel(_JumpPropagator(p), psi0, norm, t_final, sample_dt, seed)
+
+
+def _unravel(
+    prop: _JumpPropagator, psi0, norm: float, t_final: float, sample_dt: float, seed: int
+) -> TrajectoryRecord:
+    """The jump loop of mcwf_trajectory on checked input: psi0 of norm norm,
+    evolved by prop."""
     rng = np.random.default_rng(seed)
     times = np.arange(0.0, t_final + sample_dt / 2, sample_dt)
-    states = np.empty((len(times), p.dims.total_dim), dtype=complex)
+    states = np.empty((len(times), len(psi0)), dtype=complex)
     jumps: list[tuple[float, str]] = []
 
     states[0] = psi0
@@ -555,12 +557,11 @@ def mcwf_trajectory(
     return TrajectoryRecord(seed=seed, times=times, states=states, jumps=jumps)
 
 
-def _ensemble_member(
-    seed: int, p: ModelParams, psi0, t_final: float, sample_dt: float, _prop
-) -> TrajectoryRecord:
-    """One member of run_trajectories.  Module-level and private, so a pool
-    pickles it by name even when the public functions have been wrapped."""
-    return mcwf_trajectory(p, psi0, t_final, seed, sample_dt, _prop=_prop)
+def _ensemble_member(*args) -> TrajectoryRecord:
+    """One member of run_trajectories: _unravel(*args), looked up when it
+    runs.  Module-level and private, so a pool pickles it by name even when
+    the public functions have been wrapped."""
+    return _unravel(*args)
 
 
 def run_trajectories(
@@ -574,21 +575,19 @@ def run_trajectories(
     """Ensemble of n_trajectories unravelings, trajectory i with seed
     base_seed + i, all sharing one jump propagator; returned in seed order.
 
-    The members are independent, so they run in min(n_trajectories, CPUs in
-    the affinity mask) forked worker processes, each running the scalar code
-    of mcwf_trajectory; the affinity mask (taskset) is the only control.  One
-    worker, or a platform without os.sched_getaffinity, runs them in-process
-    through the same per-member function.  Either way each record is the lone
-    mcwf_trajectory with its seed, bit for bit."""
+    The input is checked once, before any process starts.  The members are
+    independent, so they run in min(n_trajectories, CPUs in the affinity
+    mask) forked worker processes; the affinity mask (taskset) is the only
+    control.  One worker, or a platform without os.sched_getaffinity, runs
+    them in-process through the same per-member function.  Either way each
+    record is the lone mcwf_trajectory with its seed, bit for bit.  The pool
+    is terminated on every exit (success, a member's error, Ctrl-C), so no
+    worker outlives the call."""
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1; got {n_trajectories}")
-    # refuse bad input before any process starts
     _check_horizon(t_final=t_final, sample_dt=sample_dt)
-    _check_psi0(psi0, p.dims.total_dim)
-    member = partial(
-        _ensemble_member, p=p, psi0=psi0, t_final=t_final, sample_dt=sample_dt,
-        _prop=_JumpPropagator(p),
-    )
+    norm = _check_psi0(psi0, p.dims.total_dim)
+    member = partial(_ensemble_member, _JumpPropagator(p), psi0, norm, t_final, sample_dt)
     seeds = range(base_seed, base_seed + n_trajectories)
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(n_trajectories, len(affinity(0))) if affinity is not None else 1
@@ -596,20 +595,13 @@ def run_trajectories(
         return [member(seed) for seed in seeds]
     import multiprocessing  # deferred: its pool machinery costs about 15 ms to import
 
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
+    # the pool's exit terminates (and joins) the workers: an interrupt
+    # (Ctrl-C reaches the workers too) can kill a worker mid-member, and a
+    # pool that waited for its members would wait for that one forever
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
         result = pool.map_async(member, seeds)
         while not result.ready():
             # timed: Ctrl-C can land on a pool thread, and the caller runs
             # the handler only once its own wait returns
             result.wait(0.1)
         return result.get()
-    except BaseException:
-        # map raises a member's exception only once every member has ended,
-        # but an interrupt (Ctrl-C reaches the workers too) can kill a worker
-        # mid-member, and a closed pool would wait for that member forever
-        pool.terminate()
-        raise
-    finally:
-        pool.close()
-        pool.join()

@@ -107,8 +107,8 @@ def g2_bundle_delayed(
     propagator must hold the Liouvillian L of p, and rho_ss must be its steady
     state, normally steady_state(propagator.L): it may have no entry outside
     k = 0, and ||L vec(rho_ss)|| may be at most 1e-9 ||K||_F (K = L.mat, the
-    k = 0 block), the residual bound of the steady-state solver.  One
-    propagator serves every N and grid.
+    k = 0 block), the residual bound of the steady-state solver, and its
+    trace must be 1 to within 1e-9.  One propagator serves every N and grid.
 
     The default grid is 200 delays from tau_min to 30/kappa.  Every delay
     must be finite and >= 0; for N >= 2 it must also be >= tau_min, below
@@ -141,6 +141,9 @@ def g2_bundle_delayed(
             f"rho_ss is not the steady state of the propagator's Liouvillian: "
             f"||L rho_ss|| = {residual:.3e}, over 1e-9 ||K||_F"
         )
+    trace = np.trace(rho_ss)
+    if not abs(trace - 1.0) <= 1e-9:
+        raise ValueError(f"rho_ss must have unit trace; its trace is {trace:.6g}")
 
     a = fock_annihilation(p.dims)
     an = matrix_power(a, N)

@@ -108,6 +108,10 @@ class TestParse:
         with pytest.raises(ConfigError, match="points"):
             parse_config(bad, "steadyscan")
 
+    def test_key_before_section_header_refused(self):
+        with pytest.raises(ConfigError, match="config parse error: File contains no section"):
+            parse_config("n = 2\n" + MINIMAL, "resonances")
+
     def test_bad_mu(self):
         bad = DISSIPATIVE + "\n[scan]\nmu_values = 1,2\n"
         with pytest.raises(ConfigError, match="mu_values"):
@@ -138,6 +142,8 @@ class TestParse:
             ("scan", "tau_max = inf", "tau_max"),
             ("scan", "tau_max = 1.5", "tau_max"),  # = tau_min of the n=2 bundle
             ("scan", "bundle_n = 3; tau_max = 1.8", "tau_max"),  # tau_min(3) = 1.83
+            ("scan", "min = nan", "min"),
+            ("scan", "max = -inf", "max"),
             ("integrator", "t_final = -1", "t_final"),
             ("integrator", "t_final = nan", "t_final"),
             ("integrator", "sample_dt = 0", "sample_dt"),
@@ -527,8 +533,9 @@ class TestMain:
             ("g2tau", "scan", "tau_max = -5"),
             ("trajectory", "integrator", "sample_dt = 0"),
             ("superrabi", "integrator", "t_final = -1"),
+            ("steadyscan", "scan", "min = nan"),
         ],
-        ids=("g2tau", "trajectory", "superrabi"),
+        ids=("g2tau", "trajectory", "superrabi", "steadyscan"),
     )
     def test_bad_field_exit_code(self, tmp_path, capsys, preset, section, line):
         cfg_file = tmp_path / "cfg.ini"

@@ -395,19 +395,19 @@ class TestMcwf:
             monkeypatch.setattr(
                 dynamics.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
             )
-        lone = dynamics.mcwf_trajectory
+        unravel = dynamics._unravel
 
-        def tagged(*args, **kwargs):  # marks the process each member ran in
-            rec = lone(*args, **kwargs)
+        def tagged(*args):  # marks the process each member ran in
+            rec = unravel(*args)
             rec.pid = os.getpid()
             return rec
 
-        monkeypatch.setattr(dynamics, "mcwf_trajectory", tagged)
+        monkeypatch.setattr(dynamics, "_unravel", tagged)
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
         recs = run_trajectories(dissipative_n2, psi0, 60.0, 0.5, n_trajectories=5, base_seed=5)
         assert [rec.pid == os.getpid() for rec in recs] == [cpus != 2] * 5
         for i, rec in enumerate(recs):
-            alone = lone(dissipative_n2, psi0, 60.0, seed=5 + i, sample_dt=0.5)
+            alone = mcwf_trajectory(dissipative_n2, psi0, 60.0, seed=5 + i, sample_dt=0.5)
             assert rec.seed == alone.seed == 5 + i
             np.testing.assert_array_equal(rec.times, alone.times)
             np.testing.assert_array_equal(rec.states, alone.states)
@@ -430,15 +430,15 @@ class TestMcwf:
         # KeyboardInterrupt; the call must still end with no child left,
         # though that member never returns
         monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        caller, lone = os.getpid(), dynamics.mcwf_trajectory
+        caller, unravel = os.getpid(), dynamics._unravel
 
-        def interrupted(p, psi0, t_final, seed, *args, **kwargs):
-            if seed == 1:
+        def interrupted(*args):  # the seed is _unravel's last argument
+            if args[-1] == 1:
                 os.kill(caller, signal.SIGINT)
                 os._exit(1)
-            return lone(p, psi0, t_final, seed, *args, **kwargs)
+            return unravel(*args)
 
-        monkeypatch.setattr(dynamics, "mcwf_trajectory", interrupted)
+        monkeypatch.setattr(dynamics, "_unravel", interrupted)
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
 
         def hung(signum, frame):

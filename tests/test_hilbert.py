@@ -33,6 +33,9 @@ def test_index_round_trip():
     for m in range(DIMS.n_max + 1):
         for s in (0, 1):
             assert divmod(DIMS.index(m, s), 2) == (m, s)
+    for m, s in [(-1, 0), (DIMS.n_max + 1, 0), (0, 2)]:
+        with pytest.raises(ValueError, match="basis labels out of range"):
+            DIMS.index(m, s)
 
 
 def test_annihilation_ladder():

@@ -192,6 +192,8 @@ class TestResonances:
     def test_mu_validation(self):
         with pytest.raises(ValueError):
             resonance_detuning_higher(simple(), 1, +1)
+        with pytest.raises(ValueError, match="sign must be"):
+            resonance_detuning_higher(simple(), 2, 0)
 
     @given(st.floats(-80, -1), drives, st.integers(1, 3))
     @settings(max_examples=200)
@@ -212,6 +214,8 @@ class TestResonances:
     def test_branch_helper(self):
         assert resonant_branch(simple(delta_n=-30.0)) == "plus_to_minus"
         assert resonant_branch(simple(delta_n=30.0)) == "minus_to_plus"
+        with pytest.raises(ValueError, match="no resonant branch"):
+            resonant_branch(simple(delta_n=0.0))
 
 
 class TestEffectiveMollow:

@@ -19,6 +19,7 @@ from bundlejc.hilbert import (
 )
 from bundlejc.model import ModelParams
 from bundlejc.observables import (
+    _clamp_nonnegative,
     dressed_populations,
     g2_bundle_delayed,
     g_equal_time,
@@ -251,6 +252,12 @@ class TestDelayedBundleCorrelation:
         g2 = g2_bundle_delayed(dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss)
         assert np.all(g2 >= 0.0)
 
+    def test_negative_values_clamped_with_warning(self):
+        values = np.array([0.5, -1e-12, 0.0, -3e-13])
+        with pytest.warns(UserWarning, match=r"clamping 2 .* \(min -1\.000e-12\) to 0"):
+            clamped = _clamp_nonnegative(values)
+        np.testing.assert_array_equal(clamped, [0.5, 0.0, 0.0, 0.0])
+
     def test_requires_decay(self, unitary_n2):
         prop = LiouvillePropagator(build_liouvillian(unitary_n2))
         rho = pure_density(basis_state(unitary_n2.dims, 0, 0))
@@ -300,6 +307,18 @@ class TestDelayedBundleCorrelation:
         off[i, j] = off[j, i] = size
         with pytest.raises(ValueError, match="rho_ss has support in sector k=1"):
             g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=off)
+
+    @pytest.mark.parametrize("scale", [2.0, 1j], ids=("doubled", "imaginary"))
+    def test_state_without_unit_trace_rejected(self, dissipative_n2, dissipative_n2_ss, scale):
+        # a multiple of the steady state passes the residual bound (L is
+        # linear): 2 rho would halve every value (g_2(tau = 2, 5) = 0.0788,
+        # 0.1831 in place of 0.1576, 0.3662), and 1j rho leaves no positive
+        # denominator, an error that does not name rho_ss
+        prop, rho_ss = dissipative_n2_ss
+        with pytest.raises(ValueError, match="rho_ss must have unit trace"):
+            g2_bundle_delayed(
+                dissipative_n2, 2, [2.0, 5.0], propagator=prop, rho_ss=scale * rho_ss
+            )
 
     def test_steady_state_of_other_space_rejected(self, dissipative_n2, dissipative_n2_ss):
         prop, _ = dissipative_n2_ss
