@@ -24,7 +24,6 @@ from .dynamics import (
     TrajectoryRecord,
     TruncationError,
     build_liouvillian,
-    mcwf_trajectory,
     run_trajectories,
     schrodinger_evolve,
     steady_state,

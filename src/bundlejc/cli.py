@@ -33,7 +33,7 @@ from .dynamics import (
     TruncationError,
     _check_horizon,
     build_liouvillian,
-    mcwf_trajectory,
+    run_trajectories,
     schrodinger_evolve,
     steady_state,
 )
@@ -330,7 +330,7 @@ def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
         cfg.integrator.sample_dt if cfg.integrator.sample_dt is not None else 0.05 / m.kappa
     )
     psi0 = dressed_state(m, 0, "+")
-    rec = mcwf_trajectory(m, psi0, t_final, cfg.seeds.base_seed, sample_dt)
+    (rec,) = run_trajectories(m, psi0, t_final, sample_dt, 1, cfg.seeds.base_seed)
     m_top = min(3, m.n_max)
     header = ["t"]
     for k in range(m_top + 1):
@@ -395,12 +395,10 @@ def _run_custom(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     rho = steady_state(build_liouvillian(m))
     pops = photon_distribution(rho)
-    gs = {}
-    for ell in (2, 3, 4):
-        try:
-            gs[f"g{ell}"] = g_equal_time(rho, ell)
-        except ValueError:
-            gs[f"g{ell}"] = None
+    try:  # all three orders are defined, or none (see observables._scan_point)
+        gs = {f"g{ell}": g_equal_time(rho, ell) for ell in (2, 3, 4)}
+    except ValueError:
+        gs = dict.fromkeys(("g2", "g3", "g4"))
     tables = {"custom_steady_state": (["m", "P_m"], list(enumerate(pops)))}
     return tables, {"equal_time_correlations": gs}
 

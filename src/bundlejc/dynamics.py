@@ -24,8 +24,9 @@ SteadyStateWorkspace.  Schrodinger propagation and the quantum-jump
 trajectories need only numpy, so a run that never builds L never loads scipy
 (about 0.3 s of start-up).  multiprocessing is imported the same way, only
 where run_trajectories starts its worker pool (about 15 ms), so a lone
-trajectory and every Liouvillian path never load it.  The module is kept
-whole rather than split along these lines, because the benchmark tracer
+trajectory (run_trajectories with n_trajectories = 1, run in-process) and
+every Liouvillian path never load it.  The module is kept whole rather than
+split along these lines, because the benchmark tracer
 (perfbench/tracing.py) wraps the functions whose __module__ is
 bundlejc.dynamics and reads bundlejc.dynamics.LiouvillePropagator.
 """
@@ -55,7 +56,6 @@ __all__ = [
     "LiouvillePropagator",
     "steady_state",
     "SteadyStateWorkspace",
-    "mcwf_trajectory",
     "run_trajectories",
 ]
 
@@ -88,8 +88,9 @@ def _check_psi0(psi0: np.ndarray, d: int) -> float:
 
 def schrodinger_evolve(H: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
     """Solve i dpsi/dt = H psi exactly at the grid times (eigh of H), from the
-    amplitudes psi0; returns the amplitudes at each grid time.  No
-    renormalization is applied: norm drift beyond 1e-5 aborts, because it
+    amplitudes psi0; returns the amplitudes at each grid time.  The grid must
+    be non-empty and finite; it may run backward, as unitary evolution does.
+    No renormalization is applied: norm drift beyond 1e-5 aborts, because it
     means the eigenbasis was not unitary.
     """
     d = len(psi0)
@@ -99,6 +100,10 @@ def schrodinger_evolve(H: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
     if not herm < 1e-10:  # written so that a NaN deviation fails too
         raise ValueError(f"H must be Hermitian: max |H - H^dag| = {herm:.3e}")
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not len(t_grid):
+        raise ValueError(f"t_grid must be a non-empty 1-D grid; got shape {t_grid.shape}")
+    if not np.isfinite(t_grid).all():
+        raise ValueError(f"t_grid must hold finite times; got {t_grid[~np.isfinite(t_grid)][0]}")
     _check_psi0(psi0, d)
     evals, evecs = np.linalg.eigh(H)
     c0 = evecs.conj().T @ psi0
@@ -246,10 +251,15 @@ class LiouvillePropagator:
 
     def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:
         """Returns an array of operators exp(L tau) op, one per tau.  Raises a
-        ValueError, naming the sector, if op has an entry outside k = 0."""
+        ValueError naming taus unless every tau is finite and >= 0 (L is
+        dissipative: it does not run backward), or naming the sector if op
+        has an entry outside k = 0."""
         d, idx = self.L.params.dims.total_dim, self.L.idx
-        part = self.L.k0_entries(op_mat, "op_mat")
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        bad = taus[~(np.isfinite(taus) & (taus >= 0))]
+        if len(bad):
+            raise ValueError(f"taus must be finite and >= 0; got {bad[0]:g}")
+        part = self.L.k0_entries(op_mat, "op_mat")
         out = np.zeros((len(taus), d * d), dtype=complex)
         out[:, idx] = (np.exp(np.outer(taus, self._evals)) * (self._inv @ part)) @ self._evecs.T
         return out.reshape((len(taus), d, d)).transpose(0, 2, 1)
@@ -500,29 +510,17 @@ def _check_horizon(**fields: float) -> None:
             raise ValueError(f"{name} must be finite and > 0; got {value}")
 
 
-def mcwf_trajectory(
-    p: ModelParams, psi0: np.ndarray, t_final: float, seed: int, sample_dt: float
+def _unravel(
+    prop: _JumpPropagator, psi0, norm: float, t_final: float, sample_dt: float, seed: int
 ) -> TrajectoryRecord:
-    """Single quantum-jump trajectory of the master equation from the
-    unit-norm amplitudes psi0.
+    """One quantum-jump unraveling of checked input: psi0 of norm norm,
+    evolved by prop, with the random stream of seed.
 
     Deterministic non-Hermitian evolution until the squared norm reaches the
     next uniform draw r.  The jump time is the root of log ||psi||^2 = log r,
     solved by safeguarded Newton iteration to JUMP_TOL in the log-norm, so it
-    does not depend on sample_dt.  The channel is chosen proportionally to
-    kappa<a^dag a> vs gamma<sigma_+ sigma_->.  Bit-reproducible for a fixed
-    seed, and the same record whether run alone or in run_trajectories.
-    """
-    _check_horizon(t_final=t_final, sample_dt=sample_dt)
-    norm = _check_psi0(psi0, p.dims.total_dim)
-    return _unravel(_JumpPropagator(p), psi0, norm, t_final, sample_dt, seed)
-
-
-def _unravel(
-    prop: _JumpPropagator, psi0, norm: float, t_final: float, sample_dt: float, seed: int
-) -> TrajectoryRecord:
-    """The jump loop of mcwf_trajectory on checked input: psi0 of norm norm,
-    evolved by prop."""
+    does not depend on sample_dt.  The channel is drawn in proportion to the
+    channel weights kappa<a^dag a> and gamma<sigma_+ sigma_->."""
     rng = np.random.default_rng(seed)
     times = np.arange(0.0, t_final + sample_dt / 2, sample_dt)
     states = np.empty((len(times), len(psi0)), dtype=complex)
@@ -572,17 +570,19 @@ def run_trajectories(
     n_trajectories: int,
     base_seed: int,
 ) -> list[TrajectoryRecord]:
-    """Ensemble of n_trajectories unravelings, trajectory i with seed
-    base_seed + i, all sharing one jump propagator; returned in seed order.
+    """Ensemble of n_trajectories quantum-jump unravelings (_unravel) of the
+    master equation from the unit-norm amplitudes psi0, trajectory i with
+    seed base_seed + i, all sharing one jump propagator; returned in seed
+    order.  A lone trajectory is the ensemble of one.
 
     The input is checked once, before any process starts.  The members are
     independent, so they run in min(n_trajectories, CPUs in the affinity
     mask) forked worker processes; the affinity mask (taskset) is the only
-    control.  One worker, or a platform without os.sched_getaffinity, runs
-    them in-process through the same per-member function.  Either way each
-    record is the lone mcwf_trajectory with its seed, bit for bit.  The pool
-    is terminated on every exit (success, a member's error, Ctrl-C), so no
-    worker outlives the call."""
+    control.  One worker (always so for an ensemble of one), or a platform
+    without os.sched_getaffinity, runs them in-process through the same
+    per-member function.  Either way a record depends only on its seed, bit
+    for bit, whatever the batching.  The pool is terminated on every exit
+    (success, a member's error, Ctrl-C), so no worker outlives the call."""
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1; got {n_trajectories}")
     _check_horizon(t_final=t_final, sample_dt=sample_dt)

@@ -158,28 +158,23 @@ def g2_bundle_delayed(
 
 
 def _scan_point(ws: SteadyStateWorkspace, m_top: int, delta_a: float) -> tuple:
-    """One steady-state evaluation; returns observables plus a failure flag."""
+    """One steady-state evaluation; returns observables plus a failure flag.
+    g_equal_time refuses every order l >= 1 together (a vanishing mean photon
+    number), so g2, g3 and g4 are all defined or all NaN."""
+    nan = float("nan")
     try:
         rho = ws.solve(float(delta_a))
-        pops = photon_distribution(rho)
-        tail = float(pops[-1])
-        gs = []
-        correlation_ok = True
-        for ell in (2, 3, 4):
-            try:
-                gs.append(g_equal_time(rho, ell))
-            except ValueError:
-                gs.append(float("nan"))
-                correlation_ok = False
-        flags = []
-        if tail >= TAIL_TOL:
-            flags.append("truncation")
-        if not correlation_ok:
-            flags.append("correlation_undefined")
-        return (delta_a, *pops[: m_top + 1], *gs, tail, ";".join(flags))
     except (RuntimeError, np.linalg.LinAlgError) as exc:
-        nan = float("nan")
         return (delta_a, *([nan] * (m_top + 1)), nan, nan, nan, nan, f"solver: {exc}")
+    pops = photon_distribution(rho)
+    tail = float(pops[-1])
+    flags = ["truncation"] if tail >= TAIL_TOL else []
+    try:
+        gs = [g_equal_time(rho, ell) for ell in (2, 3, 4)]
+    except ValueError:
+        gs = [nan] * 3
+        flags.append("correlation_undefined")
+    return (delta_a, *pops[: m_top + 1], *gs, tail, ";".join(flags))
 
 
 def sweep(p: ModelParams, grid):

@@ -16,7 +16,6 @@ from bundlejc.dynamics import (
     LiouvillePropagator,
     SteadyStateWorkspace,
     build_liouvillian,
-    mcwf_trajectory,
     run_trajectories,
     steady_state,
 )
@@ -254,8 +253,8 @@ def test_criterion_6_trajectory_consistency(dissipative_n2):
         n=1, j=0.0, omega_l=0.0, delta_n=0.0, delta_a=0.0, kappa=1.0, n_max=2
     )
     jump_times = []
-    for seed in range(1000, 1500):
-        rec = mcwf_trajectory(decay, basis_state(decay.dims, 1, 0), 20.0, seed, 1.0)
+    psi0 = basis_state(decay.dims, 1, 0)
+    for rec in run_trajectories(decay, psi0, 20.0, 1.0, n_trajectories=500, base_seed=1000):
         jump_times.extend(t for t, _ in rec.jumps)
     pvalue = kstest(jump_times, "expon", args=(0.0, 1.0)).pvalue
 

@@ -19,7 +19,6 @@ from bundlejc.dynamics import (
     TruncationError,
     _hermitian_basis,
     build_liouvillian,
-    mcwf_trajectory,
     run_trajectories,
     schrodinger_evolve,
     steady_state,
@@ -342,12 +341,36 @@ class TestSchrodinger:
         with pytest.raises(DimensionMismatchError, match="H has shape"):
             schrodinger_evolve(h, basis_state(p.dims, 0, 0), [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "t_grid, message",
+        [([], r"non-empty 1-D grid; got shape \(0,\)"), (1.0, r"1-D grid; got shape \(\)"),
+         ([0.0, math.nan], "finite times; got nan"), ([0.0, math.inf], "finite times; got inf")],
+        ids=["empty", "scalar", "nan", "inf"],
+    )
+    def test_bad_grid_names_t_grid(self, unitary_n2, t_grid, message):
+        psi0 = basis_state(unitary_n2.dims, 0, 0)
+        with pytest.raises(ValueError, match=f"^t_grid must .*{message}"):
+            schrodinger_evolve(build_H_I(unitary_n2), psi0, t_grid)
+
+    def test_grid_may_run_backward(self, unitary_n2):
+        # unitary evolution runs both ways: out to -0.5 and back is the identity
+        psi0 = basis_state(unitary_n2.dims, 0, 0)
+        history = schrodinger_evolve(build_H_I(unitary_n2), psi0, [0.0, -0.5, 0.0])
+        np.testing.assert_allclose(history[2], psi0, rtol=0, atol=1e-12)
+        assert np.abs(history[1] @ psi0.conj()) < 0.999
+
+
+def lone_trajectory(p, psi0, t_final, sample_dt, seed):
+    """One trajectory: the ensemble of one, which runs in-process."""
+    (rec,) = run_trajectories(p, psi0, t_final, sample_dt, 1, seed)
+    return rec
+
 
 class TestMcwf:
     def test_no_decay_matches_schrodinger(self, unitary_n2):
         p = replace(unitary_n2, kappa=0.0, gamma=0.0)
         psi0 = basis_state(p.dims, 0, 0)
-        rec = mcwf_trajectory(p, psi0, 0.2, seed=1, sample_dt=0.05)
+        rec = lone_trajectory(p, psi0, 0.2, 0.05, seed=1)
         exact = dop853(-1j * build_H_I(p), psi0, rec.times)
         assert rec.jumps == []
         # states agree up to nothing: same dynamics, no renormalization needed
@@ -358,17 +381,15 @@ class TestMcwf:
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
         psi0[1] = np.nan
         with pytest.raises(ValueError, match="psi0 must be normalized; its norm is nan"):
-            mcwf_trajectory(dissipative_n2, psi0, 5.0, seed=1, sample_dt=0.5)
-        with pytest.raises(ValueError, match="psi0 must be normalized; its norm is nan"):
             run_trajectories(dissipative_n2, psi0, 5.0, 0.5, n_trajectories=2, base_seed=1)
 
     def test_seed_reproducibility(self, dissipative_n2):
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
-        r1 = mcwf_trajectory(dissipative_n2, psi0, 5.0, seed=42, sample_dt=0.5)
-        r2 = mcwf_trajectory(dissipative_n2, psi0, 5.0, seed=42, sample_dt=0.5)
+        r1 = lone_trajectory(dissipative_n2, psi0, 5.0, 0.5, seed=42)
+        r2 = lone_trajectory(dissipative_n2, psi0, 5.0, 0.5, seed=42)
         np.testing.assert_array_equal(r1.states, r2.states)
         assert r1.jumps == r2.jumps
-        r3 = mcwf_trajectory(dissipative_n2, psi0, 5.0, seed=43, sample_dt=0.5)
+        r3 = lone_trajectory(dissipative_n2, psi0, 5.0, 0.5, seed=43)
         assert r3.jumps != r1.jumps
 
     def test_ensemble_records_match_single_runs(self, dissipative_n2):
@@ -377,7 +398,7 @@ class TestMcwf:
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
         recs = run_trajectories(dissipative_n2, psi0, 60.0, 0.5, n_trajectories=3, base_seed=5)
         for i, rec in enumerate(recs):
-            alone = mcwf_trajectory(dissipative_n2, psi0, 60.0, seed=5 + i, sample_dt=0.5)
+            alone = lone_trajectory(dissipative_n2, psi0, 60.0, 0.5, seed=5 + i)
             assert rec.seed == alone.seed == 5 + i
             np.testing.assert_array_equal(rec.states, alone.states)
             assert rec.jumps == alone.jumps
@@ -407,7 +428,7 @@ class TestMcwf:
         recs = run_trajectories(dissipative_n2, psi0, 60.0, 0.5, n_trajectories=5, base_seed=5)
         assert [rec.pid == os.getpid() for rec in recs] == [cpus != 2] * 5
         for i, rec in enumerate(recs):
-            alone = mcwf_trajectory(dissipative_n2, psi0, 60.0, seed=5 + i, sample_dt=0.5)
+            alone = lone_trajectory(dissipative_n2, psi0, 60.0, 0.5, seed=5 + i)
             assert rec.seed == alone.seed == 5 + i
             np.testing.assert_array_equal(rec.times, alone.times)
             np.testing.assert_array_equal(rec.states, alone.states)
@@ -469,11 +490,11 @@ class TestMcwf:
         p = decay_params(kappa=kappa, n_max=2)
         psi0 = basis_state(p.dims, 1, 0)
         checked = 0
-        for seed in range(50):
+        recs = run_trajectories(p, psi0, t_final, sample_dt, n_trajectories=50, base_seed=0)
+        for seed, rec in enumerate(recs):
             exact = -math.log(np.random.default_rng(seed).uniform()) / kappa
             if exact > t_final:
                 continue
-            rec = mcwf_trajectory(p, psi0, t_final, seed=seed, sample_dt=sample_dt)
             assert rec.jumps[0][0] == pytest.approx(exact, rel=1e-12, abs=0.0)
             checked += 1
         assert checked > 40
@@ -483,7 +504,33 @@ class TestMcwf:
         monkeypatch.setattr(dynamics, "JUMP_MAX_ITER", 1)
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
         with pytest.raises(RuntimeError, match="not converged"):
-            mcwf_trajectory(dissipative_n2, psi0, 200.0, seed=1, sample_dt=10.0)
+            lone_trajectory(dissipative_n2, psi0, 200.0, 10.0, seed=1)
+
+    def test_jump_without_weight_raises(self, dissipative_n2, monkeypatch):
+        # a jump time whose state has no decay weight leaves no channel to draw
+        jump_time = dynamics._JumpPropagator.jump_time
+
+        def weightless(self, *args):
+            s, cs, _, _ = jump_time(self, *args)
+            return s, cs, 0.0, 0.0
+
+        monkeypatch.setattr(dynamics._JumpPropagator, "jump_time", weightless)
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+        with pytest.raises(RuntimeError, match="^jump resolution lost: no decay weight at jump time$"):
+            lone_trajectory(dissipative_n2, psi0, 200.0, 10.0, seed=1)
+
+    def test_annihilated_state_raises(self, dissipative_n2, monkeypatch):
+        # a jump map that sends the state to 0 leaves nothing to renormalize
+        init = dynamics._JumpPropagator.__init__
+
+        def annihilating(self, p):
+            init(self, p)
+            self.jump_maps = [np.zeros_like(m) for m in self.jump_maps]
+
+        monkeypatch.setattr(dynamics._JumpPropagator, "__init__", annihilating)
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+        with pytest.raises(RuntimeError, match="^jump resolution lost: state annihilated$"):
+            lone_trajectory(dissipative_n2, psi0, 200.0, 10.0, seed=1)
 
     @pytest.mark.parametrize("field", ["t_final", "sample_dt"])
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
@@ -491,8 +538,6 @@ class TestMcwf:
         p = decay_params(kappa=1.0)
         psi0 = basis_state(p.dims, 1, 0)
         horizon = {"t_final": 2.0, "sample_dt": 0.5, field: value}
-        with pytest.raises(ValueError, match=field):
-            mcwf_trajectory(p, psi0, seed=0, **horizon)
         with pytest.raises(ValueError, match=field):
             run_trajectories(p, psi0, n_trajectories=2, base_seed=0, **horizon)
 
@@ -509,8 +554,7 @@ class TestMcwf:
         p = decay_params(kappa=2.0, n_max=2)
         psi0 = basis_state(p.dims, 1, 0)
         times = []
-        for seed in range(300):
-            rec = mcwf_trajectory(p, psi0, 12.0, seed=seed, sample_dt=0.5)
+        for rec in run_trajectories(p, psi0, 12.0, 0.5, n_trajectories=300, base_seed=0):
             assert len(rec.jumps) <= 1
             if rec.jumps:
                 t_jump, channel = rec.jumps[0]
@@ -523,10 +567,8 @@ class TestMcwf:
     def test_channel_labels(self):
         p = decay_params(kappa=1.0, gamma=1.0, n_max=2)
         rng_hits = set()
-        for seed in range(40):
-            rec = mcwf_trajectory(
-                p, basis_state(p.dims, 1, 1), 20.0, seed=seed, sample_dt=1.0
-            )
+        psi0 = basis_state(p.dims, 1, 1)
+        for rec in run_trajectories(p, psi0, 20.0, 1.0, n_trajectories=40, base_seed=0):
             rng_hits.update(ch for _, ch in rec.jumps)
         assert rng_hits == {"cavity", "tls"}
 
@@ -562,6 +604,15 @@ class TestPropagator:
             op = np.outer(basis_state(p.dims, 2, 0), basis_state(p.dims, 0, 0))
             with pytest.raises(ValueError, match="sector k=2"):
                 prop.propagate(op, [1.0])
+
+    # nan once came back as NaN operators, inf and -1e3 as a numpy
+    # RuntimeWarning, and -5 as evolution backward under a dissipative L
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1e3, -5.0])
+    def test_bad_delay_names_taus(self, dissipative_n2, tau):
+        prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
+        op = k0_part(dissipative_n2, random_density(dissipative_n2.dims, seed=9))
+        with pytest.raises(ValueError, match=f"^taus must be finite and >= 0; got {tau:g}$"):
+            prop.propagate(op, [1.0, tau])
 
 
 def oracle_point(n, kappa, gamma):
@@ -944,3 +995,14 @@ class TestSteadyStateWorkspace:
     def test_non_finite_delta_a_rejected(self, dissipative_n2):
         with pytest.raises(ValueError, match="finite"):
             SteadyStateWorkspace(build_liouvillian(dissipative_n2)).solve(float("nan"))
+
+    def test_illegal_lapack_argument_raises(self, dissipative_n2, monkeypatch):
+        # solve imports zgbsv when it runs; info < 0 is LAPACK's report of
+        # a bad argument, a fault of the caller, not of the model
+        def illegal(kl, ku, ab, b, overwrite_ab=0):
+            return ab, np.zeros(len(b), dtype=np.int32), b, -3
+
+        ws = SteadyStateWorkspace(build_liouvillian(dissipative_n2))
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbsv", illegal)
+        with pytest.raises(RuntimeError, match="^zgbsv: argument 3 has an illegal value$"):
+            ws.solve(dissipative_n2.delta_a)

@@ -4,7 +4,6 @@ import pytest
 from bundlejc.dynamics import (
     LiouvillePropagator,
     build_liouvillian,
-    mcwf_trajectory,
     run_trajectories,
     steady_state,
 )
@@ -97,8 +96,6 @@ def test_dimension_mismatch_rejected(dissipative_n2):
     p = dissipative_n2
     psi = basis_state(SpaceDims(4), 0, 0)
     for psi0 in (psi, pure_density(basis_state(p.dims, 0, 0))):
-        with pytest.raises(DimensionMismatchError, match="psi0 has shape"):
-            mcwf_trajectory(p, psi0, 1.0, seed=0, sample_dt=0.5)
         with pytest.raises(DimensionMismatchError, match="psi0 has shape"):
             run_trajectories(p, psi0, 1.0, 0.5, n_trajectories=2, base_seed=0)
     prop = LiouvillePropagator(build_liouvillian(p))
