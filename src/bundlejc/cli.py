@@ -93,6 +93,10 @@ class IntegratorBlock:
 class SeedsBlock:
     base_seed: int = 12345
 
+    def __post_init__(self):
+        if self.base_seed < 0:
+            raise ConfigError(f"[seeds] base_seed must be >= 0; got {self.base_seed}")
+
 
 @dataclass(frozen=True)
 class OutputBlock:
@@ -395,10 +399,7 @@ def _run_custom(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     rho = steady_state(build_liouvillian(m))
     pops = photon_distribution(rho)
-    try:  # all three orders are defined, or none (see observables._scan_point)
-        gs = {f"g{ell}": g_equal_time(rho, ell) for ell in (2, 3, 4)}
-    except ValueError:
-        gs = dict.fromkeys(("g2", "g3", "g4"))
+    gs = {f"g{ell}": g_equal_time(rho, ell) for ell in (2, 3, 4)}  # None for all or for none
     tables = {"custom_steady_state": (["m", "P_m"], list(enumerate(pops)))}
     return tables, {"equal_time_correlations": gs}
 
@@ -469,8 +470,8 @@ REGISTRY = {
     )),
     "jcregime": Preset(_run_jcregime, True, (
         ("delta_a", lambda c, d: "omega_eff_jc" in d, "has a singular JC-regime model here"),
-        ("j", lambda c, d: c.model.delta_n**2 + 4.0 * c.model.j**2 > 0,
-         "has no JC doublet splitting Omega_m where j and delta_n vanish"),
+        ("j", lambda c, d: c.model.delta_n**2 + 4.0 * c.model.j**2 >= sys.float_info.min,
+         "has no JC doublet splitting Omega_m where j and delta_n vanish or underflow"),
         _RELAXES,
     )),
     "resonances": Preset(_run_resonances, False, (

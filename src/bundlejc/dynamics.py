@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hilbert import DimensionMismatchError, fock_annihilation, tls_operator
+from .hilbert import _check_shape, fock_annihilation, tls_operator
 from .model import ModelParams, _detuning_terms, build_H_I
 
 if TYPE_CHECKING:
@@ -78,8 +78,7 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
 def _check_psi0(psi0: np.ndarray, d: int) -> float:
     """The norm of psi0; raises unless psi0 has shape (d,) and unit norm
     (written so that a NaN norm fails too)."""
-    if np.shape(psi0) != (d,):
-        raise DimensionMismatchError(f"psi0 has shape {np.shape(psi0)}; the space needs ({d},)")
+    _check_shape("psi0", psi0, (d,))
     norm = float(np.linalg.norm(psi0))
     if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"psi0 must be normalized; its norm is {norm}")
@@ -94,8 +93,7 @@ def schrodinger_evolve(H: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
     means the eigenbasis was not unitary.
     """
     d = len(psi0)
-    if H.shape != (d, d):
-        raise DimensionMismatchError(f"H has shape {H.shape}; psi0 needs ({d}, {d})")
+    _check_shape("H", H, (d, d))
     herm = np.max(np.abs(H - H.conj().T))
     if not herm < 1e-10:  # written so that a NaN deviation fails too
         raise ValueError(f"H must be Hermitian: max |H - H^dag| = {herm:.3e}")
@@ -149,7 +147,9 @@ class Liouvillian:
     idx: np.ndarray
 
     def k0_entries(self, op: np.ndarray, name: str) -> np.ndarray:
-        """vec(op) at idx; a ValueError names the sector of an entry outside k = 0."""
+        """vec(op) at idx; a DimensionMismatchError names op (as name) unless it
+        is (d, d), and a ValueError names the sector of an entry outside k = 0."""
+        _check_shape(name, op, (self.params.dims.total_dim,) * 2)
         v = vec(op)
         if np.count_nonzero(v[self.idx]) != np.count_nonzero(v):
             k = _sector(np.flatnonzero(v), self.params.dims.total_dim, self.params.n)
@@ -251,11 +251,13 @@ class LiouvillePropagator:
 
     def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:
         """Returns an array of operators exp(L tau) op, one per tau.  Raises a
-        ValueError naming taus unless every tau is finite and >= 0 (L is
-        dissipative: it does not run backward), or naming the sector if op
-        has an entry outside k = 0."""
+        ValueError naming taus unless they are a non-empty grid of finite
+        delays >= 0 (L is dissipative: it does not run backward); k0_entries
+        refuses an op_mat that is not (d, d) or has an entry outside k = 0."""
         d, idx = self.L.params.dims.total_dim, self.L.idx
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        if not len(taus):
+            raise ValueError("taus must be a non-empty grid")
         bad = taus[~(np.isfinite(taus) & (taus >= 0))]
         if len(bad):
             raise ValueError(f"taus must be finite and >= 0; got {bad[0]:g}")
@@ -585,6 +587,8 @@ def run_trajectories(
     (success, a member's error, Ctrl-C), so no worker outlives the call."""
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1; got {n_trajectories}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0; got {base_seed}")
     _check_horizon(t_final=t_final, sample_dt=sample_dt)
     norm = _check_psi0(psi0, p.dims.total_dim)
     member = partial(_ensemble_member, _JumpPropagator(p), psi0, norm, t_final, sample_dt)

@@ -2,8 +2,8 @@
 
 Operators, states and density matrices are plain complex arrays, each built
 fresh per call: an operator or a density matrix has shape (d, d) and a state
-vector shape (d,), with d = SpaceDims.total_dim.  The functions that take a
-state check its shape themselves.
+vector shape (d,), with d = SpaceDims.total_dim.  Every function that takes
+one checks its shape with _check_shape, which names the argument.
 
 Basis ordering is fixed throughout the package: the composite index of the
 basis state |m> (x) |s> is  2*m + s  with s = 0 for the TLS ground state |g>
@@ -29,6 +29,12 @@ TLS_KINDS = ("sigma_minus", "sigma_x", "excited_projector")
 
 class DimensionMismatchError(ValueError):
     """An array's shape does not match the truncated space it is built on."""
+
+
+def _check_shape(name: str, arr, shape: tuple) -> None:
+    """Raise a DimensionMismatchError that names arr as name unless arr has this shape."""
+    if np.shape(arr) != shape:
+        raise DimensionMismatchError(f"{name} has shape {np.shape(arr)}; the space needs {shape}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .dynamics import (
     SteadyStateWorkspace,
     build_liouvillian,
 )
-from .hilbert import DimensionMismatchError, fock_annihilation
+from .hilbert import _check_shape, fock_annihilation
 from .model import ModelParams, dressed
 
 __all__ = [
@@ -47,15 +47,13 @@ def dressed_populations(amps, p: ModelParams) -> np.ndarray:
     one state or a whole trajectory history, as (..., n_max+1, 2) with
     columns ordered (+, -)."""
     amps = np.asarray(amps)
-    if amps.shape[-1:] != (p.dims.total_dim,):
-        raise DimensionMismatchError(
-            f"amps: expected last axis {p.dims.total_dim}, got shape {amps.shape}"
-        )
+    _check_shape("amps", amps, (*amps.shape[:-1], p.dims.total_dim))
     return np.abs(amps.reshape(*amps.shape[:-1], -1, 2) @ dressed(p).basis) ** 2
 
 
-def g_equal_time(rho: np.ndarray, ell: int) -> float:
-    """Equal-time normalized correlation Tr(a^dag^l a^l rho) / Tr(a^dag a rho)^l.
+def g_equal_time(rho: np.ndarray, ell: int) -> float | None:
+    """Equal-time normalized correlation Tr(a^dag^l a^l rho) / Tr(a^dag a rho)^l;
+    None, for every order l at once, where the mean photon number is <= 1e-12.
 
     a^dag^l a^l is diagonal in the Fock basis with eigenvalue m!/(m-l)! on
     |m>, so both traces are sums over the photon distribution P_m.
@@ -65,7 +63,7 @@ def g_equal_time(rho: np.ndarray, ell: int) -> float:
     pops = photon_distribution(rho)
     n_mean = float(np.arange(len(pops)) @ pops)
     if n_mean <= 1e-12:
-        raise ValueError("correlation undefined: vanishing mean photon number")
+        return None
     falling = np.array([math.perm(m, ell) for m in range(len(pops))], dtype=float)
     return float(falling @ pops) / n_mean**ell
 
@@ -110,30 +108,22 @@ def g2_bundle_delayed(
     k = 0 block), the residual bound of the steady-state solver, and its
     trace must be 1 to within 1e-9.  One propagator serves every N and grid.
 
-    The default grid is 200 delays from tau_min to 30/kappa.  Every delay
-    must be finite and >= 0; for N >= 2 it must also be >= tau_min, below
-    which the bundle correlation is not meaningful.  N=1 grids, tau = 0
-    included, are otherwise taken as given.
+    The default grid is 200 delays from tau_min to 30/kappa.  For N >= 2 every
+    delay must be finite and >= tau_min, below which the bundle correlation is
+    not meaningful.  propagate refuses an empty grid or a delay that is not
+    finite and >= 0; N=1 grids, tau = 0 included, are otherwise taken as given.
     """
     t_floor = tau_min(N, p.kappa)
     if tau_grid is None:
         tau_grid = np.geomspace(t_floor, 30.0 / p.kappa, 200)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if len(tau_grid) == 0:
-        raise ValueError("empty tau grid")
-    floor = t_floor if N >= 2 else 0.0
-    bad = np.flatnonzero(~(np.isfinite(tau_grid) & (tau_grid >= floor)))
-    if len(bad):
-        bound = f"tau_min = {t_floor:g} for the N={N} bundle" if N >= 2 else "0"
-        raise ValueError(f"delay {tau_grid[bad[0]]:g} must be finite and >= {bound}")
+    bad = tau_grid[~(np.isfinite(tau_grid) & (tau_grid >= t_floor))]
+    if N >= 2 and len(bad):
+        raise ValueError(f"delay {bad[0]:g} must be finite and >= tau_min = "
+                         f"{t_floor:g} for the N={N} bundle")
 
     if propagator.L.params != p:
         raise ValueError(f"propagator was built at {propagator.L.params}, not at p = {p}")
-    d = p.dims.total_dim
-    if np.shape(rho_ss) != (d, d):
-        raise DimensionMismatchError(
-            f"rho_ss has shape {np.shape(rho_ss)}; p's space needs ({d}, {d})"
-        )
     kmat = propagator.L.mat
     residual = np.linalg.norm(kmat @ propagator.L.k0_entries(rho_ss, "rho_ss"))
     if not residual <= 1e-9 * np.linalg.norm(kmat.data):
@@ -159,8 +149,8 @@ def g2_bundle_delayed(
 
 def _scan_point(ws: SteadyStateWorkspace, m_top: int, delta_a: float) -> tuple:
     """One steady-state evaluation; returns observables plus a failure flag.
-    g_equal_time refuses every order l >= 1 together (a vanishing mean photon
-    number), so g2, g3 and g4 are all defined or all NaN."""
+    g_equal_time is None for every order l >= 1 together (a vanishing mean
+    photon number), so g2, g3 and g4 are all defined or all NaN."""
     nan = float("nan")
     try:
         rho = ws.solve(float(delta_a))
@@ -169,9 +159,8 @@ def _scan_point(ws: SteadyStateWorkspace, m_top: int, delta_a: float) -> tuple:
     pops = photon_distribution(rho)
     tail = float(pops[-1])
     flags = ["truncation"] if tail >= TAIL_TOL else []
-    try:
-        gs = [g_equal_time(rho, ell) for ell in (2, 3, 4)]
-    except ValueError:
+    gs = [g_equal_time(rho, ell) for ell in (2, 3, 4)]
+    if gs[0] is None:
         gs = [nan] * 3
         flags.append("correlation_undefined")
     return (delta_a, *pops[: m_top + 1], *gs, tail, ";".join(flags))

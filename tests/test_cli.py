@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bundlejc.cli import (
     _SCHEMA,
@@ -225,6 +225,18 @@ class TestSweep:
         # clean point: no flags
         assert rows[0][-1] == ""
 
+    def test_undefined_correlations_flagged(self):
+        # at j = 0 no photon is emitted: each row keeps its populations, has
+        # NaN for g2, g3 and g4 together, and says why
+        cfg = parse_config(
+            DISSIPATIVE.replace("j = 0.3", "j = 0.0") + "\n[scan]\npoints = 3\n", "steadyscan"
+        )
+        header, rows = sweep(cfg.model, cfg.scan.grid())
+        g = slice(header.index("g2"), header.index("g4") + 1)
+        for row in rows:
+            assert row[-1] == "correlation_undefined"
+            assert np.isnan(row[g]).all() and row[header.index("P0")] == pytest.approx(1.0)
+
 
 def run_cli(args):
     return main([str(a) for a in args])
@@ -251,6 +263,10 @@ J0_NO_TLS_DECAY = (
     DISSIPATIVE.replace("j = 0.3", "j = 0.0").replace("gamma = 0.1", "gamma = 0.0")
     .replace("n_max = 8", "n_max = 6")
 )
+JC_UNDERFLOW = (
+    "[model]\nn = 1\nn_max = 1\nj = 0.0\nomega_l = 0.0\ndelta_n = 2.497257988493094e-161\n"
+    "kappa = 1e-300\ngamma = 1.0\n"
+)
 REFUSED_MODEL_POINTS = [
     pytest.param("steadyscan", DISSIPATIVE.replace("kappa = 1.0", "kappa = 0.0"),
                  "[model] kappa = 0.0", id="dissipative_kappa"),
@@ -264,6 +280,8 @@ REFUSED_MODEL_POINTS = [
     pytest.param("jcregime", DISSIPATIVE.replace("j = 0.3", "j = 0.0").replace(
         "delta_n = -49.5", "delta_n = 0.0") + "delta_a = 1.0\n", "[model] j = 0.0",
         id="jcregime_doublets"),
+    # delta_n^2 is subnormal, so Omega_m came out below |delta_n| and c_minus nan
+    pytest.param("jcregime", JC_UNDERFLOW, "[model] j = 0.0", id="jcregime_underflow"),
     # omega_eff underflows to 0, so the default horizon would be infinite
     pytest.param("superrabi", "[model]\nn = 1\nj = 1e-300\nomega_l = 1e-300\ndelta_n = -1.0\n"
                  "delta_a = 0.5\n", "[model] j = 1e-300", id="superrabi_horizon"),
@@ -654,6 +672,32 @@ class TestMain:
         meta = json.loads((out2 / "trajectory_metadata.json").read_text())
         assert meta["seeds"]["base_seed"] == 999
 
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    @pytest.mark.parametrize("source", ["key", "flag"])
+    def test_negative_seed_names_field(self, tmp_path, capsys, source, dry_run):
+        # numpy once refused it inside the run, naming no field
+        cfg_file = tmp_path / "cfg.ini"
+        seeds = "\n[seeds]\nbase_seed = -1\n" if source == "key" else ""
+        cfg_file.write_text(CHEAP_POINTS["trajectory"] + seeds)
+        out_dir = tmp_path / "out"
+        args = ["trajectory", "--config", cfg_file, "--out", out_dir]
+        args += ["--seed", -1] * (source == "flag") + ["--dry-run"] * dry_run
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err == "bundlejc: [seeds] base_seed must be >= 0; got -1\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("preset, written", [
+        ("g2tau", '"g_equal_time_2": null'),
+        ("custom", '"g2": null,\n    "g3": null,\n    "g4": null'),
+    ], ids=("g2tau", "custom"))
+    def test_undefined_correlation_written_as_null(self, tmp_path, preset, written):
+        # the mean photon number is 8.6e-13 at j = 1e-6: g2tau once computed
+        # both curves, then exited 1 naming no field and writing nothing
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(CHEAP_POINTS["custom"].replace("j = 0.3", "j = 1e-6"))
+        assert run_cli([preset, "--config", cfg_file, "--out", tmp_path]) == 0
+        assert written in (tmp_path / f"{preset}_metadata.json").read_text()
+
     def test_custom_preset_outputs(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(DISSIPATIVE.replace("n_max = 8", "n_max = 12"))
@@ -735,6 +779,7 @@ def main_stderr(args):
 
 @settings(max_examples=200, deadline=None)
 @given(model=model_sections())
+@example(model=JC_UNDERFLOW + "\n[scan]\npoints = 9\n")
 def test_main_runs_or_refuses_naming_a_field(model):
     # every dry run exits 0, or exits 1 naming a [section] key; nothing
     # escapes main, and filterwarnings = error fails a stray warning.  A full

@@ -541,6 +541,15 @@ class TestMcwf:
         with pytest.raises(ValueError, match=field):
             run_trajectories(p, psi0, n_trajectories=2, base_seed=0, **horizon)
 
+    @pytest.mark.parametrize("n_trajectories", [1, 2])
+    def test_negative_seed_rejected(self, n_trajectories):
+        # refused before any worker starts, not by numpy inside one
+        p = decay_params(kappa=1.0)
+        with pytest.raises(ValueError, match="^base_seed must be >= 0; got -1$"):
+            run_trajectories(
+                p, basis_state(p.dims, 1, 0), 2.0, 0.5, n_trajectories, base_seed=-1
+            )
+
     @pytest.mark.parametrize("n_trajectories", [0, -1])
     def test_empty_ensemble_rejected(self, n_trajectories):
         p = decay_params(kappa=1.0)
@@ -613,6 +622,29 @@ class TestPropagator:
         op = k0_part(dissipative_n2, random_density(dissipative_n2.dims, seed=9))
         with pytest.raises(ValueError, match=f"^taus must be finite and >= 0; got {tau:g}$"):
             prop.propagate(op, [1.0, tau])
+
+    def test_empty_taus_refused(self, dissipative_n2):
+        prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
+        op = k0_part(dissipative_n2, random_density(dissipative_n2.dims, seed=9))
+        with pytest.raises(ValueError, match="^taus must be a non-empty grid$"):
+            prop.propagate(op, [])
+
+    # at d = 26 a larger operator, its flat vec and a stack of two once came
+    # back as a (taus, 26, 26) result, and a smaller operator as an IndexError
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda op: np.pad(op, (0, 2)), vec, lambda op: np.stack([op, op]),
+         lambda op: op[:24, :24]],
+        ids=["28x28", "flat", "stack", "24x24"],
+    )
+    def test_wrong_shape_names_op_mat(self, dissipative_n2, reshape):
+        prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
+        op = reshape(k0_part(dissipative_n2, random_density(dissipative_n2.dims, seed=9)))
+        with pytest.raises(
+            DimensionMismatchError,
+            match=re.escape(f"op_mat has shape {op.shape}; the space needs (26, 26)"),
+        ):
+            prop.propagate(op, [1.0])
 
 
 def oracle_point(n, kappa, gamma):
