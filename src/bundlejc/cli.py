@@ -32,6 +32,7 @@ from .dynamics import (
     LiouvillePropagator,
     TruncationError,
     _check_horizon,
+    _sample_times,
     build_liouvillian,
     run_trajectories,
     schrodinger_evolve,
@@ -301,13 +302,12 @@ def _sidecar(cfg: ExperimentConfig, out_dir: Path, extra: dict) -> Path:
 
 
 def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
+    """|0>|+> under H_I at _sample_times; by default 1000 samples to 1.25 pi/|omega_eff|."""
     m = cfg.model
     eff = omega_eff_mollow(m)
     t_final = cfg.integrator.t_final or 1.25 * math.pi / abs(eff.omega_eff)
-    n_pts = 1000
-    if cfg.integrator.sample_dt is not None:
-        n_pts = max(2, int(round(t_final / cfg.integrator.sample_dt)) + 1)
-    t_grid = np.linspace(0.0, t_final, n_pts)
+    sample_dt = cfg.integrator.sample_dt or t_final / 999
+    t_grid = _sample_times(t_final, sample_dt)
     psi0 = dressed_state(m, 0, "+")
     history = schrodinger_evolve(build_H_I(m), psi0, t_grid)
     p_top = np.abs(history @ psi0.conj()) ** 2
@@ -315,7 +315,7 @@ def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
     analytic = np.sin(eff.omega_eff * t_grid) ** 2
     rows = zip(t_grid, p_top, p_bot, analytic)
     header = ["t", "P_0_plus", "P_n_minus", "analytic_sin2"]
-    return {"superrabi": (header, rows)}, {"t_final": t_final, "columns": 4}
+    return {"superrabi": (header, rows)}, {"t_final": t_final, "sample_dt": sample_dt, "columns": 4}
 
 
 def _run_steadyscan(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -329,10 +329,8 @@ def _run_steadyscan(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
-    t_final = cfg.integrator.t_final if cfg.integrator.t_final is not None else 50.0 / m.kappa
-    sample_dt = (
-        cfg.integrator.sample_dt if cfg.integrator.sample_dt is not None else 0.05 / m.kappa
-    )
+    t_final = cfg.integrator.t_final or 50.0 / m.kappa
+    sample_dt = cfg.integrator.sample_dt or 0.05 / m.kappa
     psi0 = dressed_state(m, 0, "+")
     (rec,) = run_trajectories(m, psi0, t_final, sample_dt, 1, cfg.seeds.base_seed)
     m_top = min(3, m.n_max)

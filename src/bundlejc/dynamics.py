@@ -92,7 +92,8 @@ def schrodinger_evolve(H: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
     No renormalization is applied: norm drift beyond 1e-5 aborts, because it
     means the eigenbasis was not unitary.
     """
-    d = len(psi0)
+    d = len(psi0) if np.ndim(psi0) else len(np.atleast_1d(H))  # 0-d: refused next
+    _check_psi0(psi0, d)
     _check_shape("H", H, (d, d))
     herm = np.max(np.abs(H - H.conj().T))
     if not herm < 1e-10:  # written so that a NaN deviation fails too
@@ -102,7 +103,6 @@ def schrodinger_evolve(H: np.ndarray, psi0: np.ndarray, t_grid) -> np.ndarray:
         raise ValueError(f"t_grid must be a non-empty 1-D grid; got shape {t_grid.shape}")
     if not np.isfinite(t_grid).all():
         raise ValueError(f"t_grid must hold finite times; got {t_grid[~np.isfinite(t_grid)][0]}")
-    _check_psi0(psi0, d)
     evals, evecs = np.linalg.eigh(H)
     c0 = evecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(t_grid - t_grid[0], evals))
@@ -251,13 +251,13 @@ class LiouvillePropagator:
 
     def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:
         """Returns an array of operators exp(L tau) op, one per tau.  Raises a
-        ValueError naming taus unless they are a non-empty grid of finite
-        delays >= 0 (L is dissipative: it does not run backward); k0_entries
-        refuses an op_mat that is not (d, d) or has an entry outside k = 0."""
+        ValueError naming taus unless they are one delay or a non-empty 1-D grid
+        of finite delays >= 0 (L is dissipative: it does not run backward);
+        k0_entries refuses an op_mat not (d, d) or with an entry outside k = 0."""
         d, idx = self.L.params.dims.total_dim, self.L.idx
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        if not len(taus):
-            raise ValueError("taus must be a non-empty grid")
+        if taus.ndim != 1 or not len(taus):
+            raise ValueError(f"taus must be a non-empty 1-D grid; got shape {taus.shape}")
         bad = taus[~(np.isfinite(taus) & (taus >= 0))]
         if len(bad):
             raise ValueError(f"taus must be finite and >= 0; got {bad[0]:g}")
@@ -281,6 +281,20 @@ def steady_state(L: Liouvillian) -> np.ndarray:
             "increase n_max"
         )
     return rho
+
+
+def _stationarity_failure(kmat: sp.sparray, x: np.ndarray, trace: complex) -> str | None:
+    """The first bound that x, the k = 0 entries of an operator of trace trace,
+    fails as a steady state of the k = 0 block kmat, or None.  A K whose
+    slowest rate is below round-off of its largest passes any near-null x."""
+    if not abs(trace - 1.0) <= 1e-9:  # written so that a NaN fails too
+        return f"|Tr x - 1| = {abs(trace - 1.0):.3e} > 1e-9"
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan fail the bound
+        residual = np.linalg.norm(kmat @ x)
+    bound = 1e-9 * np.linalg.norm(kmat.data)
+    if not residual <= bound:
+        return f"residual {residual:.3e} > 1e-9 ||K||_F = {bound:.3e}"
+    return None
 
 
 def _diagonal_positions(m: sp.csc_array, diag: np.ndarray) -> np.ndarray:
@@ -370,11 +384,9 @@ class SteadyStateWorkspace:
         refinement on that factor (zgbtrs); a stored entry that is exactly 0
         just sits in the band.  L is block-diagonal in k, so ||K x|| is the
         residual ||L rho|| of the full L.  One gate then decides: the factor
-        is nonsingular, |Tr x - 1| <= 1e-9, ||K x|| <= 1e-9 ||K||_F (K at
-        this delta_a) and the Hermitian, unit-trace rho has no eigenvalue
-        below -1e-12; else a RuntimeError names the check and the [model]
-        rates.  A K whose slowest relaxation is below round-off of its largest
-        rate passes the residual check with any near-null vector.
+        is nonsingular, x passes _stationarity_failure (K at this delta_a) and
+        the Hermitian, unit-trace rho has no eigenvalue below -1e-12; else a
+        RuntimeError names the check and the [model] rates.
         """
         from scipy.linalg.lapack import zgbsv, zgbtrs
 
@@ -399,13 +411,9 @@ class SteadyStateWorkspace:
             r[self._where, 0] -= self._constrained @ x[self._where, 0]
             x0 = (x + zgbtrs(lu, self._kl, self._ku, r, piv)[0])[self._where, 0]
             # a nearly singular factor can return a null vector whose trace cancelled
-            trace_error = abs(self._trace @ x0 - 1.0)
-            residual = np.linalg.norm(self._block @ x0)
-        if not trace_error <= 1e-9:
-            raise _refusal(q, f"|Tr x - 1| = {trace_error:.3e} > 1e-9")
-        k_scale = np.linalg.norm(self._block.data)
-        if not residual <= 1e-9 * k_scale:
-            raise _refusal(q, f"residual {residual:.3e} > 1e-9 ||K||_F = {1e-9 * k_scale:.3e}")
+            trace = self._trace @ x0
+        if failure := _stationarity_failure(self._block, x0, trace):
+            raise _refusal(q, failure)
 
         d = q.dims.total_dim
         x = np.zeros(d * d, dtype=complex)
@@ -512,6 +520,12 @@ def _check_horizon(**fields: float) -> None:
             raise ValueError(f"{name} must be finite and > 0; got {value}")
 
 
+def _sample_times(t_final: float, sample_dt: float) -> np.ndarray:
+    """The sample times of both time-resolved presets: 0, sample_dt, 2 sample_dt,
+    ... up to t_final, keeping a last multiple within 1e-12 (relative) of it."""
+    return sample_dt * np.arange(np.floor(t_final / sample_dt * (1 + 1e-12)) + 1)
+
+
 def _unravel(
     prop: _JumpPropagator, psi0, norm: float, t_final: float, sample_dt: float, seed: int
 ) -> TrajectoryRecord:
@@ -524,7 +538,7 @@ def _unravel(
     does not depend on sample_dt.  The channel is drawn in proportion to the
     channel weights kappa<a^dag a> and gamma<sigma_+ sigma_->."""
     rng = np.random.default_rng(seed)
-    times = np.arange(0.0, t_final + sample_dt / 2, sample_dt)
+    times = _sample_times(t_final, sample_dt)
     states = np.empty((len(times), len(psi0)), dtype=complex)
     jumps: list[tuple[float, str]] = []
 

@@ -21,6 +21,7 @@ from .dynamics import (
     TAIL_TOL,
     LiouvillePropagator,
     SteadyStateWorkspace,
+    _stationarity_failure,
     build_liouvillian,
 )
 from .hilbert import _check_shape, fock_annihilation
@@ -104,14 +105,13 @@ def g2_bundle_delayed(
     factors are the stationary value.  N=1 recovers the standard g2(tau).
     propagator must hold the Liouvillian L of p, and rho_ss must be its steady
     state, normally steady_state(propagator.L): it may have no entry outside
-    k = 0, and ||L vec(rho_ss)|| may be at most 1e-9 ||K||_F (K = L.mat, the
-    k = 0 block), the residual bound of the steady-state solver, and its
-    trace must be 1 to within 1e-9.  One propagator serves every N and grid.
+    k = 0, and it must pass the steady-state solver's own stationarity test
+    (dynamics._stationarity_failure).  One propagator serves every N and grid.
 
     The default grid is 200 delays from tau_min to 30/kappa.  For N >= 2 every
     delay must be finite and >= tau_min, below which the bundle correlation is
-    not meaningful.  propagate refuses an empty grid or a delay that is not
-    finite and >= 0; N=1 grids, tau = 0 included, are otherwise taken as given.
+    not meaningful.  propagate refuses a grid that is empty or not 1-D and a
+    delay not finite and >= 0; N=1 grids, tau = 0 included, pass as given.
     """
     t_floor = tau_min(N, p.kappa)
     if tau_grid is None:
@@ -122,18 +122,11 @@ def g2_bundle_delayed(
         raise ValueError(f"delay {bad[0]:g} must be finite and >= tau_min = "
                          f"{t_floor:g} for the N={N} bundle")
 
-    if propagator.L.params != p:
-        raise ValueError(f"propagator was built at {propagator.L.params}, not at p = {p}")
-    kmat = propagator.L.mat
-    residual = np.linalg.norm(kmat @ propagator.L.k0_entries(rho_ss, "rho_ss"))
-    if not residual <= 1e-9 * np.linalg.norm(kmat.data):
-        raise ValueError(
-            f"rho_ss is not the steady state of the propagator's Liouvillian: "
-            f"||L rho_ss|| = {residual:.3e}, over 1e-9 ||K||_F"
-        )
-    trace = np.trace(rho_ss)
-    if not abs(trace - 1.0) <= 1e-9:
-        raise ValueError(f"rho_ss must have unit trace; its trace is {trace:.6g}")
+    L = propagator.L
+    if L.params != p:
+        raise ValueError(f"propagator was built at {L.params}, not at p = {p}")
+    if failure := _stationarity_failure(L.mat, L.k0_entries(rho_ss, "rho_ss"), np.trace(rho_ss)):
+        raise ValueError(f"rho_ss is not the steady state of the propagator's Liouvillian: {failure}")
 
     a = fock_annihilation(p.dims)
     an = matrix_power(a, N)

@@ -24,7 +24,8 @@ from bundlejc.cli import (
     parse_config,
     resolved_config_text,
 )
-from bundlejc.model import resonance_detuning, resonance_detuning_higher
+from bundlejc.dynamics import run_trajectories
+from bundlejc.model import dressed_state, resonance_detuning, resonance_detuning_higher
 from bundlejc.observables import sweep, tau_min
 
 MINIMAL = """
@@ -728,6 +729,52 @@ class TestMain:
         for curve, grid in grids.items():
             assert [r["tau"] for r in rows if r["curve"] == curve] == [f"{t:.8e}" for t in grid]
         assert len(rows) == 15
+
+    @pytest.mark.parametrize(
+        "sample_dt, times",
+        [(0.3, ["0", "0.3", "0.6", "0.9"]), (1.5, ["0"])],
+        ids=("step", "step_past_horizon"),
+    )
+    def test_superrabi_samples_at_the_configured_step(self, tmp_path, sample_dt, times):
+        # sample_dt is the step, as for a trajectory, and no sample lies past
+        # t_final.  superrabi once spread round(t_final / sample_dt) + 1
+        # points evenly: 0, 0.333, 0.667, 1 here, and 0, 1 for a step of 1.5
+        integrator = f"\n[integrator]\nt_final = 1.0\nsample_dt = {sample_dt}\n"
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(CHEAP_POINTS["superrabi"].split("\n[integrator]")[0] + integrator)
+        assert run_cli(["superrabi", "--config", cfg_file, "--out", tmp_path]) == 0
+        with open(tmp_path / "superrabi.csv", newline="") as fh:
+            written = [r["t"] for r in csv.DictReader(fh)]
+        assert written == [f"{float(t):.8e}" for t in times]
+        meta = json.loads((tmp_path / "superrabi_metadata.json").read_text())
+        assert (meta["t_final"], meta["sample_dt"]) == (1.0, sample_dt)
+        # the same grid as a trajectory over the same horizon and step
+        p = parse_config(DISSIPATIVE + integrator, "trajectory").model
+        (rec,) = run_trajectories(p, dressed_state(p, 0, "+"), 1.0, sample_dt, 1, 0)
+        assert written == [f"{t:.8e}" for t in rec.times]
+
+    @pytest.mark.parametrize("preset", ["superrabi", "trajectory"])
+    def test_sample_count_past_float_range_refused(self, tmp_path, capsys, preset):
+        # t_final / sample_dt = inf: superrabi once ended in an OverflowError
+        # traceback; both presets share one sampling rule and one refusal
+        integrator = "\n[integrator]\nt_final = 1.0\nsample_dt = 1e-320\n"
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(CHEAP_POINTS[preset].split("\n[integrator]")[0] + integrator)
+        assert run_cli([preset, "--config", cfg_file, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith("bundlejc: solver failure:")
+        assert not (tmp_path / "out").exists()
+
+    def test_superrabi_default_step_in_sidecar(self, tmp_path):
+        # the default step t_final / 999 gives 1000 samples, the last at
+        # t_final; the sidecar is the one place that step is written
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(CHEAP_POINTS["superrabi"].replace("sample_dt = 0.5\n", ""))
+        assert run_cli(["superrabi", "--config", cfg_file, "--out", tmp_path]) == 0
+        meta = json.loads((tmp_path / "superrabi_metadata.json").read_text())
+        assert meta["sample_dt"] == meta["t_final"] / 999
+        with open(tmp_path / "superrabi.csv", newline="") as fh:
+            t = [r["t"] for r in csv.DictReader(fh)]
+        assert len(t) == 1000 and t[-1] == f"{meta['t_final']:.8e}"
 
     def test_superrabi_oscillation(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"

@@ -341,6 +341,13 @@ class TestSchrodinger:
         with pytest.raises(DimensionMismatchError, match="H has shape"):
             schrodinger_evolve(h, basis_state(p.dims, 0, 0), [0.0, 1.0])
 
+    def test_scalar_psi0_names_psi0(self, unitary_n2):
+        # a 0-d psi0 once ended in "TypeError: len() of unsized object"
+        with pytest.raises(
+            DimensionMismatchError, match=re.escape("psi0 has shape (); the space needs (18,)")
+        ):
+            schrodinger_evolve(build_H_I(unitary_n2), np.array(1.0), [0.0, 1.0])
+
     @pytest.mark.parametrize(
         "t_grid, message",
         [([], r"non-empty 1-D grid; got shape \(0,\)"), (1.0, r"1-D grid; got shape \(\)"),
@@ -382,6 +389,17 @@ class TestMcwf:
         psi0[1] = np.nan
         with pytest.raises(ValueError, match="psi0 must be normalized; its norm is nan"):
             run_trajectories(dissipative_n2, psi0, 5.0, 0.5, n_trajectories=2, base_seed=1)
+
+    @pytest.mark.parametrize(
+        "sample_dt, times", [(0.5, [0.0, 0.5, 1.0]), (0.6, [0.0, 0.6]), (1.5, [0.0])]
+    )
+    def test_samples_stop_at_t_final(self, dissipative_n2, sample_dt, times):
+        # multiples of sample_dt up to t_final = 1; a step of 0.6 once
+        # sampled 1.2 too, evolving past the horizon, as did a step of 1.5
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+        rec = lone_trajectory(dissipative_n2, psi0, 1.0, sample_dt, seed=1)
+        np.testing.assert_array_equal(rec.times, times)
+        assert rec.states.shape == (len(times), dissipative_n2.dims.total_dim)
 
     def test_seed_reproducibility(self, dissipative_n2):
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
@@ -626,8 +644,17 @@ class TestPropagator:
     def test_empty_taus_refused(self, dissipative_n2):
         prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
         op = k0_part(dissipative_n2, random_density(dissipative_n2.dims, seed=9))
-        with pytest.raises(ValueError, match="^taus must be a non-empty grid$"):
+        with pytest.raises(ValueError, match=r"^taus must be a non-empty 1-D grid; got shape \(0,\)$"):
             prop.propagate(op, [])
+
+    def test_grid_not_1d_names_taus(self, dissipative_n2):
+        # a 2-D grid once died inside numpy: "shape mismatch: value array of
+        # shape (4,340) ...", naming no argument; schrodinger_evolve refuses
+        # the same t_grid with the same message
+        prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
+        op = k0_part(dissipative_n2, random_density(dissipative_n2.dims, seed=9))
+        with pytest.raises(ValueError, match=r"^taus must be a non-empty 1-D grid; got shape \(2, 2\)$"):
+            prop.propagate(op, [[1.0, 2.0], [3.0, 4.0]])
 
     # at d = 26 a larger operator, its flat vec and a stack of two once came
     # back as a (taus, 26, 26) result, and a smaller operator as an IndexError

@@ -152,9 +152,20 @@ def test_states_are_fresh_complex_arrays(dissipative_n2):
 
 def test_nan_density_matrix_rejected(dissipative_n2):
     # g2_bundle_delayed checks rho_ss against the Liouvillian before it
-    # propagates; the residual bound is written so that a NaN fails it
+    # propagates, with the steady-state solver's bounds: trace first, then
+    # residual, each written so that a NaN fails it.  A NaN on the diagonal
+    # fails the trace bound
     L = build_liouvillian(dissipative_n2)
     rho = steady_state(L)
     rho[3, 3] = np.nan
-    with pytest.raises(ValueError, match=r"\|\|L rho_ss\|\| = nan"):
+    with pytest.raises(ValueError, match=r"^rho_ss is not the steady state .*: \|Tr x - 1\| = nan"):
+        g2_bundle_delayed(dissipative_n2, 1, [1.0], propagator=LiouvillePropagator(L), rho_ss=rho)
+
+
+def test_nan_coherence_fails_residual_bound(dissipative_n2):
+    # a NaN in a k = 0 coherence (|0,g><0,e|) leaves the trace alone
+    L = build_liouvillian(dissipative_n2)
+    rho = steady_state(L)
+    rho[0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^rho_ss is not the steady state .*: residual nan > 1e-9"):
         g2_bundle_delayed(dissipative_n2, 1, [1.0], propagator=LiouvillePropagator(L), rho_ss=rho)

@@ -217,6 +217,13 @@ class TestDelayedBundleCorrelation:
         with pytest.raises(ValueError, match="empty"):
             g2_bundle_delayed(dissipative_n2, 1, [], propagator=prop, rho_ss=rho_ss)
 
+    def test_grid_not_1d_names_taus(self, dissipative_n2, dissipative_n2_ss):
+        # N = 1 hands its grid to propagate, where a (1, 2) grid once died
+        # inside numpy naming no argument
+        prop, rho_ss = dissipative_n2_ss
+        with pytest.raises(ValueError, match=r"^taus must be a non-empty 1-D grid; got shape \(1, 2\)$"):
+            g2_bundle_delayed(dissipative_n2, 1, [[1.0, 2.0]], propagator=prop, rho_ss=rho_ss)
+
     @pytest.mark.parametrize(
         "order, grid, named",
         [
@@ -308,14 +315,25 @@ class TestDelayedBundleCorrelation:
         with pytest.raises(ValueError, match="rho_ss has support in sector k=1"):
             g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=off)
 
-    @pytest.mark.parametrize("scale", [2.0, 1j], ids=("doubled", "imaginary"))
-    def test_state_without_unit_trace_rejected(self, dissipative_n2, dissipative_n2_ss, scale):
+    @pytest.mark.parametrize(
+        "scale, trace_error", [(2.0, "1.000e+00"), (1j, "1.414e+00")], ids=("doubled", "imaginary")
+    )
+    def test_state_without_unit_trace_rejected(
+        self, dissipative_n2, dissipative_n2_ss, scale, trace_error
+    ):
         # a multiple of the steady state passes the residual bound (L is
         # linear): 2 rho would halve every value (g_2(tau = 2, 5) = 0.0788,
         # 0.1831 in place of 0.1576, 0.3662), and 1j rho leaves no positive
-        # denominator, an error that does not name rho_ss
+        # denominator, an error that does not name rho_ss.  The trace bound
+        # is the steady-state solver's own, quoted as the solver words it
         prop, rho_ss = dissipative_n2_ss
-        with pytest.raises(ValueError, match="rho_ss must have unit trace"):
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "rho_ss is not the steady state of the propagator's Liouvillian: "
+                f"|Tr x - 1| = {trace_error} > 1e-9"
+            ),
+        ):
             g2_bundle_delayed(
                 dissipative_n2, 2, [2.0, 5.0], propagator=prop, rho_ss=scale * rho_ss
             )
