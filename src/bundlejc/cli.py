@@ -39,6 +39,7 @@ from .dynamics import (
     steady_state,
 )
 from .model import (
+    GRID_CAP,
     ModelParams,
     build_H_I,
     dressed,
@@ -174,8 +175,9 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
             raise ConfigError(f"[model] delta_a = resonance cannot be resolved: {exc}") from exc
 
     scan = ScanBlock(**raw.get("scan", {}))
-    if scan.points < 2:
-        raise ConfigError("[scan] points must be >= 2")
+    for key, lo in (("points", 2), ("tau_points", 1)):
+        if not lo <= getattr(scan, key) <= GRID_CAP:
+            raise ConfigError(f"[scan] {key} must be in {lo}..{GRID_CAP}; got {getattr(scan, key)}")
     for key in ("min", "max"):
         if not math.isfinite(getattr(scan, key)):
             raise ConfigError(f"[scan] {key} must be finite; got {getattr(scan, key)}")
@@ -185,8 +187,6 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
         raise ConfigError(
             f"[scan] bundle_n must be in 1..n_max={model.n_max}; got {scan.bundle_n}"
         )
-    if scan.tau_points < 1:
-        raise ConfigError(f"[scan] tau_points must be >= 1; got {scan.tau_points}")
     floor = tau_min(scan.bundle_n or model.n, 1.0)  # in units of 1/kappa, like tau_max
     if not (math.isfinite(scan.tau_max) and scan.tau_max > floor):
         raise ConfigError(
@@ -370,17 +370,16 @@ def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
 def _run_jcregime(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     eig = jc_eigensystem(m)
-    rows = []
-    for k, e in enumerate(eig.bare_energies):
-        rows.append((k, "bare", e, 1.0, 0.0, 0.0))
+    rows = [(k, "bare", e, 1.0, 0.0, 0.0) for k, e in enumerate(eig.bare_energies)]
     for k, mm in enumerate(eig.m_values):
-        rows.append((int(mm), "plus", eig.e_plus[k], eig.c_plus[k], eig.c_minus[k], eig.omega_m[k]))
-        rows.append((int(mm), "minus", eig.e_minus[k], eig.c_plus[k], eig.c_minus[k], eig.omega_m[k]))
-    extra = {"omega_eff_jc": omega_eff_jc(m)}
+        for branch, e in (("plus", eig.e_plus[k]), ("minus", eig.e_minus[k])):
+            rows.append((int(mm), branch, e, eig.c_plus[k], eig.c_minus[k], eig.omega_m[k]))
     rho = steady_state(build_liouvillian(m))
-    extra["n_photon_population"] = float(photon_distribution(rho)[m.n])
     header = ["m", "branch", "energy", "c_plus", "c_minus", "omega_m"]
-    return {"jcregime": (header, rows)}, extra
+    return {"jcregime": (header, rows)}, {
+        "omega_eff_jc": omega_eff_jc(m),
+        "n_photon_population": float(photon_distribution(rho)[m.n]),
+    }
 
 
 def _run_resonances(cfg: ExperimentConfig) -> tuple[dict, dict]:

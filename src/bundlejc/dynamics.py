@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hilbert import _check_shape, fock_annihilation, tls_operator
-from .model import ModelParams, _detuning_terms, build_H_I
+from .model import GRID_CAP, ModelParams, _detuning_terms, build_H_I
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -518,12 +518,18 @@ def _check_horizon(**fields: float) -> None:
     for name, value in fields.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0; got {value}")
+    if len(fields) == 2:
+        _sample_times(**fields)  # t_final and sample_dt: refuses a count past GRID_CAP
 
 
 def _sample_times(t_final: float, sample_dt: float) -> np.ndarray:
     """The sample times of both time-resolved presets: 0, sample_dt, 2 sample_dt,
-    ... up to t_final, keeping a last multiple within 1e-12 (relative) of it."""
-    return sample_dt * np.arange(np.floor(t_final / sample_dt * (1 + 1e-12)) + 1)
+    ... up to t_final (or within 1e-12 relative of it), at most GRID_CAP of them."""
+    count = np.floor(t_final / sample_dt * (1 + 1e-12)) + 1
+    if not count <= GRID_CAP:
+        raise ValueError(f"sample_dt must make at most GRID_CAP = {GRID_CAP} samples to "
+                         f"t_final = {t_final:g}; got {sample_dt:g} ({count:.3g} samples)")
+    return sample_dt * np.arange(count)
 
 
 def _unravel(

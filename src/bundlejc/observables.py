@@ -12,7 +12,6 @@ k = 0 block per point.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from numpy.linalg import matrix_power
@@ -79,17 +78,6 @@ def tau_min(N: int, kappa: float) -> float:
     return sum(1.0 / (m * kappa) for m in range(1, N + 1))
 
 
-def _clamp_nonnegative(values: np.ndarray) -> np.ndarray:
-    if values.min() < 0:
-        warnings.warn(
-            f"clamping {int((values < 0).sum())} slightly negative correlation "
-            f"values (min {values.min():.3e}) to 0",
-            stacklevel=3,
-        )
-        values = np.maximum(values, 0.0)
-    return values
-
-
 def g2_bundle_delayed(
     p: ModelParams,
     N: int,
@@ -112,6 +100,8 @@ def g2_bundle_delayed(
     delay must be finite and >= tau_min, below which the bundle correlation is
     not meaningful.  propagate refuses a grid that is empty or not 1-D and a
     delay not finite and >= 0; N=1 grids, tau = 0 included, pass as given.
+    Values come back as computed; one below -1e-6 (g >= 0; round-off reached
+    -3.7e-9) or NaN is a ValueError naming N, the value and its delay.
     """
     t_floor = tau_min(N, p.kappa)
     if tau_grid is None:
@@ -133,11 +123,14 @@ def g2_bundle_delayed(
     meas = an.conj().T @ an
     denom = float(np.trace(meas @ rho_ss).real)
     if denom <= 1e-14:
-        raise ValueError("bundle occupation too small: denominator under threshold")
+        raise ValueError(f"bundle occupation <a^dag^{N} a^{N}> = {denom:.3e} <= 1e-14")
     collapsed = an @ rho_ss @ an.conj().T
     propagated = propagator.propagate(collapsed, tau_grid)
     values = np.einsum("ij,tji->t", meas, propagated).real / denom**2
-    return _clamp_nonnegative(values)
+    if not values[k := np.argmin(values)] >= -1e-6:  # argmin finds the first NaN
+        raise ValueError(f"g_{N}^(2)(tau = {tau_grid.flat[k]:g}) = {values[k]:.3e} is not "
+                         ">= -1e-06, the round-off bound")
+    return values
 
 
 def _scan_point(ws: SteadyStateWorkspace, m_top: int, delta_a: float) -> tuple:

@@ -25,7 +25,7 @@ from bundlejc.cli import (
     resolved_config_text,
 )
 from bundlejc.dynamics import run_trajectories
-from bundlejc.model import dressed_state, resonance_detuning, resonance_detuning_higher
+from bundlejc.model import GRID_CAP, dressed_state, resonance_detuning, resonance_detuning_higher
 from bundlejc.observables import sweep, tau_min
 
 MINIMAL = """
@@ -165,6 +165,24 @@ class TestParse:
             "\n[integrator]\nt_final = 50.0\nsample_dt = 0.05\n",
         ):
             parse_config(DISSIPATIVE + extra, "g2tau")
+
+    @pytest.mark.parametrize(
+        "lines, named",
+        [
+            (f"[scan]\npoints = {GRID_CAP}", f"[scan] points must be in 2..{GRID_CAP}; got "),
+            (f"[scan]\ntau_points = {GRID_CAP}", f"[scan] tau_points must be in 1..{GRID_CAP}; got "),
+            (f"[integrator]\nt_final = {GRID_CAP - 1}.0\nsample_dt = 1.0",
+             f"[integrator] sample_dt must make at most GRID_CAP = {GRID_CAP} samples"),
+        ],
+        ids=("points", "tau_points", "samples"),
+    )
+    def test_grid_cap_is_the_largest_length_accepted(self, lines, named):
+        # GRID_CAP points (or sample times) pass, one more is refused
+        parse_config(DISSIPATIVE + "\n" + lines + "\n", "g2tau")
+        over = re.sub(r"= (\d+)", lambda m: f"= {int(m[1]) + 1}", lines, count=1)
+        with pytest.raises(ConfigError) as refusal:
+            parse_config(DISSIPATIVE + "\n" + over + "\n", "g2tau")
+        assert str(refusal.value).startswith(named)
 
     def test_dissipative_preset_requires_kappa(self):
         with pytest.raises(ConfigError, match="kappa"):
@@ -335,6 +353,16 @@ UNRELAXED_SCANS = [
                  "kappa = 1e-300\ngamma = 0.0\n", "kappa = 1e-300, gamma = 0.0, j = 2.0",
                  id="n2_kappa_1e-300"),
 ]
+
+# g_1(0) = 0 exactly (a^2 = 0 at n_max = 1), computed as a round-off negative
+NMAX1_ROUNDOFF = (
+    "[model]\nn = 1\nn_max = 1\nj = 1\nomega_l = 21\ndelta_n = 1\nkappa = 10\ngamma = 1\n"
+)
+# a point whose g_2 bundle curve the eigendecomposition gets wrong, below 0
+PSTAR = (
+    "[model]\nn = 2\nn_max = 2\nj = -71.1296499191231\nomega_l = -78.95551397250043\n"
+    "delta_n = 0.04614540461922445\nkappa = 44.27038123075698\ngamma = 1e-300\n"
+)
 
 # a cheap point of every preset
 CHEAP_POINTS = {
@@ -753,15 +781,63 @@ class TestMain:
         (rec,) = run_trajectories(p, dressed_state(p, 0, "+"), 1.0, sample_dt, 1, 0)
         assert written == [f"{t:.8e}" for t in rec.times]
 
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    @pytest.mark.parametrize("sample_dt", ["1e-15", "1e-320"])
     @pytest.mark.parametrize("preset", ["superrabi", "trajectory"])
-    def test_sample_count_past_float_range_refused(self, tmp_path, capsys, preset):
-        # t_final / sample_dt = inf: superrabi once ended in an OverflowError
-        # traceback; both presets share one sampling rule and one refusal
-        integrator = "\n[integrator]\nt_final = 1.0\nsample_dt = 1e-320\n"
+    def test_sample_count_over_cap_refused(self, tmp_path, capsys, preset, sample_dt, dry_run):
+        # 1e15 samples, or t_final / sample_dt = inf: the dry run once passed,
+        # and the run died allocating, naming no field
+        integrator = f"\n[integrator]\nt_final = 1.0\nsample_dt = {sample_dt}\n"
+        text = CHEAP_POINTS[preset].split("\n[integrator]")[0] + integrator
+        named = f"[integrator] sample_dt must make at most GRID_CAP = {GRID_CAP} samples"
+        assert_refused(tmp_path, capsys, preset, text, named, dry_run)
+
+    @pytest.mark.parametrize("preset", ["superrabi", "trajectory"])
+    def test_sample_count_over_cap_with_default_horizon_refused(self, tmp_path, capsys, preset):
+        # the default t_final is known only when the run starts; _sample_times
+        # refuses the count there, before any array exists
+        integrator = "\n[integrator]\nsample_dt = 1e-15\n"
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(CHEAP_POINTS[preset].split("\n[integrator]")[0] + integrator)
-        assert run_cli([preset, "--config", cfg_file, "--out", tmp_path / "out"]) == 1
-        assert capsys.readouterr().err.startswith("bundlejc: solver failure:")
+        args = [preset, "--config", cfg_file, "--out", tmp_path / "out"]
+        assert run_cli(args + ["--dry-run"]) == 0
+        capsys.readouterr()
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bundlejc: solver failure: sample_dt must make at most "
+                              f"GRID_CAP = {GRID_CAP} samples to t_final = ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    @pytest.mark.parametrize("preset, key", [("steadyscan", "points"), ("g2tau", "tau_points")])
+    def test_scan_length_over_cap_refused(self, tmp_path, capsys, preset, key, dry_run):
+        # 10**15 points: the dry run once passed, and the run ended in a
+        # MemoryError traceback out of main
+        text = CHEAP_POINTS[preset].split("\n[scan]")[0] + f"\n[scan]\n{key} = {10**15}\n"
+        assert_refused(tmp_path, capsys, preset, text, f"[scan] {key} must be in", dry_run)
+
+    def test_g2tau_roundoff_negative_written_as_computed(self, tmp_path):
+        # g_1(0) is exactly 0 at n_max = 1 and computed as -2.62e-12 (OpenBLAS,
+        # x86-64); the row once read 0.0
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(NMAX1_ROUNDOFF)
+        assert run_cli(["g2tau", "--config", cfg_file, "--out", tmp_path]) == 0
+        with open(tmp_path / "g2tau.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))
+        assert (first["curve"], first["tau"]) == ("g1", "0.00000000e+00")
+        assert -1e-6 <= float(first["value"]) < 0.0
+
+    def test_g2tau_negative_beyond_roundoff_refused(self, tmp_path, capsys):
+        # P*: its bundle curve reads -0.204 at tau = 0.283 (a dense expm gives
+        # +0.0765); the run once clamped four values to 0.0 and exited 0
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(PSTAR)
+        assert run_cli(["g2tau", "--config", cfg_file, "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bundlejc: solver failure: g_2^(2)(tau = ")
+        assert "is not >= -1e-06, the round-off bound" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_superrabi_default_step_in_sidecar(self, tmp_path):
@@ -798,12 +874,20 @@ class TestMain:
 
 # 0, the float extremes and ordinary rates; negative decay rates are refused
 RATES = st.sampled_from([0.0, 1e-300, -1e-300, 1e300, -1e300]) | st.floats(-100.0, 100.0)
-# the presets cheap enough to run in full at n_max <= 4 (steadyscan on the
-# drawn 9-point grid).  g2tau is left out: it warns, by design, when it clamps
-# a g value that round-off made slightly negative (n = 1, n_max = 1, j = 1,
-# omega_l = 21, delta_n = 1, kappa = 10, gamma = 1 clamps one at -1.8e-12),
-# and filterwarnings = error fails that
-FULL_RUN_PRESETS = ("resonances", "superrabi", "jcregime", "trajectory", "custom", "steadyscan")
+# every preset runs in full: at n_max <= 4 each is cheap, steadyscan on a
+# drawn grid of at most 9 points.  g2tau joined once it stopped warning (it
+# clamped round-off negatives to 0 with a UserWarning, which
+# filterwarnings = error fails); a negative beyond round-off is now a refusal
+FULL_RUN_PRESETS = tuple(REGISTRY)
+# grid lengths: each value runs cheaply or is refused before any array of its
+# length exists; points and tau_points past GRID_CAP, and a sample count past
+# it (t_final / sample_dt, or the preset's default horizon over sample_dt)
+GRID_LINES = {
+    "integrator": {"t_final": st.sampled_from([0.5, 4.0, 1e15, 1e300]),
+                   "sample_dt": st.sampled_from([0.25, 1.0, 1e-15, 1e-320])},
+    "scan": {"points": st.sampled_from([2, 9, 10**15]),
+             "tau_points": st.sampled_from([1, 5, 10**15])},
+}
 
 
 @st.composite
@@ -813,7 +897,14 @@ def model_sections(draw):
     for key in ("j", "omega_l", "delta_n", "kappa", "gamma", "delta_a"):
         if key != "delta_a" or draw(st.booleans()):  # else delta_a = resonance
             lines.append(f"{key} = {draw(RATES)!r}")
-    return "[model]\n" + "\n".join(lines) + "\n\n[scan]\npoints = 9\n"
+    text = "[model]\n" + "\n".join(lines) + "\n"
+    for section, keys in GRID_LINES.items():
+        # points is always set: the default 801-point scan is slow to run
+        drawn = [f"{key} = {draw(values)!r}" for key, values in keys.items()
+                 if key == "points" or draw(st.booleans())]
+        if drawn:
+            text += f"\n[{section}]\n" + "\n".join(drawn) + "\n"
+    return text
 
 
 def main_stderr(args):
@@ -827,6 +918,8 @@ def main_stderr(args):
 @settings(max_examples=200, deadline=None)
 @given(model=model_sections())
 @example(model=JC_UNDERFLOW + "\n[scan]\npoints = 9\n")
+@example(model=PSTAR + "\n[scan]\npoints = 9\n")
+@example(model=NMAX1_ROUNDOFF + "\n[scan]\npoints = 9\n")
 def test_main_runs_or_refuses_naming_a_field(model):
     # every dry run exits 0, or exits 1 naming a [section] key; nothing
     # escapes main, and filterwarnings = error fails a stray warning.  A full

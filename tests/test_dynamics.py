@@ -31,7 +31,7 @@ from bundlejc.hilbert import (
     fock_annihilation,
     tls_operator,
 )
-from bundlejc.model import ModelParams, at_resonance, build_H_I
+from bundlejc.model import GRID_CAP, ModelParams, at_resonance, build_H_I
 from bundlejc.observables import photon_distribution, sweep
 from dop853 import dop853
 from oracles import (
@@ -558,6 +558,16 @@ class TestMcwf:
         horizon = {"t_final": 2.0, "sample_dt": 0.5, field: value}
         with pytest.raises(ValueError, match=field):
             run_trajectories(p, psi0, n_trajectories=2, base_seed=0, **horizon)
+
+    @pytest.mark.parametrize("n_trajectories", [1, 2])
+    def test_sample_count_over_cap_rejected(self, n_trajectories):
+        # 10**15 + 1 sample times are refused before any array or worker
+        # exists; one sample time more than GRID_CAP is refused too
+        p = decay_params(kappa=1.0)
+        psi0 = basis_state(p.dims, 1, 0)
+        for t_final, sample_dt in ((1.0, 1e-15), (float(GRID_CAP), 1.0)):
+            with pytest.raises(ValueError, match=rf"^sample_dt must make at most GRID_CAP = {GRID_CAP} "):
+                run_trajectories(p, psi0, t_final, sample_dt, n_trajectories, base_seed=0)
 
     @pytest.mark.parametrize("n_trajectories", [1, 2])
     def test_negative_seed_rejected(self, n_trajectories):

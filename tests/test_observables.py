@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bundlejc.dynamics import (
     LiouvillePropagator,
     SteadyStateWorkspace,
     build_liouvillian,
     steady_state,
+    unvec,
 )
 from bundlejc.hilbert import (
     DimensionMismatchError,
@@ -17,9 +19,8 @@ from bundlejc.hilbert import (
     basis_state,
     fock_annihilation,
 )
-from bundlejc.model import ModelParams
+from bundlejc.model import ModelParams, at_resonance
 from bundlejc.observables import (
-    _clamp_nonnegative,
     dressed_populations,
     g2_bundle_delayed,
     g_equal_time,
@@ -236,7 +237,7 @@ class TestDelayedBundleCorrelation:
     )
     def test_bad_delay_named(self, dissipative_n2, dissipative_n2_ss, order, grid, named):
         # a negative or non-finite delay would come back as a huge or NaN
-        # value, and a NaN also keeps the clamp from seeing negative values
+        # value; the delay is named before any propagation
         prop, rho_ss = dissipative_n2_ss
         with pytest.raises(ValueError, match=re.escape(named)):
             g2_bundle_delayed(dissipative_n2, order, grid, propagator=prop, rho_ss=rho_ss)
@@ -259,11 +260,55 @@ class TestDelayedBundleCorrelation:
         g2 = g2_bundle_delayed(dissipative_n2, 2, grid, propagator=prop, rho_ss=rho_ss)
         assert np.all(g2 >= 0.0)
 
-    def test_negative_values_clamped_with_warning(self):
-        values = np.array([0.5, -1e-12, 0.0, -3e-13])
-        with pytest.warns(UserWarning, match=r"clamping 2 .* \(min -1\.000e-12\) to 0"):
-            clamped = _clamp_nonnegative(values)
-        np.testing.assert_array_equal(clamped, [0.5, 0.0, 0.0, 0.0])
+    def test_roundoff_negative_returned_as_computed(self):
+        # a^2 = 0 at n_max = 1, so g_1(0) is exactly 0; it is computed as
+        # -2.62e-12 (OpenBLAS, x86-64), which a clamp once wrote as 0.0 with
+        # a warning.  The values come back as the regression computes them
+        p = at_resonance(ModelParams(
+            n=1, j=1.0, omega_l=21.0, delta_n=1.0, delta_a=0.0, kappa=10.0, gamma=1.0, n_max=1,
+        ))
+        prop = LiouvillePropagator(build_liouvillian(p))
+        rho = steady_state(prop.L)
+        grid = np.array([0.0, 0.1, 1.0])
+        g1 = g2_bundle_delayed(p, 1, grid, propagator=prop, rho_ss=rho)
+        a = fock_annihilation(p.dims)
+        meas = a.conj().T @ a
+        computed = np.einsum("ij,tji->t", meas, prop.propagate(a @ rho @ a.conj().T, grid)).real
+        np.testing.assert_array_equal(g1, computed / np.trace(meas @ rho).real ** 2)
+        assert -1e-6 <= g1[0] < 0.0
+
+    def test_negative_beyond_roundoff_refused(self):
+        # P*: its bundle curve reads -0.204 at tau = 0.283, where a dense expm
+        # of the same Liouvillian gives +0.0765; the clamp once wrote 0.0 at
+        # four delays.  The refusal names N, the value and its delay
+        p = at_resonance(ModelParams(
+            n=2, j=-71.1296499191231, omega_l=-78.95551397250043,
+            delta_n=0.04614540461922445, delta_a=0.0, kappa=44.27038123075698,
+            gamma=1e-300, n_max=2,
+        ))
+        prop = LiouvillePropagator(build_liouvillian(p))
+        rho = steady_state(prop.L)
+        grid = np.geomspace(tau_min(2, p.kappa), 30.0 / p.kappa, 200)
+        with pytest.raises(ValueError, match=r"^g_2\^\(2\)\(tau = ([0-9.e-]+)\) = -[0-9.]+e-0[1-3] "
+                           r"is not >= -1e-06, the round-off bound$") as refusal:
+            g2_bundle_delayed(p, 2, grid, propagator=prop, rho_ss=rho)
+        tau = float(re.search(r"tau = ([0-9.e-]+)", str(refusal.value))[1])
+        a2 = fock_annihilation(p.dims) @ fock_annihilation(p.dims)
+        meas = a2.conj().T @ a2
+        x = prop.L.k0_entries(a2 @ rho @ a2.conj().T, "collapsed")
+        d = p.dims.total_dim
+        out = np.zeros(d * d, dtype=complex)
+        out[prop.L.idx] = expm(prop.L.mat.toarray() * tau) @ x
+        exact = np.trace(meas @ unvec(out, d)).real / np.trace(meas @ rho).real ** 2
+        assert exact > 0.05
+
+    def test_nan_value_refused(self, dissipative_n2, dissipative_n2_ss, monkeypatch):
+        # a NaN from the propagation fails the same bound as a negative
+        prop, rho_ss = dissipative_n2_ss
+        d = dissipative_n2.dims.total_dim
+        monkeypatch.setattr(prop, "propagate", lambda op, taus: np.full((len(taus), d, d), np.nan))
+        with pytest.raises(ValueError, match=r"^g_2\^\(2\)\(tau = 1\.5\) = nan is not >= -1e-06"):
+            g2_bundle_delayed(dissipative_n2, 2, [1.5, 2.0], propagator=prop, rho_ss=rho_ss)
 
     def test_requires_decay(self, unitary_n2):
         prop = LiouvillePropagator(build_liouvillian(unitary_n2))
@@ -278,7 +323,7 @@ class TestDelayedBundleCorrelation:
             kappa=1.0, gamma=0.5, n_max=3,
         )
         prop = LiouvillePropagator(build_liouvillian(p))
-        with pytest.raises(ValueError, match="denominator"):
+        with pytest.raises(ValueError, match=r"^bundle occupation <a\^dag\^1 a\^1> = \S+ <= 1e-14$"):
             g2_bundle_delayed(p, 1, np.array([1.0]), propagator=prop, rho_ss=steady_state(prop.L))
 
     @pytest.mark.parametrize("field, other", [("delta_a", 0.0), ("kappa", 2.0)])
