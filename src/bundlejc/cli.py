@@ -218,6 +218,12 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
     for key, holds, reason in ((_NEEDS_KAPPA,) if entry.dissipative else ()) + entry.requires:
         if not holds(cfg, derived):
             raise ConfigError(f"[model] {key} = {getattr(model, key)}: preset {preset!r} {reason}")
+    if entry.sampling is not None:  # its default horizon exists once the requirements hold
+        t_final, sample_dt = entry.sampling(cfg)
+        try:
+            _check_horizon(t_final=t_final, sample_dt=sample_dt)
+        except ValueError as exc:
+            raise ConfigError(f"[integrator] {exc}") from exc
     return cfg
 
 
@@ -301,12 +307,25 @@ def _sidecar(cfg: ExperimentConfig, out_dir: Path, extra: dict) -> Path:
     return path
 
 
+def _superrabi_sampling(cfg: ExperimentConfig) -> tuple[float, float]:
+    """t_final and sample_dt of superrabi: the [integrator] values, by default
+    1000 samples to 1.25 pi/|omega_eff|."""
+    t_final = cfg.integrator.t_final or 1.25 * math.pi / abs(omega_eff_mollow(cfg.model).omega_eff)
+    return t_final, cfg.integrator.sample_dt or t_final / 999
+
+
+def _trajectory_sampling(cfg: ExperimentConfig) -> tuple[float, float]:
+    """t_final and sample_dt of trajectory: the [integrator] values, by
+    default 50/kappa and 0.05/kappa."""
+    kappa = cfg.model.kappa
+    return cfg.integrator.t_final or 50.0 / kappa, cfg.integrator.sample_dt or 0.05 / kappa
+
+
 def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """|0>|+> under H_I at _sample_times; by default 1000 samples to 1.25 pi/|omega_eff|."""
+    """|0>|+> under H_I at _sample_times of _superrabi_sampling."""
     m = cfg.model
     eff = omega_eff_mollow(m)
-    t_final = cfg.integrator.t_final or 1.25 * math.pi / abs(eff.omega_eff)
-    sample_dt = cfg.integrator.sample_dt or t_final / 999
+    t_final, sample_dt = _superrabi_sampling(cfg)
     t_grid = _sample_times(t_final, sample_dt)
     psi0 = dressed_state(m, 0, "+")
     history = schrodinger_evolve(build_H_I(m), psi0, t_grid)
@@ -329,8 +348,7 @@ def _run_steadyscan(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
-    t_final = cfg.integrator.t_final or 50.0 / m.kappa
-    sample_dt = cfg.integrator.sample_dt or 0.05 / m.kappa
+    t_final, sample_dt = _trajectory_sampling(cfg)
     psi0 = dressed_state(m, 0, "+")
     (rec,) = run_trajectories(m, psi0, t_final, sample_dt, 1, cfg.seeds.base_seed)
     m_top = min(3, m.n_max)
@@ -419,13 +437,12 @@ _RELAXES = ("gamma", lambda c, d: c.model.j != 0 or c.model.gamma > 0,
 _MAX_HORIZON_RATE = 1e-6 / sys.float_info.epsilon
 
 
-def _fits_roundoff(field: str, horizon: Callable[[ExperimentConfig, dict], float], name: str):
-    """The requirement that horizon(cfg, derived_quantities) times the largest
-    [model] rate stays within _MAX_HORIZON_RATE, naming the field that sets
-    the default horizon."""
+def _fits_roundoff(field: str, horizon: Callable[[ExperimentConfig], float], name: str):
+    """The requirement that horizon(cfg) times the largest [model] rate stays
+    within _MAX_HORIZON_RATE, naming the field that sets the default horizon."""
 
     def holds(c: ExperimentConfig, d: dict) -> bool:
-        return horizon(c, d) * c.model.largest_rate()[1] <= _MAX_HORIZON_RATE
+        return horizon(c) * c.model.largest_rate()[1] <= _MAX_HORIZON_RATE
 
     return (field, holds,
             f"needs {name} times the largest rate <= {_MAX_HORIZON_RATE:.2e} (eig round-off)")
@@ -436,11 +453,15 @@ class Preset(NamedTuple):
     sidecar entries, and writes nothing; a dissipative preset needs kappa > 0
     and is in units of kappa, the others in units of J.  A requirement is
     (field, holds(cfg, derived_quantities), reason); parse_config refuses a
-    config failing one, naming the [model] field, so --dry-run refuses it too."""
+    config failing one, naming the [model] field, so --dry-run refuses it too.
+    A time-resolved preset's sampling(cfg) gives the t_final and sample_dt
+    its run uses, defaults included; parse_config refuses a sample count past
+    GRID_CAP there, naming [integrator] sample_dt."""
 
     run: Callable[[ExperimentConfig], tuple[dict, dict]]
     dissipative: bool
     requires: tuple = ()
+    sampling: Callable[[ExperimentConfig], tuple[float, float]] | None = None
 
 
 REGISTRY = {
@@ -451,18 +472,18 @@ REGISTRY = {
         ("delta_a", lambda c, d: "omega_eff" in d, "has a singular Mollow model here"),
         ("j", lambda c, d: c.integrator.t_final or abs(d["omega_eff"]) >= sys.float_info.min,
          "has no default horizon 1.25 pi/|omega_eff| at omega_eff ~ 0; set [integrator] t_final"),
-        _fits_roundoff("j", lambda c, d: c.integrator.t_final or 1.25 * math.pi / abs(
-            d["omega_eff"]), "the horizon t_final (default 1.25 pi/|omega_eff|)"),
-    )),
+        _fits_roundoff("j", lambda c: _superrabi_sampling(c)[0],
+                       "the horizon t_final (default 1.25 pi/|omega_eff|)"),
+    ), _superrabi_sampling),
     "steadyscan": Preset(_run_steadyscan, True, (_RELAXES,)),
     "trajectory": Preset(_run_trajectory, True, (
         _DRESSED_START,
-        _fits_roundoff("kappa", lambda c, d: c.integrator.t_final or 50.0 / c.model.kappa,
+        _fits_roundoff("kappa", lambda c: _trajectory_sampling(c)[0],
                        "the horizon t_final (default 50/kappa)"),
-    )),
+    ), _trajectory_sampling),
     "g2tau": Preset(_run_g2tau, True, (
         _RELAXES,
-        _fits_roundoff("kappa", lambda c, d: c.scan.tau_max / c.model.kappa,
+        _fits_roundoff("kappa", lambda c: c.scan.tau_max / c.model.kappa,
                        "the horizon tau_max/kappa"),
     )),
     "jcregime": Preset(_run_jcregime, True, (

@@ -15,7 +15,9 @@ holds the system of one K, and since delta_a moves only the diagonal of L, it
 rewrites just that diagonal (with the arithmetic of build_liouvillian) to
 solve at any delta_a.  steady_state(L) is its solve at the delta_a of L, then
 a truncation check.  H and L do not depend on time, so each equation of motion
-has one propagator, an eigendecomposition, which is exact at the sample times.
+has one propagator, an eigendecomposition, which is exact at the sample times;
+a delayed correlation is contracted in the eigenbasis of K
+(LiouvillePropagator.expectation), never forming the propagated operators.
 
 scipy is imported only where a Liouvillian is built or factored:
 build_liouvillian (the one way to make an L; LiouvillePropagator and
@@ -232,39 +234,89 @@ class LiouvillePropagator:
 
     The sector is closed under the adjoint and L maps Hermitian operators to
     Hermitian ones, so its block K is decomposed once, here, as the real
-    matrix T K T^dag (T from _hermitian_basis) at about half the cost of a
-    complex eig; as X = T^dag (T X) for any X, arbitrary (not necessarily
-    trace-one or Hermitian) k = 0 operators propagate, as the two-time
-    regression pathway needs.
+    matrix T K T^dag = W diag(lambda) W^-1 (T from _hermitian_basis) at about
+    half the cost of a complex eig.  As X = T^dag (T X) for any X, arbitrary
+    (not necessarily trace-one or Hermitian) k = 0 operators propagate, as
+    the two-time regression pathway needs:
+    exp(L tau) x = sum_i exp(lambda_i tau) c_i T^dag w_i, with x the k = 0
+    entries of X and c = W^-1 T x.  W is never inverted: c comes from one
+    real np.linalg.solve per operator (_coefficients).  propagate forms those
+    operators; expectation contracts a measurement with them in the
+    eigenbasis and forms none.
+
+    The real form has real eigenvalues and conjugate pairs.  LAPACK's dgeev
+    returns each pair together, the one with positive imaginary part first,
+    with eigenvectors v and conj(v); its real eigenvector matrix V holds
+    Re v and Im v in their place, and costs a real solve where W costs a
+    complex one.
     """
 
     def __init__(self, L: Liouvillian):
         self.L = L
-        t = _hermitian_basis(L.idx, L.params.dims.total_dim)
-        real_form = t @ L.mat @ t.conj().T
+        self._t = _hermitian_basis(L.idx, L.params.dims.total_dim)
+        real_form = self._t @ L.mat @ self._t.conj().T
         imag = np.abs(real_form.data.imag).max(initial=0.0)
         if imag > 1e-14 * np.abs(real_form.data.real).max(initial=0.0):
             raise RuntimeError(f"sector k=0 not real in the Hermitian basis: {imag:.3e}")
-        self._evals, w = np.linalg.eig(real_form.real.toarray())
-        self._inv = np.linalg.inv(w) @ t  # before T^dag W: one dense matrix fewer at peak
-        self._evecs = t.conj().T @ w
+        self._evals, self._w = np.linalg.eig(real_form.real.toarray())
+        self._pairs = np.flatnonzero(self._evals.imag > 0)  # v; conj(v) follows
+        self._vr = self._w.real.copy()
+        self._vr[:, self._pairs + 1] = self._w[:, self._pairs].imag
+        # one member of each conjugate pair, then the real eigenvalues
+        self._half = np.r_[self._pairs, np.flatnonzero(self._evals.imag == 0)]
 
-    def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:
-        """Returns an array of operators exp(L tau) op, one per tau.  Raises a
-        ValueError naming taus unless they are one delay or a non-empty 1-D grid
-        of finite delays >= 0 (L is dissipative: it does not run backward);
-        k0_entries refuses an op_mat not (d, d) or with an entry outside k = 0."""
-        d, idx = self.L.params.dims.total_dim, self.L.idx
+    def _coefficients(self, op_mat: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray]:
+        """taus as a float grid and the eigenbasis coefficients c = W^-1 T x of
+        op_mat.  Raises a ValueError naming taus unless they are one delay or a
+        non-empty 1-D grid of finite delays >= 0 (L is dissipative: it does
+        not run backward); k0_entries refuses an op_mat not (d, d) or with an
+        entry outside k = 0.
+
+        T x = V y is solved in real arithmetic, its real and imaginary parts
+        as two right-hand sides.  Re v = (v + conj(v))/2 and Im v =
+        (v - conj(v))/2i, so a pair's coefficients on v and conj(v) are
+        (y_v -+ i y_conj(v))/2; a real eigenvector keeps its y."""
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         if taus.ndim != 1 or not len(taus):
             raise ValueError(f"taus must be a non-empty 1-D grid; got shape {taus.shape}")
         bad = taus[~(np.isfinite(taus) & (taus >= 0))]
         if len(bad):
             raise ValueError(f"taus must be finite and >= 0; got {bad[0]:g}")
-        part = self.L.k0_entries(op_mat, "op_mat")
+        u = self._t @ self.L.k0_entries(op_mat, "op_mat")
+        c = np.linalg.solve(self._vr, np.column_stack([u.real, u.imag])) @ [1, 1j]
+        p = self._pairs
+        c[p], c[p + 1] = (c[p] - 1j * c[p + 1]) / 2, (c[p] + 1j * c[p + 1]) / 2
+        return taus, c
+
+    def propagate(self, op_mat: np.ndarray, taus) -> np.ndarray:
+        """Returns an array of operators exp(L tau) op_mat, one per tau, with
+        the refusals of _coefficients."""
+        taus, coeffs = self._coefficients(op_mat, taus)
+        d, idx = self.L.params.dims.total_dim, self.L.idx
         out = np.zeros((len(taus), d * d), dtype=complex)
-        out[:, idx] = (np.exp(np.outer(taus, self._evals)) * (self._inv @ part)) @ self._evecs.T
+        evecs = self._t.conj().T @ self._w
+        out[:, idx] = (np.exp(np.outer(taus, self._evals)) * coeffs) @ evecs.T
         return out.reshape((len(taus), d, d)).transpose(0, 2, 1)
+
+    def expectation(self, meas: np.ndarray, op_mat: np.ndarray, taus) -> np.ndarray:
+        """Tr[meas exp(L tau) op_mat], one complex value per tau, with the
+        refusals of _coefficients and a DimensionMismatchError naming meas
+        unless it is (d, d).
+
+        Contracted in the eigenbasis: Tr[M X] = vec(M^T) . vec(X), so with m
+        the k = 0 entries of vec(meas^T) (X has no others) each value is
+        sum_i exp(lambda_i tau) (m . T^dag w_i) c_i.  The measurement is
+        projected onto the eigenvectors once; the grid then costs one exp of
+        the tau x lambda table, over one member of each conjugate pair since
+        exp(conj(lambda) tau) = conj(exp(lambda tau)), and two matrix-vector
+        products.  No operator is formed."""
+        taus, coeffs = self._coefficients(op_mat, taus)
+        _check_shape("meas", meas, (self.L.params.dims.total_dim,) * 2)
+        m = (vec(meas.T)[self.L.idx] @ self._t.conj().T) @ self._w
+        k, p = m * coeffs, self._pairs
+        table = np.outer(taus, self._evals[self._half])
+        np.exp(table, out=table)  # in place: one table at peak
+        return table @ k[self._half] + (table[:, : len(p)] @ k[p + 1].conj()).conj()
 
 
 def steady_state(L: Liouvillian) -> np.ndarray:

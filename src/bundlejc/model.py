@@ -38,7 +38,7 @@ __all__ = [
 # a warm-up call; 2-vCPU host, OpenBLAS 0.3.31 on 2 threads).
 # The factorial ratios are exact: math.perm is an integer, rounded once.
 N_MAX_CAP = 20
-GRID_CAP = 10**4  # points per configured grid; one g_N delay holds 83 KiB at N_MAX_CAP
+GRID_CAP = 10**4  # points per configured grid; one g_N delay holds 28 KiB at N_MAX_CAP
 
 # the [model] rates, in the order that breaks a tie for the largest
 RATES = ("j", "omega_l", "delta_n", "delta_a", "kappa", "gamma")

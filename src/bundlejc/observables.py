@@ -4,9 +4,11 @@ steady-state sweeps over the cavity detuning.
 
 States are plain complex arrays: amplitudes of shape (..., d) and density
 matrices of shape (d, d).  The equal-time g^(l)(0) is a sum over the photon
-distribution, because a^dag^l a^l is diagonal in the Fock basis.  A sweep
-builds the Liouvillian once (dynamics.SteadyStateWorkspace) and solves the
-k = 0 block per point.
+distribution, because a^dag^l a^l is diagonal in the Fock basis.  The delayed
+g_N^(2)(tau) is a trace per delay, contracted in the eigenbasis of the k = 0
+block (LiouvillePropagator.expectation), so no propagated operator is
+formed.  A sweep builds the Liouvillian once (dynamics.SteadyStateWorkspace)
+and solves the k = 0 block per point.
 """
 
 from __future__ import annotations
@@ -88,9 +90,14 @@ def g2_bundle_delayed(
 ) -> np.ndarray:
     """Delayed g_N^(2)(tau) of the N-photon bundle, one value per delay in tau_grid.
 
-    Quantum regression: the collapsed operator a^N rho_ss a^dagN is propagated
-    under the Liouvillian and measured with a^dagN a^N; both denominator
+    Quantum regression: the collapsed operator x = a^N rho_ss a^dagN evolves
+    under the Liouvillian and is measured with a^dagN a^N; both denominator
     factors are the stationary value.  N=1 recovers the standard g2(tau).
+    Each numerator Tr[a^dagN a^N exp(L tau) x] is propagator.expectation:
+    sum_i exp(lambda_i tau) (m . w_i) c_i over the eigenpairs of the k = 0
+    block, with m the measurement projected onto the eigenvectors once and c
+    the coefficients of x from one solve, so a grid costs one exp of the
+    tau x lambda table and one matrix-vector product.
     propagator must hold the Liouvillian L of p, and rho_ss must be its steady
     state, normally steady_state(propagator.L): it may have no entry outside
     k = 0, and it must pass the steady-state solver's own stationarity test
@@ -98,8 +105,9 @@ def g2_bundle_delayed(
 
     The default grid is 200 delays from tau_min to 30/kappa.  For N >= 2 every
     delay must be finite and >= tau_min, below which the bundle correlation is
-    not meaningful.  propagate refuses a grid that is empty or not 1-D and a
-    delay not finite and >= 0; N=1 grids, tau = 0 included, pass as given.
+    not meaningful.  The propagator refuses a grid that is empty or not 1-D
+    and a delay not finite and >= 0, as propagate does; N=1 grids, tau = 0
+    included, pass as given.
     Values come back as computed; one below -1e-6 (g >= 0; round-off reached
     -3.7e-9) or NaN is a ValueError naming N, the value and its delay.
     """
@@ -125,8 +133,7 @@ def g2_bundle_delayed(
     if denom <= 1e-14:
         raise ValueError(f"bundle occupation <a^dag^{N} a^{N}> = {denom:.3e} <= 1e-14")
     collapsed = an @ rho_ss @ an.conj().T
-    propagated = propagator.propagate(collapsed, tau_grid)
-    values = np.einsum("ij,tji->t", meas, propagated).real / denom**2
+    values = propagator.expectation(meas, collapsed, tau_grid).real / denom**2
     if not values[k := np.argmin(values)] >= -1e-6:  # argmin finds the first NaN
         raise ValueError(f"g_{N}^(2)(tau = {tau_grid.flat[k]:g}) = {values[k]:.3e} is not "
                          ">= -1e-06, the round-off bound")

@@ -262,8 +262,8 @@ class TestDelayedBundleCorrelation:
 
     def test_roundoff_negative_returned_as_computed(self):
         # a^2 = 0 at n_max = 1, so g_1(0) is exactly 0; it is computed as
-        # -2.62e-12 (OpenBLAS, x86-64), which a clamp once wrote as 0.0 with
-        # a warning.  The values come back as the regression computes them
+        # -3.81e-14 (OpenBLAS 0.3.31, x86-64), which a clamp once wrote as 0.0
+        # with a warning.  The values come back as the contraction computes them
         p = at_resonance(ModelParams(
             n=1, j=1.0, omega_l=21.0, delta_n=1.0, delta_a=0.0, kappa=10.0, gamma=1.0, n_max=1,
         ))
@@ -273,7 +273,7 @@ class TestDelayedBundleCorrelation:
         g1 = g2_bundle_delayed(p, 1, grid, propagator=prop, rho_ss=rho)
         a = fock_annihilation(p.dims)
         meas = a.conj().T @ a
-        computed = np.einsum("ij,tji->t", meas, prop.propagate(a @ rho @ a.conj().T, grid)).real
+        computed = prop.expectation(meas, a @ rho @ a.conj().T, grid).real
         np.testing.assert_array_equal(g1, computed / np.trace(meas @ rho).real ** 2)
         assert -1e-6 <= g1[0] < 0.0
 
@@ -303,10 +303,9 @@ class TestDelayedBundleCorrelation:
         assert exact > 0.05
 
     def test_nan_value_refused(self, dissipative_n2, dissipative_n2_ss, monkeypatch):
-        # a NaN from the propagation fails the same bound as a negative
+        # a NaN from the contraction fails the same bound as a negative
         prop, rho_ss = dissipative_n2_ss
-        d = dissipative_n2.dims.total_dim
-        monkeypatch.setattr(prop, "propagate", lambda op, taus: np.full((len(taus), d, d), np.nan))
+        monkeypatch.setattr(prop, "expectation", lambda meas, op, taus: np.full(len(taus), np.nan))
         with pytest.raises(ValueError, match=r"^g_2\^\(2\)\(tau = 1\.5\) = nan is not >= -1e-06"):
             g2_bundle_delayed(dissipative_n2, 2, [1.5, 2.0], propagator=prop, rho_ss=rho_ss)
 
