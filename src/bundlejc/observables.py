@@ -96,8 +96,8 @@ def g2_bundle_delayed(
     Each numerator Tr[a^dagN a^N exp(L tau) x] is propagator.expectation:
     sum_i exp(lambda_i tau) (m . w_i) c_i over the eigenpairs of the k = 0
     block, with m the measurement projected onto the eigenvectors once and c
-    the coefficients of x from one solve, so a grid costs one exp of the
-    tau x lambda table and one matrix-vector product.
+    the coefficients of x from one solve, so a grid costs one exp table and
+    forms no propagated operator.
     propagator must hold the Liouvillian L of p, and rho_ss must be its steady
     state, normally steady_state(propagator.L): it may have no entry outside
     k = 0, and it must pass the steady-state solver's own stationarity test

@@ -683,7 +683,6 @@ class TestPropagator:
         ):
             prop.propagate(op, [1.0])
 
-
     @pytest.mark.parametrize(
         "in_k0, taus",
         [(False, [1.0]), (True, [1.0, math.nan]), (True, [-5.0]), (True, []),
