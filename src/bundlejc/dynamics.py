@@ -504,65 +504,31 @@ class TrajectoryRecord:
 
 JUMP_TOL = 1e-12  # |log ||psi||^2 - log r| at a solved jump time
 JUMP_MAX_ITER = 100  # Newton/bisection steps; bisection alone needs about 60
+DRAW_BLOCK = 32  # uniform(size=k) gives the values of k scalar draws
 
 
 class _JumpPropagator:
-    """Exact evolution under H_nh = H_I - (i/2)(kappa a^dag a + gamma sigma_+
-    sigma_-), diagonalized once as V diag(lambda) V^-1 and shared across an
-    ensemble.  A state psi = V c is held as its coefficients c, so advancing
-    by s is c exp(-i lambda s); one matvec with the stacked forms V^dag V and
-    V^dag (rate C^dag C) V then gives ||psi||^2 and both channel weights."""
+    """Exact evolution under H_nh = H_I - (i/2) Gamma, Gamma = kappa a^dag a +
+    gamma sigma_+ sigma_-, diagonalized once as V diag(lambda) V^-1 and shared
+    across an ensemble.  A state psi = V c is held as its coefficients c, so
+    advancing by s is c exp(rates s).  Each quadratic form F is read as
+    c^dag F c: gram = V^dag V gives ||psi||^2; loss stacks gram over
+    V^dag Gamma V, so one matvec gives ||psi||^2 and the decay weight
+    w = -d||psi||^2/ds; cavity = V^dag kappa a^dag a V gives the cavity's
+    share of w.  jump_maps apply a and sigma_- to c."""
 
     def __init__(self, p: ModelParams):
         channels = _decay_channels(p)
         decays = [(rate, c.conj().T @ c) for rate, c in channels]
         # eigenvalues of G = -i H_nh are the rates -i lambda
-        self._rates, self.v = np.linalg.eig(_damped_generator(build_H_I(p), decays))
+        self.rates, self.v = np.linalg.eig(_damped_generator(build_H_I(p), decays))
         self.inv = np.linalg.inv(self.v)
         vh = self.v.conj().T
-        self._forms = np.concatenate(
-            [vh @ self.v] + [vh @ (rate * cdc) @ self.v for rate, cdc in decays]
-        )
+        forms = [vh @ (rate * cdc) @ self.v for rate, cdc in decays]
+        self.loss = np.concatenate([vh @ self.v, forms[0] + forms[1]])
+        self.gram = self.loss[: len(self.v)]
+        self.cavity = forms[0]
         self.jump_maps = [self.inv @ c @ self.v for _, c in channels]
-
-    def advance(self, c: np.ndarray, s: float) -> np.ndarray:
-        return c * np.exp(self._rates * s)
-
-    def forms(self, c: np.ndarray) -> list[float]:
-        """[||psi||^2, kappa ||a psi||^2, gamma ||sigma_- psi||^2]."""
-        return ((self._forms @ c).reshape(3, -1) @ c.conj()).real.tolist()
-
-    def jump_time(self, c, h: float, norm2: float, norm2_h: float, r: float):
-        """Root s in (0, h] of log ||psi(s)||^2 = log r, where psi(s) has
-        coefficients advance(c, s) and the squared norm falls from norm2 > r
-        at s = 0 to norm2_h <= r at s = h.  Starts from log-linear
-        interpolation and takes Newton steps on d||psi||^2/ds = -(w_cav +
-        w_tls), bisecting when a step would leave the bracket.  Returns s, the
-        coefficients at s and the channel weights there."""
-
-        def excess(n2):  # log ||psi||^2 - log r, -inf once the norm underflows
-            return math.log(n2 / r) if n2 > 0 else -math.inf
-
-        f_lo = excess(norm2)
-        s = h * f_lo / (f_lo - excess(norm2_h))
-        lo, hi = 0.0, h
-        for _ in range(JUMP_MAX_ITER):
-            cs = self.advance(c, s)
-            n2, w_cav, w_tls = self.forms(cs)
-            f = excess(n2)
-            if abs(f) <= JUMP_TOL:
-                return s, cs, w_cav, w_tls
-            if f > 0:
-                lo = s
-            else:
-                hi = s
-            # Newton step f n2 / w, taken only if it stays in (lo, hi); never
-            # divides when the weight w is not positive
-            step, w = f * n2, w_cav + w_tls
-            s = s + step / w if (lo - s) * w < step < (hi - s) * w else 0.5 * (lo + hi)
-        raise RuntimeError(
-            f"jump time not converged to {JUMP_TOL:.0e} in {JUMP_MAX_ITER} steps"
-        )
 
 
 def _check_horizon(**fields: float) -> None:
@@ -584,6 +550,12 @@ def _sample_times(t_final: float, sample_dt: float) -> np.ndarray:
     return sample_dt * np.arange(count)
 
 
+def _uniforms(rng: np.random.Generator):
+    """rng's uniform draws one by one, DRAW_BLOCK per call to rng."""
+    while True:
+        yield from rng.uniform(size=DRAW_BLOCK).tolist()
+
+
 def _unravel(
     prop: _JumpPropagator, psi0, norm: float, t_final: float, sample_dt: float, seed: int
 ) -> TrajectoryRecord:
@@ -594,38 +566,61 @@ def _unravel(
     next uniform draw r.  The jump time is the root of log ||psi||^2 = log r,
     solved by safeguarded Newton iteration to JUMP_TOL in the log-norm, so it
     does not depend on sample_dt.  The channel is drawn in proportion to the
-    channel weights kappa<a^dag a> and gamma<sigma_+ sigma_->."""
-    rng = np.random.default_rng(seed)
+    channel weights kappa<a^dag a> and gamma<sigma_+ sigma_->.  Every product
+    is matrix-vector (see run_trajectories)."""
+    draws = _uniforms(np.random.default_rng(seed))
     times = _sample_times(t_final, sample_dt)
     states = np.empty((len(times), len(psi0)), dtype=complex)
     jumps: list[tuple[float, str]] = []
 
     states[0] = psi0
-    c = prop.inv @ (psi0 / norm)
-    norm2 = 1.0  # ||psi||^2 at t
-    t = 0.0
-    r = rng.uniform()
-    for k, t_next in enumerate(times[1:], start=1):
+    c = np.dot(prop.inv, psi0 / norm)
+    full = np.exp(prop.rates * sample_dt)  # from one sample time to the next
+    t, norm2 = 0.0, 1.0  # the time reached, and ||psi||^2 there
+    r = next(draws)
+    for k, t_next in enumerate(times[1:].tolist(), start=1):
+        h, advance = sample_dt, full  # the span to t_next and its exp(rates h)
         while True:
-            trial = prop.advance(c, t_next - t)
-            trial_norm2 = prop.forms(trial)[0]
+            trial = c * advance
+            trial_norm2 = np.vdot(trial, np.dot(prop.gram, trial)).real
             if trial_norm2 > r:
                 c, norm2, t = trial, trial_norm2, t_next
                 break
-            s, c, w_cav, w_tls = prop.jump_time(c, t_next - t, norm2, trial_norm2, r)
+            # the jump time: root s in (0, h] of f(s) = log ||psi(s)||^2 - log r,
+            # from log-linear interpolation, then Newton steps on
+            # d||psi||^2/ds = -w, bisecting when a step would leave the bracket
+            f_lo = math.log(norm2 / r)
+            f_hi = math.log(trial_norm2 / r) if trial_norm2 > 0 else -math.inf
+            s, lo, hi = h * f_lo / (f_lo - f_hi), 0.0, h
+            for _ in range(JUMP_MAX_ITER):
+                cs = c * np.exp(prop.rates * s)
+                n2, w = np.dot(prop.loss, cs).reshape(2, -1).dot(cs.conj()).real.tolist()
+                f = math.log(n2 / r) if n2 > 0 else -math.inf  # -inf once n2 underflows
+                if abs(f) <= JUMP_TOL:
+                    break
+                lo, hi = (s, hi) if f > 0 else (lo, s)
+                # Newton step f n2 / w, taken only if it stays in (lo, hi); never
+                # divides when w is not positive
+                step = f * n2
+                s = s + step / w if (lo - s) * w < step < (hi - s) * w else 0.5 * (lo + hi)
+            else:
+                raise RuntimeError(
+                    f"jump time not converged to {JUMP_TOL:.0e} in {JUMP_MAX_ITER} steps"
+                )
             t += s
-            if w_cav + w_tls <= 0:
+            if not w > 0:
                 raise RuntimeError("jump resolution lost: no decay weight at jump time")
-            cavity = rng.uniform() < w_cav / (w_cav + w_tls)
-            c = prop.jump_maps[0 if cavity else 1] @ c
-            norm2 = prop.forms(c)[0]
+            cavity = next(draws) < np.vdot(cs, np.dot(prop.cavity, cs)).real / w
+            c = np.dot(prop.jump_maps[0 if cavity else 1], cs)
+            norm2 = np.vdot(c, np.dot(prop.gram, c)).real
             if not norm2 > 0:
                 raise RuntimeError("jump resolution lost: state annihilated")
-            c = c / math.sqrt(norm2)
-            norm2 = 1.0
+            c, norm2 = c / math.sqrt(norm2), 1.0
             jumps.append((t, "cavity" if cavity else "tls"))
-            r = rng.uniform()
-        states[k] = prop.v @ c / math.sqrt(norm2)
+            r = next(draws)
+            h = t_next - t
+            advance = np.exp(prop.rates * h)
+        states[k] = np.dot(prop.v, c) / math.sqrt(norm2)
     return TrajectoryRecord(seed=seed, times=times, states=states, jumps=jumps)
 
 
@@ -656,7 +651,12 @@ def run_trajectories(
     without os.sched_getaffinity, runs them in-process through the same
     per-member function.  Either way a record depends only on its seed, bit
     for bit, whatever the batching.  The pool is terminated on every exit
-    (success, a member's error, Ctrl-C), so no worker outlives the call."""
+    (success, a member's error, Ctrl-C), so no worker outlives the call.
+
+    A member makes only matrix-vector BLAS calls.  In a forked worker a
+    matrix-matrix product wakes OpenBLAS's threads, which spin for about
+    0.1 s on the other worker's core: forming a member's states with one
+    (601 x 26)(26 x 26) product cut the benchmark's jumps per second x0.73."""
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1; got {n_trajectories}")
     if base_seed < 0:

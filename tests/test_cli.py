@@ -539,15 +539,17 @@ class TestMain:
             assert f"[model] {rates}; the smallest nonzero of these" in flag
 
     def test_trajectory_determinism_bit_for_bit(self, tmp_path):
+        # 50/kappa, so the record holds jumps (a 5/kappa run held none)
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(
-            DISSIPATIVE + "\n[integrator]\nt_final = 5.0\nsample_dt = 0.5\n"
+            DISSIPATIVE + "\n[integrator]\nt_final = 50.0\nsample_dt = 0.5\n"
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(["trajectory", "--config", cfg_file, "--out", out1]) == 0
         assert run_cli(["trajectory", "--config", cfg_file, "--out", out2]) == 0
         for name in ("trajectory_populations.csv", "trajectory_jumps.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert len((out1 / "trajectory_jumps.csv").read_text().splitlines()) > 1
 
     def test_removed_key_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.ini"

@@ -525,17 +525,20 @@ class TestMcwf:
             lone_trajectory(dissipative_n2, psi0, 200.0, 10.0, seed=1)
 
     def test_jump_without_weight_raises(self, dissipative_n2, monkeypatch):
-        # a jump time whose state has no decay weight leaves no channel to draw
-        jump_time = dynamics._JumpPropagator.jump_time
-
-        def weightless(self, *args):
-            s, cs, _, _ = jump_time(self, *args)
-            return s, cs, 0.0, 0.0
-
-        monkeypatch.setattr(dynamics._JumpPropagator, "jump_time", weightless)
+        # a jump time whose state has no decay weight leaves no channel to
+        # draw, and neither does a NaN weight.  With the loss form zeroed (or
+        # NaN) the norm still decays, and bisection alone finds the jump time
+        init = dynamics._JumpPropagator.__init__
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
-        with pytest.raises(RuntimeError, match="^jump resolution lost: no decay weight at jump time$"):
-            lone_trajectory(dissipative_n2, psi0, 200.0, 10.0, seed=1)
+        for weight in (0.0, math.nan):
+
+            def weightless(self, p, weight=weight):
+                init(self, p)
+                self.loss[len(self.gram):] = weight
+
+            monkeypatch.setattr(dynamics._JumpPropagator, "__init__", weightless)
+            with pytest.raises(RuntimeError, match="^jump resolution lost: no decay weight at jump time$"):
+                lone_trajectory(dissipative_n2, psi0, 200.0, 10.0, seed=1)
 
     def test_annihilated_state_raises(self, dissipative_n2, monkeypatch):
         # a jump map that sends the state to 0 leaves nothing to renormalize
@@ -549,6 +552,30 @@ class TestMcwf:
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
         with pytest.raises(RuntimeError, match="^jump resolution lost: state annihilated$"):
             lone_trajectory(dissipative_n2, psi0, 200.0, 10.0, seed=1)
+
+    def test_fock_cascade_replays_exactly(self):
+        # H = 0 from |20, e>: ||psi(t)||^2 = exp(-(m kappa + e gamma) t) in
+        # |m, e>, so each jump is at -ln(r)/(m kappa + e gamma) after the last
+        # one, and it is the cavity's iff the next draw u < m kappa/(m kappa +
+        # e gamma).  Replayed from the seed's stream, threshold and channel
+        # draws alternating: 21 jumps take 42 draws, past a block of draws
+        kappa, gamma = 1.0, 3.0
+        p = decay_params(kappa=kappa, gamma=gamma, n_max=20)
+        assert 42 > dynamics.DRAW_BLOCK
+        recs = run_trajectories(p, basis_state(p.dims, 20, 1), 60.0, 0.5, 30, base_seed=0)
+        for seed, rec in enumerate(recs):
+            rng, m, e, t, replay = np.random.default_rng(seed), 20, 1, 0.0, []
+            while m + e:
+                rate = m * kappa + e * gamma
+                t -= math.log(rng.uniform()) / rate
+                cavity = rng.uniform() < m * kappa / rate
+                m, e = (m - 1, e) if cavity else (m, e - 1)
+                replay.append((t, "cavity" if cavity else "tls"))
+            assert t < 60.0
+            assert [ch for _, ch in rec.jumps] == [ch for _, ch in replay]
+            np.testing.assert_allclose(
+                [t for t, _ in rec.jumps], [t for t, _ in replay], rtol=0.0, atol=1e-12
+            )
 
     @pytest.mark.parametrize("field", ["t_final", "sample_dt"])
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
