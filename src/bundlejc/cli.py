@@ -4,11 +4,14 @@ CSV/JSON dataset emission.
 Config files are INI-style with sections [model], [scan], [integrator],
 [seeds], [output]; the keys of each section are the fields of the dataclass it
 fills.  Unknown sections or keys are rejected.  [integrator] holds only the
-horizon and sampling step of the time-resolved presets, whose propagators are
-eigendecompositions with no scheme or tolerance to choose.  A preset computes
-its tables; `run_preset` then writes one CSV per table plus a JSON metadata
-sidecar holding the fully resolved configuration and derived quantities, so a
-dataset can be regenerated from its sidecar alone.
+horizon and sampling step of superrabi and trajectory, whose propagators are
+eigendecompositions with no scheme or tolerance to choose; g2tau's horizon is
+[scan] tau_max.  Each time-resolved preset states its horizon once, in its
+registry entry, and parse_config checks it for eig round-off and the
+sample cap.  A preset computes its tables; `run_preset` then writes one CSV
+per table plus a JSON metadata sidecar holding the fully resolved
+configuration and derived quantities, so a dataset can be regenerated from its
+sidecar alone.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .dynamics import (
 from .model import (
     GRID_CAP,
     ModelParams,
+    at_resonance,
     build_H_I,
     dressed,
     dressed_state,
@@ -170,7 +174,7 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
         raise ConfigError(f"[model] {exc}") from exc
     if delta_a == "resonance":
         try:
-            model = replace(model, delta_a=resonance_detuning(model))
+            model = at_resonance(model)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"[model] delta_a = resonance cannot be resolved: {exc}") from exc
 
@@ -218,12 +222,19 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
     for key, holds, reason in ((_NEEDS_KAPPA,) if entry.dissipative else ()) + entry.requires:
         if not holds(cfg, derived):
             raise ConfigError(f"[model] {key} = {getattr(model, key)}: preset {preset!r} {reason}")
-    if entry.sampling is not None:  # its default horizon exists once the requirements hold
-        t_final, sample_dt = entry.sampling(cfg)
-        try:
-            _check_horizon(t_final=t_final, sample_dt=sample_dt)
-        except ValueError as exc:
-            raise ConfigError(f"[integrator] {exc}") from exc
+    if entry.horizon is not None:  # its default horizon exists once the requirements hold
+        horizon, sample_dt = entry.horizon(cfg)
+        if not horizon * rate <= _MAX_HORIZON_RATE:
+            key = "kappa" if entry.dissipative else "j"
+            raise ConfigError(
+                f"[model] {key} = {getattr(model, key)}: preset {preset!r} needs its horizon "
+                f"{horizon:g} times the largest rate <= {_MAX_HORIZON_RATE:.2e} (eig round-off)"
+            )
+        if sample_dt is not None:
+            try:
+                _check_horizon(t_final=horizon, sample_dt=sample_dt)
+            except ValueError as exc:
+                raise ConfigError(f"[integrator] {exc}") from exc
     return cfg
 
 
@@ -307,25 +318,30 @@ def _sidecar(cfg: ExperimentConfig, out_dir: Path, extra: dict) -> Path:
     return path
 
 
-def _superrabi_sampling(cfg: ExperimentConfig) -> tuple[float, float]:
+def _superrabi_horizon(cfg: ExperimentConfig) -> tuple[float, float]:
     """t_final and sample_dt of superrabi: the [integrator] values, by default
     1000 samples to 1.25 pi/|omega_eff|."""
     t_final = cfg.integrator.t_final or 1.25 * math.pi / abs(omega_eff_mollow(cfg.model).omega_eff)
     return t_final, cfg.integrator.sample_dt or t_final / 999
 
 
-def _trajectory_sampling(cfg: ExperimentConfig) -> tuple[float, float]:
+def _trajectory_horizon(cfg: ExperimentConfig) -> tuple[float, float]:
     """t_final and sample_dt of trajectory: the [integrator] values, by
     default 50/kappa and 0.05/kappa."""
     kappa = cfg.model.kappa
     return cfg.integrator.t_final or 50.0 / kappa, cfg.integrator.sample_dt or 0.05 / kappa
 
 
+def _g2tau_horizon(cfg: ExperimentConfig) -> tuple[float, None]:
+    """The longest delay of g2tau, tau_max/kappa; it samples no time grid."""
+    return cfg.scan.tau_max / cfg.model.kappa, None
+
+
 def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """|0>|+> under H_I at _sample_times of _superrabi_sampling."""
+    """|0>|+> under H_I at _sample_times of _superrabi_horizon."""
     m = cfg.model
     eff = omega_eff_mollow(m)
-    t_final, sample_dt = _superrabi_sampling(cfg)
+    t_final, sample_dt = _superrabi_horizon(cfg)
     t_grid = _sample_times(t_final, sample_dt)
     psi0 = dressed_state(m, 0, "+")
     history = schrodinger_evolve(build_H_I(m), psi0, t_grid)
@@ -348,7 +364,7 @@ def _run_steadyscan(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
-    t_final, sample_dt = _trajectory_sampling(cfg)
+    t_final, sample_dt = _trajectory_horizon(cfg)
     psi0 = dressed_state(m, 0, "+")
     (rec,) = run_trajectories(m, psi0, t_final, sample_dt, 1, cfg.seeds.base_seed)
     m_top = min(3, m.n_max)
@@ -370,7 +386,7 @@ def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
     L = build_liouvillian(m)
     rho = steady_state(L)  # a TruncationError here costs no eig
     prop = LiouvillePropagator(L)
-    t_floor, t_max = tau_min(n_bundle, m.kappa), cfg.scan.tau_max / m.kappa
+    t_floor, t_max = tau_min(n_bundle, m.kappa), _g2tau_horizon(cfg)[0]
     grid_n = np.geomspace(t_floor, t_max, cfg.scan.tau_points)
     g_n = g2_bundle_delayed(m, n_bundle, grid_n, propagator=prop, rho_ss=rho)
     grid_1 = np.concatenate(([0.0], np.geomspace(0.01 / m.kappa, t_max, cfg.scan.tau_points)))
@@ -437,31 +453,22 @@ _RELAXES = ("gamma", lambda c, d: c.model.j != 0 or c.model.gamma > 0,
 _MAX_HORIZON_RATE = 1e-6 / sys.float_info.epsilon
 
 
-def _fits_roundoff(field: str, horizon: Callable[[ExperimentConfig], float], name: str):
-    """The requirement that horizon(cfg) times the largest [model] rate stays
-    within _MAX_HORIZON_RATE, naming the field that sets the default horizon."""
-
-    def holds(c: ExperimentConfig, d: dict) -> bool:
-        return horizon(c) * c.model.largest_rate()[1] <= _MAX_HORIZON_RATE
-
-    return (field, holds,
-            f"needs {name} times the largest rate <= {_MAX_HORIZON_RATE:.2e} (eig round-off)")
-
-
 class Preset(NamedTuple):
     """run(cfg) computes the preset's tables, {stem: (header, rows)}, and its
     sidecar entries, and writes nothing; a dissipative preset needs kappa > 0
     and is in units of kappa, the others in units of J.  A requirement is
     (field, holds(cfg, derived_quantities), reason); parse_config refuses a
     config failing one, naming the [model] field, so --dry-run refuses it too.
-    A time-resolved preset's sampling(cfg) gives the t_final and sample_dt
-    its run uses, defaults included; parse_config refuses a sample count past
-    GRID_CAP there, naming [integrator] sample_dt."""
+    A time-resolved preset's horizon(cfg) gives the horizon T and sample_dt
+    its run uses, defaults included (sample_dt None where it samples no time
+    grid).  Once the requirements hold, parse_config refuses T times the
+    largest [model] rate past _MAX_HORIZON_RATE, naming kappa (j for
+    superrabi), then a sample count past GRID_CAP, naming [integrator]."""
 
     run: Callable[[ExperimentConfig], tuple[dict, dict]]
     dissipative: bool
     requires: tuple = ()
-    sampling: Callable[[ExperimentConfig], tuple[float, float]] | None = None
+    horizon: Callable[[ExperimentConfig], tuple[float, float | None]] | None = None
 
 
 REGISTRY = {
@@ -472,20 +479,10 @@ REGISTRY = {
         ("delta_a", lambda c, d: "omega_eff" in d, "has a singular Mollow model here"),
         ("j", lambda c, d: c.integrator.t_final or abs(d["omega_eff"]) >= sys.float_info.min,
          "has no default horizon 1.25 pi/|omega_eff| at omega_eff ~ 0; set [integrator] t_final"),
-        _fits_roundoff("j", lambda c: _superrabi_sampling(c)[0],
-                       "the horizon t_final (default 1.25 pi/|omega_eff|)"),
-    ), _superrabi_sampling),
+    ), _superrabi_horizon),
     "steadyscan": Preset(_run_steadyscan, True, (_RELAXES,)),
-    "trajectory": Preset(_run_trajectory, True, (
-        _DRESSED_START,
-        _fits_roundoff("kappa", lambda c: _trajectory_sampling(c)[0],
-                       "the horizon t_final (default 50/kappa)"),
-    ), _trajectory_sampling),
-    "g2tau": Preset(_run_g2tau, True, (
-        _RELAXES,
-        _fits_roundoff("kappa", lambda c: c.scan.tau_max / c.model.kappa,
-                       "the horizon tau_max/kappa"),
-    )),
+    "trajectory": Preset(_run_trajectory, True, (_DRESSED_START,), _trajectory_horizon),
+    "g2tau": Preset(_run_g2tau, True, (_RELAXES,), _g2tau_horizon),
     "jcregime": Preset(_run_jcregime, True, (
         ("delta_a", lambda c, d: "omega_eff_jc" in d, "has a singular JC-regime model here"),
         ("j", lambda c, d: c.model.delta_n**2 + 4.0 * c.model.j**2 >= sys.float_info.min,

@@ -575,7 +575,8 @@ def _unravel(
 
     states[0] = psi0
     c = np.dot(prop.inv, psi0 / norm)
-    full = np.exp(prop.rates * sample_dt)  # from one sample time to the next
+    # from one sample time to the next; none for a lone sample, where it can overflow
+    full = np.exp(prop.rates * sample_dt) if len(times) > 1 else None
     t, norm2 = 0.0, 1.0  # the time reached, and ||psi||^2 there
     r = next(draws)
     for k, t_next in enumerate(times[1:].tolist(), start=1):

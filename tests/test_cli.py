@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bundlejc.cli import (
+    _MAX_HORIZON_RATE,
     _SCHEMA,
     REGISTRY,
     ConfigError,
@@ -369,7 +370,7 @@ CHEAP_POINTS = {
     "superrabi": "[model]\nn = 2\nj = 1.0\nomega_l = 70.0\ndelta_n = -165.0\nn_max = 8\n"
     "\n[integrator]\nsample_dt = 0.5\n",
     "steadyscan": DISSIPATIVE + "\n[scan]\nmin = 20\nmax = 22\npoints = 3\n",
-    "trajectory": DISSIPATIVE + "\n[integrator]\nt_final = 5.0\nsample_dt = 0.5\n",
+    "trajectory": DISSIPATIVE + "\n[integrator]\nt_final = 50.0\nsample_dt = 0.5\n",
     "g2tau": DISSIPATIVE + "\n[scan]\ntau_points = 5\n",
     "jcregime": DISSIPATIVE,
     "resonances": MINIMAL,
@@ -627,6 +628,34 @@ class TestMain:
         # every model point a preset cannot take is refused before it runs,
         # so the dry run refuses it too, with the same line
         assert_refused(tmp_path, capsys, preset, config, named, dry_run)
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    @pytest.mark.parametrize(
+        "preset, model, horizon, named",
+        [
+            ("superrabi", CHEAP_POINTS["superrabi"].split("\n[integrator]")[0],
+             "\n[integrator]\nt_final = {t!r}\nsample_dt = {dt!r}\n", "[model] j = 1.0"),
+            ("trajectory", DISSIPATIVE,
+             "\n[integrator]\nt_final = {t!r}\nsample_dt = {dt!r}\n", "[model] kappa = 1.0"),
+            ("g2tau", DISSIPATIVE, "\n[scan]\ntau_points = 5\ntau_max = {t!r}\n",
+             "[model] kappa = 1.0"),
+        ],
+        ids=("superrabi_t_final", "trajectory_t_final", "g2tau_tau_max"),
+    )
+    def test_set_horizon_at_the_roundoff_bound(
+        self, tmp_path, capsys, preset, model, horizon, named, dry_run
+    ):
+        # a horizon set in the config meets the eig round-off bound as a
+        # default one does: just inside it parses, just past it is refused
+        # naming the field that scales it (at kappa = 1, tau_max is the horizon)
+        limit = _MAX_HORIZON_RATE / parse_config(model, preset).model.largest_rate()[1]
+
+        def config(t):
+            return model + horizon.format(t=t, dt=t / 10)
+
+        parse_config(config(limit * (1 - 1e-9)), preset)
+        refusal = assert_refused(tmp_path, capsys, preset, config(limit * (1 + 1e-9)), named, dry_run)
+        assert refusal.endswith("(eig round-off)")
 
     @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
     @pytest.mark.parametrize(
@@ -918,6 +947,11 @@ def main_stderr(args):
 @example(model=JC_UNDERFLOW + "\n[scan]\npoints = 9\n")
 @example(model=PSTAR + "\n[scan]\npoints = 9\n")
 @example(model=NMAX1_ROUNDOFF + "\n[scan]\npoints = 9\n")
+# one sample (default sample_dt 0.05/kappa past t_final): the jump loop once
+# took exp(rates sample_dt) anyway and overflowed
+@example(model="[model]\nn = 1\nn_max = 1\nj = 0.0\nomega_l = 1.0\ndelta_n = 0.0\n"
+         "kappa = 1e-300\ngamma = 0.0\ndelta_a = 0.0\n\n[integrator]\nt_final = 0.5\n"
+         "\n[scan]\npoints = 2\n")
 def test_main_runs_or_refuses_naming_a_field(model):
     # every dry run exits 0, or exits 1 naming a [section] key; nothing
     # escapes main, and filterwarnings = error fails a stray warning.  A full
