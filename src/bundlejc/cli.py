@@ -327,9 +327,9 @@ def _superrabi_horizon(cfg: ExperimentConfig) -> tuple[float, float]:
 
 def _trajectory_horizon(cfg: ExperimentConfig) -> tuple[float, float]:
     """t_final and sample_dt of trajectory: the [integrator] values, by
-    default 50/kappa and 0.05/kappa."""
-    kappa = cfg.model.kappa
-    return cfg.integrator.t_final or 50.0 / kappa, cfg.integrator.sample_dt or 0.05 / kappa
+    default 50/kappa and t_final/1000."""
+    t_final = cfg.integrator.t_final or 50.0 / cfg.model.kappa
+    return t_final, cfg.integrator.sample_dt or t_final / 1000
 
 
 def _g2tau_horizon(cfg: ExperimentConfig) -> tuple[float, None]:

@@ -8,9 +8,10 @@ symmetry).  The steady state and the regression operators a^N rho_ss a^dagN
 of the delayed correlations all lie in k = 0, so build_liouvillian makes only
 the k = 0 block K, as a sparse (CSR) matrix, and every consumer refuses an
 operator with an entry in another sector.  The steady state is found by one
-banded LU of K, its unknowns ordered once by reverse Cuthill-McKee; the
-spectral propagator eigendecomposes K once, as a real matrix in a Hermitian
-operator basis.  There is one steady-state solver, SteadyStateWorkspace: it
+banded LU of K, its unknowns ordered along the n-photon excitation ladder
+(band 2(n_max + 1)), and refused if that factor is singular to working
+precision; the spectral propagator eigendecomposes K once, as a real matrix
+in a Hermitian operator basis.  There is one steady-state solver, SteadyStateWorkspace: it
 holds the system of one K, and since delta_a moves only the diagonal of L, it
 rewrites just that diagonal (with the arithmetic of build_liouvillian) to
 solve at any delta_a.  steady_state(L) is its solve at the delta_a of L, then
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-8
+EPS = float(np.finfo(float).eps)
 
 
 class TruncationError(RuntimeError):
@@ -368,17 +370,18 @@ class SteadyStateWorkspace:
     those entries from the d diagonal values of G, with the arithmetic of
     build_liouvillian, and factors afresh.
 
-    So the pattern does not depend on delta_a, and neither does its reverse
-    Cuthill-McKee ordering (Cuthill & McKee 1969), taken here once.  Reordered,
-    the constrained system is banded (27 to 62 sub- and superdiagonals for
-    340 to 1764 unknowns at n = 1..5, n_max <= 20), and the band-storage
-    position of each stored entry is kept, so each solve is one scatter, one
-    LAPACK zgbsv and one refinement step.
+    The unknowns are ordered once, along the excitation ladder: entry
+    rho[(m, s), (m', s')] by the key 2 (m' - m)/n + s' - s.  H changes the
+    key by exactly 1 (its coupling moves (m, s) by (-+n, +-1), its drive
+    flips s) and the decays keep it, so the constrained system is
+    block-tridiagonal in the key at every delta_a: kl = ku = 2(n_max + 1) at
+    any n once j or omega_l is nonzero.  The band-storage position of each
+    stored entry is kept, so each solve is one scatter, one LAPACK zgbsv, a
+    condition estimate of the factor (zgbcon) and one refinement step.
     """
 
     def __init__(self, L: Liouvillian):
         import scipy.sparse as sp
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         p = L.params
         if not p.kappa > 0:
@@ -412,12 +415,12 @@ class SteadyStateWorkspace:
         self._block_diag = _diagonal_positions(self._block, moving)
         self._constrained_diag = _diagonal_positions(self._constrained, moving)
 
-        # the pattern holds every coherence diagonal, so one ordering serves
-        # every delta_a: entry e of the k = 0 system is entry where[e] of the
-        # reordered one, which is banded with kl sub- and ku superdiagonals
-        pattern = self._constrained.copy()
-        pattern.data[:] = 1.0  # a stored zero counts: csgraph degrees include the diagonal
-        perm = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
+        # the ladder ordering, by key, then m, s and s' (the trace row lies in
+        # key 0): entry e of the k = 0 system is entry where[e] of the
+        # reordered one, banded with kl sub- and ku superdiagonals
+        col, row = np.divmod(self._idx, d)
+        (m, s), (m_col, s_col) = np.divmod(row, 2), np.divmod(col, 2)
+        perm = np.lexsort((s_col, s, m, 2 * (m_col - m) // p.n + s_col - s))
         self._where = np.argsort(perm)
         r = self._where[self._constrained.indices]
         c = self._where[np.repeat(np.arange(len(perm)), np.diff(self._constrained.indptr))]
@@ -436,11 +439,14 @@ class SteadyStateWorkspace:
         refinement on that factor (zgbtrs); a stored entry that is exactly 0
         just sits in the band.  L is block-diagonal in k, so ||K x|| is the
         residual ||L rho|| of the full L.  One gate then decides: the factor
-        is nonsingular, x passes _stationarity_failure (K at this delta_a) and
-        the Hermitian, unit-trace rho has no eigenvalue below -1e-12; else a
-        RuntimeError names the check and the [model] rates.
+        is nonsingular and its reciprocal 1-norm condition estimate rcond
+        exceeds eps (past that, the solve is an arbitrary near-null vector,
+        which can be positive, of small residual and wrong), x passes
+        _stationarity_failure (K at this delta_a) and the Hermitian,
+        unit-trace rho has no eigenvalue below -1e-12; else a RuntimeError
+        names the check and the [model] rates.
         """
-        from scipy.linalg.lapack import zgbsv, zgbtrs
+        from scipy.linalg.lapack import zgbcon, zgbsv, zgbtrs
 
         q = replace(self._p, delta_a=delta_a)
         g = _damped_generator(_detuning_terms(q, self._num, self._pe), self._decays)
@@ -450,11 +456,19 @@ class SteadyStateWorkspace:
 
         ab = np.zeros((2 * self._kl + self._ku + 1, len(self._rhs)), complex, order="F")
         ab[self._band] = self._constrained.data
+        # ||A||_1, the largest column sum; no column is empty (a coherence
+        # column holds its diagonal, a population column its trace-row 1)
+        a = self._constrained
+        norm = np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max()
         lu, piv, x, info = zgbsv(self._kl, self._ku, ab, self._rhs, overwrite_ab=1)
         if info < 0:
             raise RuntimeError(f"zgbsv: argument {-info} has an illegal value")
         if info > 0:
             raise _refusal(q, "the banded LU factor is exactly singular")
+        rcond = zgbcon(self._kl, self._ku, lu, piv, norm)[0]
+        if not rcond > EPS:  # written so that a NaN estimate fails too
+            raise _refusal(q, "the banded LU factor is singular to working precision: "
+                           f"zgbcon's rcond {rcond:.3e} <= eps {EPS:.3e}")
         with np.errstate(over="ignore", invalid="ignore"):  # inf, nan fail the gate
             # one step of iterative refinement on the same factor, at a tenth
             # of its cost, takes the tail populations (1e-19 at n_max = 12)

@@ -335,6 +335,9 @@ UNRELAXED_N2 = (
     "[model]\nn = 2\nj = 0.3\nomega_l = 21.0\ndelta_n = -49.5\ngamma = 0.0\nn_max = 12\n"
 )
 UNRELAXED_N1 = "[model]\nn = 1\nomega_l = 46.0\ndelta_n = 1.0\nkappa = 1.0\nn_max = 3\n"
+# the resonant delta_a at gamma = 0, where P_e = 1.18133e-4 whatever j; eps
+# over the factor's condition estimate is 1.9e-6 at j = 1e-3 and grows as 1/j^2
+BLIND_SPOT = UNRELAXED_N1 + "gamma = 0.0\ndelta_a = -4232.5\n"
 UNRELAXED_POINTS = [
     *[pytest.param("custom", UNRELAXED_N2 + f"delta_a = 24.0\nkappa = {kappa}\n",
                    f"kappa = {kappa}, gamma = 0.0, j = 0.3", id=f"n2_kappa_{kappa}")
@@ -344,15 +347,23 @@ UNRELAXED_POINTS = [
     *[pytest.param(preset, UNRELAXED_N1 + "j = 1e-300\ngamma = 1e-300\n",
                    "kappa = 1.0, gamma = 1e-300, j = 1e-300", id=f"{preset}_j_gamma_1e-300")
       for preset in ("custom", "jcregime", "g2tau")],
+    # a positive but wrong state (P_e = 2.7e-2 and 1.9e-4 against 1.18133e-4)
+    # that passes every check but the condition estimate
+    *[pytest.param("custom", BLIND_SPOT + f"j = {j}\n", f"kappa = 1.0, gamma = 0.0, j = {j}",
+                   id=f"n1_blind_spot_j_{j}") for j in (1e-8, 1e-10)],
 ]
 UNRELAXED_SCANS = [
     *[pytest.param(UNRELAXED_N2 + f"kappa = {kappa}\n\n[scan]\nmin = 22\nmax = 26\npoints = 5\n",
                    f"kappa = {kappa}, gamma = 0.0, j = 0.3", id=f"n2_kappa_{kappa}")
       for kappa in ("1e-16", "1e-12")],
-    # the default 801-point grid; 12 rows pass the gate and overflow n_max = 2
+    # the default 801-point grid: the condition estimate refuses every row (12
+    # rows once passed the rest of the gate, then overflowed n_max = 2)
     pytest.param("[model]\nn = 2\nn_max = 2\nj = 2.0\nomega_l = 1.0\ndelta_n = 1.0\n"
                  "kappa = 1e-300\ngamma = 0.0\n", "kappa = 1e-300, gamma = 0.0, j = 2.0",
                  id="n2_kappa_1e-300"),
+    *[pytest.param(BLIND_SPOT + f"j = {j}\n\n[scan]\nmin = -4233.5\nmax = -4231.5\npoints = 3\n",
+                   f"kappa = 1.0, gamma = 0.0, j = {j}", id=f"n1_blind_spot_j_{j}")
+      for j in (1e-8, 1e-10)],
 ]
 
 # g_1(0) = 0 exactly (a^2 = 0 at n_max = 1), computed as a round-off negative
@@ -381,8 +392,8 @@ CHEAP_POINTS = {
 NUMPY_ONLY_PRESETS = ("superrabi", "trajectory", "resonances")
 
 # run in a fresh interpreter: the stages in order, each with the scipy and
-# multiprocessing modules loaded once it is done, then whether a steadyscan
-# run after them loaded scipy.sparse.linalg
+# multiprocessing modules loaded once it is done, then which of scipy.sparse
+# and its csgraph and linalg subpackages a steadyscan run after them loaded
 SCIPY_PROBE = """
 import json, sys
 from bundlejc.cli import main
@@ -399,7 +410,8 @@ for preset in numpy_only:
     assert main([preset, "--config", configs[preset], "--out", out + "/" + preset]) == 0
     seen[preset] = deferred_loaded()
 assert main(["steadyscan", "--config", configs["steadyscan"], "--out", out + "/steadyscan"]) == 0
-print(json.dumps({"seen": seen, "steadyscan": "scipy.sparse.linalg" in sys.modules}))
+probes = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+print(json.dumps({"seen": seen, "steadyscan": [m for m in probes if m in sys.modules]}))
 """
 
 
@@ -434,8 +446,9 @@ def test_scipy_loads_only_where_a_liouvillian_is_built(tmp_path):
     stages = ["import bundlejc.cli"]
     stages += [f"{preset} --dry-run" for preset in CHEAP_POINTS] + list(NUMPY_ONLY_PRESETS)
     assert result["seen"] == {stage: [] for stage in stages}
-    # the deferred import works: a preset that builds L does load scipy
-    assert result["steadyscan"] is True
+    # the deferred import works: a preset that builds L does load scipy,
+    # and the steady-state solve needs neither csgraph nor sparse.linalg
+    assert result["steadyscan"] == ["scipy.sparse"]
 
 
 class TestMain:
@@ -812,6 +825,18 @@ class TestMain:
         (rec,) = run_trajectories(p, dressed_state(p, 0, "+"), 1.0, sample_dt, 1, 0)
         assert written == [f"{t:.8e}" for t in rec.times]
 
+    def test_trajectory_default_step_follows_t_final(self, tmp_path):
+        # the default step is the horizon over 1000, as 0.05/kappa is for the
+        # default horizon 50/kappa; a fixed 0.05/kappa once gave a t_final of
+        # 0.01 one sample, at t = 0
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(DISSIPATIVE + "\n[integrator]\nt_final = 0.01\n")
+        assert run_cli(["trajectory", "--config", cfg_file, "--out", tmp_path]) == 0
+        with open(tmp_path / "trajectory_populations.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 1001
+        meta = json.loads((tmp_path / "trajectory_metadata.json").read_text())
+        assert (meta["t_final"], meta["sample_dt"]) == (0.01, 1e-05)
+
     @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
     @pytest.mark.parametrize("sample_dt", ["1e-15", "1e-320"])
     @pytest.mark.parametrize("preset", ["superrabi", "trajectory"])
@@ -947,11 +972,11 @@ def main_stderr(args):
 @example(model=JC_UNDERFLOW + "\n[scan]\npoints = 9\n")
 @example(model=PSTAR + "\n[scan]\npoints = 9\n")
 @example(model=NMAX1_ROUNDOFF + "\n[scan]\npoints = 9\n")
-# one sample (default sample_dt 0.05/kappa past t_final): the jump loop once
-# took exp(rates sample_dt) anyway and overflowed
+# one sample (sample_dt past t_final): the jump loop once took
+# exp(rates sample_dt) anyway and overflowed
 @example(model="[model]\nn = 1\nn_max = 1\nj = 0.0\nomega_l = 1.0\ndelta_n = 0.0\n"
          "kappa = 1e-300\ngamma = 0.0\ndelta_a = 0.0\n\n[integrator]\nt_final = 0.5\n"
-         "\n[scan]\npoints = 2\n")
+         "sample_dt = 1.0\n\n[scan]\npoints = 2\n")
 def test_main_runs_or_refuses_naming_a_field(model):
     # every dry run exits 0, or exits 1 naming a [section] key; nothing
     # escapes main, and filterwarnings = error fails a stray warning.  A full

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import multiprocessing
@@ -41,6 +42,10 @@ from oracles import (
     pure_density,
     trajectory_average,
 )
+
+
+# the start of the refusal of a factor whose condition estimate is at most eps
+SINGULAR_TO_PRECISION = "the banded LU factor is singular to working precision: zgbcon's rcond"
 
 
 def decay_params(kappa=0.0, gamma=0.0, n_max=4):
@@ -233,25 +238,48 @@ class TestSteadyState:
             steady_state(L)
 
     @pytest.mark.parametrize(
-        "kappa, lowest", [(1e-8, None), (1e-10, None), (1e-12, "-6.144e-03"), (1e-16, "-1.029e-01")]
+        "kappa, rcond", [(1e-8, None), (1e-10, None), (1e-12, "6.348e-18"), (1e-16, "8.748e-21")]
     )
-    def test_negative_state_refused(self, dissipative_n2, kappa, lowest):
+    def test_negative_state_refused(self, dissipative_n2, kappa, rcond):
         # gamma = 0 and kappa far below the largest rate (|delta_n| = 49.5):
         # the slowest relaxation of K falls below its round-off, and the
         # solve passes the trace and residual checks with a near-null vector
-        # that is no density matrix.  kappa = 1e-10 gives a smallest
-        # eigenvalue of -3.5e-15, inside the atol 1e-12 at which the suite
-        # calls rho equal to its dense oracle, so it is accepted
+        # that is no density matrix (smallest eigenvalue -6.1e-3 at
+        # kappa = 1e-12, -0.10 at 1e-16).  The factor's condition estimate
+        # refuses it first.  kappa = 1e-10 gives eps/rcond = 0.35 and a
+        # smallest eigenvalue of -3.5e-15, inside the atol 1e-12 at which the
+        # suite calls rho equal to its dense oracle, so it is accepted
         p = replace(dissipative_n2, kappa=kappa, gamma=0.0, delta_a=24.0)
         ws = SteadyStateWorkspace(build_liouvillian(p))
-        if lowest is None:
+        if rcond is None:
             assert np.linalg.eigvalsh(ws.solve(p.delta_a))[0] >= -1e-12
         else:
             with pytest.raises(RuntimeError, match=(
-                f"^steady state refused: smallest eigenvalue of rho {lowest} < -1e-12; .* "
+                f"^steady state refused: {SINGULAR_TO_PRECISION} {rcond} <= eps 2.220e-16; .* "
                 rf"\[model\] kappa = {kappa}, gamma = 0.0, j = 0.3; .* \|delta_n\| = 49.5 is "
             )):
                 ws.solve(p.delta_a)
+
+    @pytest.mark.parametrize("j, rcond", [(1e-3, None), (1e-8, "1.150e-20"), (1e-10, "1.150e-24")])
+    def test_positive_but_wrong_state_refused(self, j, rcond):
+        # n = 1 at its resonant delta_a with gamma = 0: P_e = 1.18133e-4
+        # whatever j.  At j = 1e-8 and 1e-10 the factor is singular to
+        # working precision, and its solution was a positive, unit-trace
+        # state of small residual with P_e = 2.7e-2 and 1.9e-4; only the
+        # condition estimate refuses it
+        p = ModelParams(
+            n=1, j=j, omega_l=46.0, delta_n=1.0, delta_a=-4232.5, kappa=1.0, gamma=0.0, n_max=3
+        )
+        L = build_liouvillian(p)
+        if rcond is None:
+            p_e = np.trace(steady_state(L) @ tls_operator("excited_projector", p.dims)).real
+            assert p_e == pytest.approx(1.18133e-4, rel=1e-5)
+        else:
+            with pytest.raises(RuntimeError, match=(
+                f"^steady state refused: {SINGULAR_TO_PRECISION} {rcond} <= eps 2.220e-16; .* "
+                rf"\[model\] kappa = 1.0, gamma = 0.0, j = {j}; "
+            )):
+                steady_state(L)
 
     def test_truncation_guard(self, dissipative_n2):
         # same physical point with a clearly undersized Fock space
@@ -1078,6 +1106,22 @@ class TestSteadyStateWorkspace:
         g2 = header.index("g2")
         np.testing.assert_allclose(rows[0][g2 : g2 + 3], g, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_ladder_ordering_band(self, n):
+        # each stored entry of the constrained system couples two entries
+        # rho[(m, s), (m', s')] whose ladder keys 2 (m' - m)/n + s' - s
+        # differ by at most 1, so the band is 2 (n_max + 1) at every n
+        # (reverse Cuthill-McKee gave 41 at n = 3, n_max = 15)
+        for n_max, gamma in itertools.product(sorted({n, 8, 12, 15, 20}), (0.0, 0.1)):
+            p = ModelParams(n=n, j=0.3, omega_l=21.0, delta_n=-49.5, delta_a=0.7, kappa=1.0,
+                            gamma=gamma, n_max=n_max)
+            ws = SteadyStateWorkspace(build_liouvillian(p))
+            col, row = np.divmod(ws._idx, p.dims.total_dim)
+            key = 2 * (col // 2 - row // 2) // n + col % 2 - row % 2
+            entries = ws._constrained.tocoo()
+            assert np.abs(key[entries.row] - key[entries.col]).max() <= 1
+            assert ws._kl == ws._ku == 2 * (n_max + 1)
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_matches_dense_oracle_at_other_photon_orders(self, n):
         # at n = 1 the k = 0 block is the whole space; at n = 4 it is a
@@ -1101,19 +1145,19 @@ class TestSteadyStateWorkspace:
                 n_max=4,
             ), "the banded LU factor is exactly singular"),
             # j and gamma at 1e-300 leave the driven TLS unrelaxed to working
-            # precision: the LU returns a null vector of size 1e264, whose
-            # residual overflows
+            # precision: the LU returned a null vector of size 1e264, whose
+            # residual overflowed, and now the condition estimate refuses it
             (at_resonance(ModelParams(
                 n=1, j=1e-300, omega_l=46.0, delta_n=1.0, delta_a=0.0, kappa=1.0,
                 gamma=1e-300, n_max=3,
-            )), r"\|Tr x - 1\| = 4.031e\+264 > 1e-9"),
+            )), f"{SINGULAR_TO_PRECISION} 2.876e-305 <= eps 2.220e-16"),
             # kappa = 1e-300 leaves the photon number unrelaxed to working
-            # precision: the refined LU solution has residual 0, but its trace
-            # row cancelled (Tr x = 3e-280 i), which only the trace check sees
+            # precision: the refined LU solution had residual 0, but its trace
+            # row cancelled, and now the condition estimate refuses it
             (ModelParams(
                 n=2, j=2.0, omega_l=1.0, delta_n=1.0, delta_a=35.400000000000006,
                 kappa=1e-300, gamma=0.0, n_max=2,
-            ), r"\|Tr x - 1\| = 1.000e\+00 > 1e-9"),
+            ), f"{SINGULAR_TO_PRECISION} 3.240e-303 <= eps 2.220e-16"),
         ],
         ids=["exactly_singular", "residual_overflows", "trace_lost"],
     )
