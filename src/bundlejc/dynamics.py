@@ -11,14 +11,15 @@ operator with an entry in another sector.  The steady state is found by one
 banded LU of K, its unknowns ordered along the n-photon excitation ladder
 (band 2(n_max + 1)), and refused if that factor is singular to working
 precision; the spectral propagator eigendecomposes K once, as a real matrix
-in a Hermitian operator basis.  There is one steady-state solver, SteadyStateWorkspace: it
-holds the system of one K, and since delta_a moves only the diagonal of L, it
-rewrites just that diagonal (with the arithmetic of build_liouvillian) to
-solve at any delta_a.  steady_state(L) is its solve at the delta_a of L, then
-a truncation check.  H and L do not depend on time, so each equation of motion
-has one propagator, an eigendecomposition, which is exact at the sample times;
-a delayed correlation is contracted in the eigenbasis of K
-(LiouvillePropagator.expectation), never forming the propagated operators.
+in a Hermitian operator basis.  There is one steady-state solver,
+SteadyStateWorkspace: it holds the system of one K, and since delta_a moves
+only the diagonal of L, it rewrites just that diagonal (with the arithmetic
+of build_liouvillian) to solve at any delta_a.  steady_state(L) is its solve
+at the delta_a of L, then a truncation check.  H and L do not depend on time,
+so each equation of motion has one propagator, an eigendecomposition, which
+is exact at the sample times; a delayed correlation is contracted in the
+eigenbasis of K (LiouvillePropagator.expectation), never forming the
+propagated operators.
 
 scipy is imported only where a Liouvillian is built or factored:
 build_liouvillian (the one way to make an L; LiouvillePropagator and
