@@ -74,8 +74,6 @@ class ScanBlock:
     min: float = -40.0
     max: float = 40.0
     points: int = 801
-    mu_values: tuple = (2, 3)
-    bundle_n: int | None = None
     tau_points: int = 200
     tau_max: float = 30.0
 
@@ -120,7 +118,7 @@ class ExperimentConfig:
 
 
 def _scalar_type(hint):
-    """The type a key parses to: int for `int | None`, else the hint itself."""
+    """The type a key parses to: float for `float | None`, else the hint itself."""
     return next((t for t in get_args(hint) if t is not type(None)), hint)
 
 
@@ -136,8 +134,6 @@ def _convert(section, key, raw, typ):
     if (section, key) == ("model", "delta_a") and raw == "resonance":
         return raw  # resolved once the rest of [model] is known
     try:
-        if typ is tuple:  # [scan] mu_values: comma-separated integers
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
         return typ(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from exc
@@ -185,13 +181,7 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
     for key in ("min", "max"):
         if not math.isfinite(getattr(scan, key)):
             raise ConfigError(f"[scan] {key} must be finite; got {getattr(scan, key)}")
-    if any(mu < 2 for mu in scan.mu_values):
-        raise ConfigError("[scan] mu_values must all be >= 2")
-    if scan.bundle_n is not None and not 1 <= scan.bundle_n <= model.n_max:
-        raise ConfigError(
-            f"[scan] bundle_n must be in 1..n_max={model.n_max}; got {scan.bundle_n}"
-        )
-    floor = tau_min(scan.bundle_n or model.n, 1.0)  # in units of 1/kappa, like tau_max
+    floor = tau_min(model.n, 1.0)  # in units of 1/kappa, like tau_max
     if not (math.isfinite(scan.tau_max) and scan.tau_max > floor):
         raise ConfigError(
             f"[scan] tau_max must be finite and > tau_min = {floor:g}; got {scan.tau_max}"
@@ -242,21 +232,11 @@ def resolved_config_text(cfg: ExperimentConfig) -> str:
     """Canonical INI rendering of a resolved config; reparses to itself."""
     cp = configparser.ConfigParser(interpolation=None)
     for section in _SCHEMA:
-        cp[section] = {
-            key: _render(value)
-            for key, value in asdict(getattr(cfg, section)).items()
-            if value is not None
-        }
+        block = asdict(getattr(cfg, section))
+        cp[section] = {key: str(value) for key, value in block.items() if value is not None}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
-
-
-def _render(value) -> str:
-    """Config-file form of a field value; reparses to the same value."""
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
 
 
 def _fmt(x) -> str:
@@ -272,6 +252,10 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
     return path
+
+
+# the orders mu > 1 of the resonance table, in every sidecar and the resonances CSV
+_HIGHER_MU = (2, 3)
 
 
 def derived_quantities(m: ModelParams) -> dict:
@@ -291,7 +275,7 @@ def derived_quantities(m: ModelParams) -> dict:
             out.update(omega_eff=eff.omega_eff, eps1=eff.eps1, eps2=eff.eps2)
     if m.delta_n != 0:
         table = {"mu_1": resonance_detuning(m), "branch": resonant_branch(m)}
-        for mu in (2, 3):
+        for mu in _HIGHER_MU:
             table[f"mu_{mu}_plus"] = resonance_detuning_higher(m, mu, +1)
             table[f"mu_{mu}_minus"] = resonance_detuning_higher(m, mu, -1)
         out["resonance_table"] = table
@@ -318,18 +302,20 @@ def _sidecar(cfg: ExperimentConfig, out_dir: Path, extra: dict) -> Path:
     return path
 
 
+def _sampled(cfg: ExperimentConfig, t_final: float) -> tuple[float, float]:
+    """t_final and the [integrator] sample_dt, by default t_final/1000 (1001 samples)."""
+    return t_final, cfg.integrator.sample_dt or t_final / 1000
+
+
 def _superrabi_horizon(cfg: ExperimentConfig) -> tuple[float, float]:
-    """t_final and sample_dt of superrabi: the [integrator] values, by default
-    1000 samples to 1.25 pi/|omega_eff|."""
+    """The [integrator] t_final of superrabi, by default 1.25 pi/|omega_eff|."""
     t_final = cfg.integrator.t_final or 1.25 * math.pi / abs(omega_eff_mollow(cfg.model).omega_eff)
-    return t_final, cfg.integrator.sample_dt or t_final / 999
+    return _sampled(cfg, t_final)
 
 
 def _trajectory_horizon(cfg: ExperimentConfig) -> tuple[float, float]:
-    """t_final and sample_dt of trajectory: the [integrator] values, by
-    default 50/kappa and t_final/1000."""
-    t_final = cfg.integrator.t_final or 50.0 / cfg.model.kappa
-    return t_final, cfg.integrator.sample_dt or t_final / 1000
+    """The [integrator] t_final of trajectory, by default 50/kappa."""
+    return _sampled(cfg, cfg.integrator.t_final or 50.0 / cfg.model.kappa)
 
 
 def _g2tau_horizon(cfg: ExperimentConfig) -> tuple[float, None]:
@@ -382,19 +368,18 @@ def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
-    n_bundle = cfg.scan.bundle_n if cfg.scan.bundle_n is not None else m.n
     L = build_liouvillian(m)
     rho = steady_state(L)  # a TruncationError here costs no eig
     prop = LiouvillePropagator(L)
-    t_floor, t_max = tau_min(n_bundle, m.kappa), _g2tau_horizon(cfg)[0]
+    t_floor, t_max = tau_min(m.n, m.kappa), _g2tau_horizon(cfg)[0]
     grid_n = np.geomspace(t_floor, t_max, cfg.scan.tau_points)
-    g_n = g2_bundle_delayed(m, n_bundle, grid_n, propagator=prop, rho_ss=rho)
+    g_n = g2_bundle_delayed(m, m.n, grid_n, propagator=prop, rho_ss=rho)
     grid_1 = np.concatenate(([0.0], np.geomspace(0.01 / m.kappa, t_max, cfg.scan.tau_points)))
     g_1 = g2_bundle_delayed(m, 1, grid_1, propagator=prop, rho_ss=rho)
     rows = [("g1", t, v) for t, v in zip(grid_1, g_1)]
-    rows += [(f"g{n_bundle}_bundle", t, v) for t, v in zip(grid_n, g_n)]
+    rows += [(f"g{m.n}_bundle", t, v) for t, v in zip(grid_n, g_n)]
     return {"g2tau": (["curve", "tau", "value"], rows)}, {
-        "bundle_n": n_bundle,
+        "bundle_n": m.n,
         "tau_min": t_floor,
         "tau_min_note": "g_N value at tau_min is the approximate zero-delay value",
         "g_equal_time_2": g_equal_time(rho, 2),
@@ -418,12 +403,11 @@ def _run_jcregime(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_resonances(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
-    rows = [(m.n, 1, resonant_branch(m), resonance_detuning(m))]
-    for mu in cfg.scan.mu_values:
-        rows.append((m.n, mu, "plus", resonance_detuning_higher(m, mu, +1)))
-        rows.append((m.n, mu, "minus", resonance_detuning_higher(m, mu, -1)))
+    table = derived_quantities(m)["resonance_table"]  # the sidecar's, row for row
+    rows = [(m.n, 1, table["branch"], table["mu_1"])]
+    rows += [(m.n, mu, b, table[f"mu_{mu}_{b}"]) for mu in _HIGHER_MU for b in ("plus", "minus")]
     header = ["n", "mu", "branch", "delta_a"]
-    return {"resonances": (header, rows)}, {"mu_values": list(cfg.scan.mu_values)}
+    return {"resonances": (header, rows)}, {"mu_values": list(_HIGHER_MU)}
 
 
 def _run_custom(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -514,7 +498,6 @@ def main(argv=None) -> int:
     parser.add_argument("preset", choices=tuple(REGISTRY))
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--out", help="output directory (overrides [output] directory)")
-    parser.add_argument("--seed", type=int, help="override [seeds] base_seed")
     parser.add_argument(
         "--dry-run",
         action="store_true",
@@ -523,12 +506,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:  # a ValueError, not a solver failure
+            raise ConfigError(f"config file {args.config} is not UTF-8: {exc}") from exc
         cfg = parse_config(text, args.preset)
         if args.out is not None:
             cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
-        if args.seed is not None:
-            cfg = replace(cfg, seeds=replace(cfg.seeds, base_seed=args.seed))
         if args.dry_run:
             print(resolved_config_text(cfg))
             print(json.dumps(derived_quantities(cfg.model), indent=2, sort_keys=True))

@@ -60,7 +60,8 @@ SCHEMA_KEYS = {section: set(keys) for section, keys in _SCHEMA.items()}
 
 # keys that configs and sidecars of earlier versions hold, with a value they
 # held; the [integrator] keys chose between the spectral and the adaptive
-# DOP853 propagator, which is gone
+# DOP853 propagator, which is gone.  g2tau's bundle order is now the model's
+# n, and resonances lists mu = 2, 3, as the sidecar's resonance table does
 REMOVED_INTEGRATOR_KEYS = [
     pytest.param("integrator", "scheme", "spectral", id="scheme"),
     pytest.param("integrator", "scheme", "adaptive", id="scheme_adaptive"),
@@ -72,6 +73,8 @@ REMOVED_KEYS = [
     pytest.param("scan", "variable", "delta_a", id="variable"),
     pytest.param("output", "formats", "csv", id="formats"),
     pytest.param("seeds", "n_trajectories", "1", id="n_trajectories"),
+    pytest.param("scan", "bundle_n", "2", id="bundle_n"),
+    pytest.param("scan", "mu_values", "2,3", id="mu_values"),
     *REMOVED_INTEGRATOR_KEYS,
 ]
 
@@ -114,11 +117,6 @@ class TestParse:
         with pytest.raises(ConfigError, match="config parse error: File contains no section"):
             parse_config("n = 2\n" + MINIMAL, "resonances")
 
-    def test_bad_mu(self):
-        bad = DISSIPATIVE + "\n[scan]\nmu_values = 1,2\n"
-        with pytest.raises(ConfigError, match="mu_values"):
-            parse_config(bad, "steadyscan")
-
     def test_removed_dt_key_named(self):
         # an old config or sidecar is refused, not reinterpreted
         bad = DISSIPATIVE + "\n[integrator]\ndt = 0.001\n"
@@ -136,14 +134,11 @@ class TestParse:
     @pytest.mark.parametrize(
         "section, lines, field",
         [
-            ("scan", "bundle_n = 0", "bundle_n"),
-            ("scan", "bundle_n = 9", "bundle_n"),  # n_max = 8
             ("scan", "tau_points = 0", "tau_points"),
             ("scan", "tau_max = -5", "tau_max"),
             ("scan", "tau_max = nan", "tau_max"),
             ("scan", "tau_max = inf", "tau_max"),
             ("scan", "tau_max = 1.5", "tau_max"),  # = tau_min of the n=2 bundle
-            ("scan", "bundle_n = 3; tau_max = 1.8", "tau_max"),  # tau_min(3) = 1.83
             ("scan", "min = nan", "min"),
             ("scan", "max = -inf", "max"),
             ("integrator", "t_final = -1", "t_final"),
@@ -161,7 +156,7 @@ class TestParse:
     def test_horizon_and_tau_values_in_use_accepted(self):
         for extra in (
             "\n[scan]\ntau_points = 200\ntau_max = 20.0\n",
-            "\n[scan]\ntau_points = 1\ntau_max = 40.0\nbundle_n = 8\n",
+            "\n[scan]\ntau_points = 1\ntau_max = 40.0\n",
             "\n[integrator]\nt_final = 1.0\nsample_dt = 0.05\n",
             "\n[integrator]\nt_final = 50.0\nsample_dt = 0.05\n",
         ):
@@ -204,7 +199,6 @@ class TestParse:
         for extra in (
             "\n[scan]\nmin = -30\nmax = 30\n",
             # every optional field set
-            "\n[scan]\nbundle_n = 3\nmu_values = 2,4\n"
             "\n[integrator]\nt_final = 7.5\nsample_dt = 0.25\n",
         ):
             cfg = parse_config(DISSIPATIVE + extra, "steadyscan")
@@ -455,11 +449,12 @@ class TestMain:
     @pytest.mark.parametrize("preset", sorted(REGISTRY))
     def test_dataset_regenerates_from_sidecar(self, tmp_path, preset):
         # the sidecar's resolved config alone, run into a fresh directory,
-        # rewrites every dataset byte for byte; it carries the --seed override
+        # rewrites every dataset byte for byte; it carries a [seeds] base_seed
+        # other than the default
         first, again = tmp_path / "first", tmp_path / "again"
         cfg_file = tmp_path / "cfg.ini"
-        cfg_file.write_text(CHEAP_POINTS[preset])
-        assert run_cli([preset, "--config", cfg_file, "--out", first, "--seed", 7]) == 0
+        cfg_file.write_text(CHEAP_POINTS[preset] + "\n[seeds]\nbase_seed = 7\n")
+        assert run_cli([preset, "--config", cfg_file, "--out", first]) == 0
         sidecar = f"{preset}_metadata.json"
         resolved = tmp_path / "resolved.ini"
         resolved.write_text(json.loads((first / sidecar).read_text())["resolved_config"])
@@ -494,9 +489,16 @@ class TestMain:
         meta = json.loads((tmp_path / "resonances_metadata.json").read_text())
         assert meta["preset"] == "resonances"
         assert "resolved_config" in meta
-        assert meta["derived"]["resonance_table"]["mu_1"] == pytest.approx(
-            resonance_detuning(cfg.model)
-        )
+        table = meta["derived"]["resonance_table"]
+        assert table["mu_1"] == pytest.approx(resonance_detuning(cfg.model))
+        # every row is its entry of the sidecar's table, to the digit written
+        expected = {("1", table["branch"]): table["mu_1"]}
+        for mu in ("2", "3"):
+            for branch in ("plus", "minus"):
+                expected[(mu, branch)] = table[f"mu_{mu}_{branch}"]
+        written = {(r["mu"], r["branch"]): r["delta_a"] for r in rows}
+        assert len(rows) == len(expected) and all(r["n"] == "2" for r in rows)
+        assert written == {key: f"{value:.8e}" for key, value in expected.items()}
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.ini"
@@ -582,13 +584,39 @@ class TestMain:
         assert f"unknown key '{key}' in section [{section}]" in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_threads_flag_removed(self, tmp_path):
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_removed_flag_refused(self, tmp_path, flag):
+        # a run's inputs are its config file and --out; the seed is [seeds] base_seed
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(MINIMAL)
         with pytest.raises(SystemExit) as exc:
-            run_cli(["resonances", "--config", cfg_file, "--out", tmp_path, "--threads", "2"])
+            run_cli(["resonances", "--config", cfg_file, "--out", tmp_path, flag, "2"])
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == [cfg_file]
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    @pytest.mark.parametrize("line", ["bundle_n = 2", "mu_values = 2,3"])
+    def test_old_sidecar_with_removed_scan_key_refused(self, tmp_path, capsys, line, dry_run):
+        # the resolved config of a sidecar written while [scan] held these
+        # keys (mu_values = 2,3 in every one) no longer regenerates its dataset
+        text = resolved_config_text(parse_config(CHEAP_POINTS["g2tau"], "g2tau"))
+        old = text.replace("\ntau_points = ", f"\n{line}\ntau_points = ")
+        key = line.split(" = ")[0]
+        named = f"unknown key '{key}' in section [scan]"
+        assert_refused(tmp_path, capsys, "g2tau", old, named, dry_run)
+
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    def test_config_not_utf8_refused_naming_the_file(self, tmp_path, capsys, dry_run):
+        # the decode error is a ValueError, which main once reported as a
+        # solver failure
+        cfg_file = tmp_path / "bad.ini"
+        cfg_file.write_bytes(b"\xff\xfe[model]\n")
+        out_dir = tmp_path / "out"
+        args = ["custom", "--config", cfg_file, "--out", out_dir] + ["--dry-run"] * dry_run
+        assert run_cli(args) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"bundlejc: config file {cfg_file} is not UTF-8: 'utf-8' codec ")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "preset, section, line",
@@ -726,19 +754,13 @@ class TestMain:
         refusal = assert_refused(tmp_path, capsys, "superrabi", text, "[model] delta_a", dry_run)
         assert "singular" in refusal
 
-    def test_seed_override_changes_jumps(self, tmp_path):
-        cfg_file = tmp_path / "cfg.ini"
-        cfg_file.write_text(
-            DISSIPATIVE + "\n[integrator]\nt_final = 20.0\nsample_dt = 0.5\n"
-        )
+    def test_base_seed_changes_jumps(self, tmp_path):
+        text = DISSIPATIVE + "\n[integrator]\nt_final = 20.0\nsample_dt = 0.5\n"
+        (tmp_path / "a.ini").write_text(text)
+        (tmp_path / "b.ini").write_text(text + "\n[seeds]\nbase_seed = 999\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run_cli(["trajectory", "--config", cfg_file, "--out", out1]) == 0
-        assert (
-            run_cli(
-                ["trajectory", "--config", cfg_file, "--out", out2, "--seed", "999"]
-            )
-            == 0
-        )
+        assert run_cli(["trajectory", "--config", tmp_path / "a.ini", "--out", out1]) == 0
+        assert run_cli(["trajectory", "--config", tmp_path / "b.ini", "--out", out2]) == 0
         j1 = (out1 / "trajectory_jumps.csv").read_text()
         j2 = (out2 / "trajectory_jumps.csv").read_text()
         assert j1 != j2
@@ -746,18 +768,11 @@ class TestMain:
         assert meta["seeds"]["base_seed"] == 999
 
     @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
-    @pytest.mark.parametrize("source", ["key", "flag"])
-    def test_negative_seed_names_field(self, tmp_path, capsys, source, dry_run):
+    def test_negative_seed_names_field(self, tmp_path, capsys, dry_run):
         # numpy once refused it inside the run, naming no field
-        cfg_file = tmp_path / "cfg.ini"
-        seeds = "\n[seeds]\nbase_seed = -1\n" if source == "key" else ""
-        cfg_file.write_text(CHEAP_POINTS["trajectory"] + seeds)
-        out_dir = tmp_path / "out"
-        args = ["trajectory", "--config", cfg_file, "--out", out_dir]
-        args += ["--seed", -1] * (source == "flag") + ["--dry-run"] * dry_run
-        assert run_cli(args) == 1
-        assert capsys.readouterr().err == "bundlejc: [seeds] base_seed must be >= 0; got -1\n"
-        assert not out_dir.exists()
+        text = CHEAP_POINTS["trajectory"] + "\n[seeds]\nbase_seed = -1\n"
+        named = "[seeds] base_seed must be >= 0; got -1"
+        assert_refused(tmp_path, capsys, "trajectory", text, named, dry_run)
 
     @pytest.mark.parametrize("preset, written", [
         ("g2tau", '"g_equal_time_2": null'),
@@ -893,16 +908,17 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     def test_superrabi_default_step_in_sidecar(self, tmp_path):
-        # the default step t_final / 999 gives 1000 samples, the last at
-        # t_final; the sidecar is the one place that step is written
+        # the default step is t_final / 1000, as for a trajectory: 1001
+        # samples, the last at t_final; the sidecar is the one place that
+        # step is written (t_final / 999 once gave 1000)
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(CHEAP_POINTS["superrabi"].replace("sample_dt = 0.5\n", ""))
         assert run_cli(["superrabi", "--config", cfg_file, "--out", tmp_path]) == 0
         meta = json.loads((tmp_path / "superrabi_metadata.json").read_text())
-        assert meta["sample_dt"] == meta["t_final"] / 999
+        assert meta["sample_dt"] == meta["t_final"] / 1000
         with open(tmp_path / "superrabi.csv", newline="") as fh:
             t = [r["t"] for r in csv.DictReader(fh)]
-        assert len(t) == 1000 and t[-1] == f"{meta['t_final']:.8e}"
+        assert len(t) == 1001 and t[-1] == f"{meta['t_final']:.8e}"
 
     def test_superrabi_oscillation(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
