@@ -7,11 +7,12 @@ fills.  Unknown sections or keys are rejected.  [integrator] holds only the
 horizon and sampling step of superrabi and trajectory, whose propagators are
 eigendecompositions with no scheme or tolerance to choose; g2tau's horizon is
 [scan] tau_max.  Each time-resolved preset states its horizon once, in its
-registry entry, and parse_config checks it for eig round-off and the
-sample cap.  A preset computes its tables; `run_preset` then writes one CSV
-per table plus a JSON metadata sidecar holding the fully resolved
-configuration and derived quantities, so a dataset can be regenerated from its
-sidecar alone.
+registry entry, and parse_config checks it for eig round-off; for superrabi
+and trajectory it resolves the default horizon and step into [integrator], as
+it resolves delta_a = resonance into [model].  A preset computes its tables;
+`run_preset` then writes one CSV per table plus a JSON metadata sidecar
+holding the resolved configuration, the derived quantities and what the run
+measured, so a dataset can be regenerated from its sidecar alone.
 """
 
 from __future__ import annotations
@@ -83,14 +84,17 @@ class ScanBlock:
 
 @dataclass(frozen=True)
 class IntegratorBlock:
-    """Horizon and sampling step of the time-resolved presets (None selects
-    the preset's default)."""
+    """Horizon and sampling step of superrabi and trajectory (None selects
+    the preset's default, which parse_config fills in)."""
 
     t_final: float | None = None
     sample_dt: float | None = None
 
     def __post_init__(self):
-        _check_horizon(**{k: v for k, v in vars(self).items() if v is not None})
+        try:
+            _check_horizon(**{k: v for k, v in vars(self).items() if v is not None})
+        except ValueError as exc:
+            raise ConfigError(f"[integrator] {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -187,16 +191,11 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
             f"[scan] tau_max must be finite and > tau_min = {floor:g}; got {scan.tau_max}"
         )
 
-    try:
-        integrator = IntegratorBlock(**raw.get("integrator", {}))
-    except ValueError as exc:
-        raise ConfigError(f"[integrator] {exc}") from exc
-
     cfg = ExperimentConfig(
         preset=preset,
         model=model,
         scan=scan,
-        integrator=integrator,
+        integrator=IntegratorBlock(**raw.get("integrator", {})),
         seeds=SeedsBlock(**raw.get("seeds", {})),
         output=OutputBlock(**raw.get("output", {})),
     )
@@ -220,11 +219,8 @@ def parse_config(text: str, preset: str) -> ExperimentConfig:
                 f"[model] {key} = {getattr(model, key)}: preset {preset!r} needs its horizon "
                 f"{horizon:g} times the largest rate <= {_MAX_HORIZON_RATE:.2e} (eig round-off)"
             )
-        if sample_dt is not None:
-            try:
-                _check_horizon(t_final=horizon, sample_dt=sample_dt)
-            except ValueError as exc:
-                raise ConfigError(f"[integrator] {exc}") from exc
+        if sample_dt is not None:  # the run reads, and the sidecar records, what it samples
+            cfg = replace(cfg, integrator=IntegratorBlock(horizon, sample_dt))
     return cfg
 
 
@@ -290,8 +286,6 @@ def _sidecar(cfg: ExperimentConfig, out_dir: Path, extra: dict) -> Path:
         "library_version": __version__,
         "unit": "kappa" if REGISTRY[cfg.preset].dissipative else "j",
         "resolved_config": resolved_config_text(cfg),
-        "model": asdict(cfg.model),
-        "seeds": asdict(cfg.seeds),
         "derived": derived_quantities(cfg.model),
         **extra,
     }
@@ -324,11 +318,10 @@ def _g2tau_horizon(cfg: ExperimentConfig) -> tuple[float, None]:
 
 
 def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """|0>|+> under H_I at _sample_times of _superrabi_horizon."""
+    """|0>|+> under H_I at the _sample_times of the resolved [integrator]."""
     m = cfg.model
     eff = omega_eff_mollow(m)
-    t_final, sample_dt = _superrabi_horizon(cfg)
-    t_grid = _sample_times(t_final, sample_dt)
+    t_grid = _sample_times(cfg.integrator.t_final, cfg.integrator.sample_dt)
     psi0 = dressed_state(m, 0, "+")
     history = schrodinger_evolve(build_H_I(m), psi0, t_grid)
     p_top = np.abs(history @ psi0.conj()) ** 2
@@ -336,23 +329,18 @@ def _run_superrabi(cfg: ExperimentConfig) -> tuple[dict, dict]:
     analytic = np.sin(eff.omega_eff * t_grid) ** 2
     rows = zip(t_grid, p_top, p_bot, analytic)
     header = ["t", "P_0_plus", "P_n_minus", "analytic_sin2"]
-    return {"superrabi": (header, rows)}, {"t_final": t_final, "sample_dt": sample_dt, "columns": 4}
+    return {"superrabi": (header, rows)}, {}
 
 
 def _run_steadyscan(cfg: ExperimentConfig) -> tuple[dict, dict]:
     header, rows = sweep(cfg.model, cfg.scan.grid())
-    return {"steadyscan": (header, rows)}, {
-        "grid_points": cfg.scan.points,
-        "flagged_rows": sum(1 for r in rows if r[-1]),
-        "truncation_check": "per-row; see 'flag' column",
-    }
+    return {"steadyscan": (header, rows)}, {"flagged_rows": sum(1 for r in rows if r[-1])}
 
 
 def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    m = cfg.model
-    t_final, sample_dt = _trajectory_horizon(cfg)
+    m, horizon = cfg.model, cfg.integrator
     psi0 = dressed_state(m, 0, "+")
-    (rec,) = run_trajectories(m, psi0, t_final, sample_dt, 1, cfg.seeds.base_seed)
+    (rec,) = run_trajectories(m, psi0, horizon.t_final, horizon.sample_dt, 1, cfg.seeds.base_seed)
     m_top = min(3, m.n_max)
     header = ["t"]
     for k in range(m_top + 1):
@@ -363,7 +351,7 @@ def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "trajectory_populations": (header, rows),
         "trajectory_jumps": (["time", "channel"], rec.jumps),
     }
-    return tables, {"t_final": t_final, "sample_dt": sample_dt, "n_jumps": len(rec.jumps)}
+    return tables, {"n_jumps": len(rec.jumps)}
 
 
 def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -378,12 +366,8 @@ def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
     g_1 = g2_bundle_delayed(m, 1, grid_1, propagator=prop, rho_ss=rho)
     rows = [("g1", t, v) for t, v in zip(grid_1, g_1)]
     rows += [(f"g{m.n}_bundle", t, v) for t, v in zip(grid_n, g_n)]
-    return {"g2tau": (["curve", "tau", "value"], rows)}, {
-        "bundle_n": m.n,
-        "tau_min": t_floor,
-        "tau_min_note": "g_N value at tau_min is the approximate zero-delay value",
-        "g_equal_time_2": g_equal_time(rho, 2),
-    }
+    extra = {"tau_min": t_floor, "g_equal_time_2": g_equal_time(rho, 2)}
+    return {"g2tau": (["curve", "tau", "value"], rows)}, extra
 
 
 def _run_jcregime(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -395,10 +379,7 @@ def _run_jcregime(cfg: ExperimentConfig) -> tuple[dict, dict]:
             rows.append((int(mm), branch, e, eig.c_plus[k], eig.c_minus[k], eig.omega_m[k]))
     rho = steady_state(build_liouvillian(m))
     header = ["m", "branch", "energy", "c_plus", "c_minus", "omega_m"]
-    return {"jcregime": (header, rows)}, {
-        "omega_eff_jc": omega_eff_jc(m),
-        "n_photon_population": float(photon_distribution(rho)[m.n]),
-    }
+    return {"jcregime": (header, rows)}, {"n_photon_population": float(photon_distribution(rho)[m.n])}
 
 
 def _run_resonances(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -407,7 +388,7 @@ def _run_resonances(cfg: ExperimentConfig) -> tuple[dict, dict]:
     rows = [(m.n, 1, table["branch"], table["mu_1"])]
     rows += [(m.n, mu, b, table[f"mu_{mu}_{b}"]) for mu in _HIGHER_MU for b in ("plus", "minus")]
     header = ["n", "mu", "branch", "delta_a"]
-    return {"resonances": (header, rows)}, {"mu_values": list(_HIGHER_MU)}
+    return {"resonances": (header, rows)}, {}
 
 
 def _run_custom(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -447,7 +428,9 @@ class Preset(NamedTuple):
     its run uses, defaults included (sample_dt None where it samples no time
     grid).  Once the requirements hold, parse_config refuses T times the
     largest [model] rate past _MAX_HORIZON_RATE, naming kappa (j for
-    superrabi), then a sample count past GRID_CAP, naming [integrator]."""
+    superrabi); a sampled horizon then becomes cfg.integrator, which refuses
+    a sample count past GRID_CAP, naming [integrator], and which the run
+    reads."""
 
     run: Callable[[ExperimentConfig], tuple[dict, dict]]
     dissipative: bool
@@ -507,7 +490,8 @@ def main(argv=None) -> int:
 
     try:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            # utf-8-sig drops the byte-order mark some editors write first
+            text = Path(args.config).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:  # a ValueError, not a solver failure
             raise ConfigError(f"config file {args.config} is not UTF-8: {exc}") from exc
         cfg = parse_config(text, args.preset)

@@ -256,6 +256,13 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def sidecar_config(path) -> configparser.ConfigParser:
+    """The resolved config a sidecar records, read as the INI it is."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(json.loads(Path(path).read_text())["resolved_config"])
+    return cp
+
+
 def assert_refused(tmp_path, capsys, preset, text, named, dry_run):
     """main, with or without --dry-run, exits 1 with parse_config's refusal,
     which starts with `named`, as its one stderr line, and writes nothing;
@@ -382,6 +389,20 @@ CHEAP_POINTS = {
     "custom": DISSIPATIVE.replace("n_max = 8", "n_max = 12"),
 }
 
+# the top-level keys of every sidecar: its inputs, once, in resolved_config,
+# and the quantities derived from [model]
+SIDECAR_KEYS = {"preset", "library_version", "unit", "resolved_config", "derived"}
+# and beside them what each preset's run measured
+MEASURED_KEYS = {
+    "superrabi": set(),
+    "steadyscan": {"flagged_rows"},
+    "trajectory": {"n_jumps"},
+    "g2tau": {"tau_min", "g_equal_time_2"},
+    "jcregime": {"n_photon_population"},
+    "resonances": set(),
+    "custom": {"equal_time_correlations"},
+}
+
 # the presets that never build a Liouvillian
 NUMPY_ONLY_PRESETS = ("superrabi", "trajectory", "resonances")
 
@@ -466,6 +487,28 @@ class TestMain:
         assert (again / sidecar).read_text() == (first / sidecar).read_text().replace(
             str(first), str(again)
         )
+
+    @pytest.mark.parametrize("preset", sorted(REGISTRY))
+    def test_sidecar_keys(self, tmp_path, preset):
+        # no input is repeated beside resolved_config: the sidecar once also
+        # held [model] and [seeds] as JSON, t_final and sample_dt, bundle_n,
+        # mu_values, grid_points, a second omega_eff_jc and three constant
+        # strings.  Run without [integrator], superrabi and trajectory record
+        # there the default horizon and step their t column was sampled at
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(CHEAP_POINTS[preset].split("\n[integrator]")[0])
+        assert run_cli([preset, "--config", cfg_file, "--out", tmp_path]) == 0
+        sidecar = tmp_path / f"{preset}_metadata.json"
+        assert set(json.loads(sidecar.read_text())) == SIDECAR_KEYS | MEASURED_KEYS[preset]
+        integrator = sidecar_config(sidecar)["integrator"]
+        if preset not in ("superrabi", "trajectory"):
+            assert dict(integrator) == {}
+            return
+        stem = "superrabi" if preset == "superrabi" else "trajectory_populations"
+        with open(tmp_path / f"{stem}.csv", newline="") as fh:
+            t = [r["t"] for r in csv.DictReader(fh)]
+        t_final, sample_dt = integrator.getfloat("t_final"), integrator.getfloat("sample_dt")
+        assert t == [f"{k * sample_dt:.8e}" for k in range(1001)] and t[-1] == f"{t_final:.8e}"
 
     def test_resonances_end_to_end(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
@@ -618,6 +661,21 @@ class TestMain:
         assert err.startswith(f"bundlejc: config file {cfg_file} is not UTF-8: 'utf-8' codec ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
+    def test_config_with_byte_order_mark_accepted(self, tmp_path, capsys, dry_run):
+        # Notepad starts a UTF-8 file with one; the parser once refused its
+        # first section header, "\ufeff[model]", as a config parse error
+        cfg_file = tmp_path / "bom.ini"
+        cfg_file.write_bytes(b"\xef\xbb\xbf" + MINIMAL.lstrip().encode())
+        out_dir = tmp_path / "out"
+        args = ["resonances", "--config", cfg_file, "--out", out_dir] + ["--dry-run"] * dry_run
+        assert run_cli(args) == 0
+        assert capsys.readouterr().err == ""
+        if dry_run:
+            assert not out_dir.exists()
+        else:
+            assert sidecar_config(out_dir / "resonances_metadata.json")["model"]["n"] == "2"
+
     @pytest.mark.parametrize(
         "preset, section, line",
         [
@@ -764,8 +822,7 @@ class TestMain:
         j1 = (out1 / "trajectory_jumps.csv").read_text()
         j2 = (out2 / "trajectory_jumps.csv").read_text()
         assert j1 != j2
-        meta = json.loads((out2 / "trajectory_metadata.json").read_text())
-        assert meta["seeds"]["base_seed"] == 999
+        assert sidecar_config(out2 / "trajectory_metadata.json")["seeds"].getint("base_seed") == 999
 
     @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
     def test_negative_seed_names_field(self, tmp_path, capsys, dry_run):
@@ -833,8 +890,8 @@ class TestMain:
         with open(tmp_path / "superrabi.csv", newline="") as fh:
             written = [r["t"] for r in csv.DictReader(fh)]
         assert written == [f"{float(t):.8e}" for t in times]
-        meta = json.loads((tmp_path / "superrabi_metadata.json").read_text())
-        assert (meta["t_final"], meta["sample_dt"]) == (1.0, sample_dt)
+        recorded = sidecar_config(tmp_path / "superrabi_metadata.json")["integrator"]
+        assert (recorded.getfloat("t_final"), recorded.getfloat("sample_dt")) == (1.0, sample_dt)
         # the same grid as a trajectory over the same horizon and step
         p = parse_config(DISSIPATIVE + integrator, "trajectory").model
         (rec,) = run_trajectories(p, dressed_state(p, 0, "+"), 1.0, sample_dt, 1, 0)
@@ -849,8 +906,8 @@ class TestMain:
         assert run_cli(["trajectory", "--config", cfg_file, "--out", tmp_path]) == 0
         with open(tmp_path / "trajectory_populations.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 1001
-        meta = json.loads((tmp_path / "trajectory_metadata.json").read_text())
-        assert (meta["t_final"], meta["sample_dt"]) == (0.01, 1e-05)
+        integrator = sidecar_config(tmp_path / "trajectory_metadata.json")["integrator"]
+        assert (integrator.getfloat("t_final"), integrator.getfloat("sample_dt")) == (0.01, 1e-05)
 
     @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
     @pytest.mark.parametrize("sample_dt", ["1e-15", "1e-320"])
@@ -909,16 +966,17 @@ class TestMain:
 
     def test_superrabi_default_step_in_sidecar(self, tmp_path):
         # the default step is t_final / 1000, as for a trajectory: 1001
-        # samples, the last at t_final; the sidecar is the one place that
-        # step is written (t_final / 999 once gave 1000)
+        # samples, the last at t_final; the sidecar's resolved [integrator]
+        # is the one place that step is written (t_final / 999 once gave 1000)
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(CHEAP_POINTS["superrabi"].replace("sample_dt = 0.5\n", ""))
         assert run_cli(["superrabi", "--config", cfg_file, "--out", tmp_path]) == 0
-        meta = json.loads((tmp_path / "superrabi_metadata.json").read_text())
-        assert meta["sample_dt"] == meta["t_final"] / 1000
+        integrator = sidecar_config(tmp_path / "superrabi_metadata.json")["integrator"]
+        t_final = integrator.getfloat("t_final")
+        assert integrator.getfloat("sample_dt") == t_final / 1000
         with open(tmp_path / "superrabi.csv", newline="") as fh:
             t = [r["t"] for r in csv.DictReader(fh)]
-        assert len(t) == 1001 and t[-1] == f"{meta['t_final']:.8e}"
+        assert len(t) == 1001 and t[-1] == f"{t_final:.8e}"
 
     def test_superrabi_oscillation(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
