@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +467,43 @@ def test_scipy_loads_only_where_a_liouvillian_is_built(tmp_path):
     assert result["steadyscan"] == ["scipy.sparse"]
 
 
+# what main writes at each CHEAP_POINTS config, checked in; a change that moves
+# an output byte rewrites its files in the same diff (tests/golden/README.md)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def written_outputs(preset, tmp_path) -> dict:
+    """{file name: bytes} that main writes for CHEAP_POINTS[preset], with the
+    sidecar's [output] directory line left out: it names tmp_path."""
+    cfg_file, out_dir = tmp_path / "cfg.ini", tmp_path / "out"
+    cfg_file.write_text(CHEAP_POINTS[preset])
+    assert run_cli([preset, "--config", cfg_file, "--out", out_dir]) == 0
+    files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    sidecar = f"{preset}_metadata.json"
+    line = json.dumps(f"directory = {out_dir}\n")[1:-1].encode()  # as the JSON string holds it
+    assert files[sidecar].count(line) == 1
+    files[sidecar] = files[sidecar].replace(line, b"")
+    return files
+
+
+def first_difference(name, golden: bytes, written: bytes) -> str:
+    """The first cell of a CSV, or line of a sidecar, where written departs
+    from golden, with both values; a CSV column is named by its header."""
+    if name.endswith(".csv"):
+        tables = [list(csv.reader(io.StringIO(b.decode()))) for b in (golden, written)]
+        header = tables[0][0]
+    else:
+        tables = [[[line] for line in b.decode().splitlines()] for b in (golden, written)]
+        header = []
+    for row, (old, new) in enumerate(zip_longest(*tables, fillvalue=[])):
+        for col, (x, y) in enumerate(zip_longest(old, new)):
+            if x != y:
+                column = header[col] if col < len(header) else col
+                return (f"{name}, row {row} (0 = first line), column {column!r}: "
+                        f"golden {x!r}, written {y!r}")
+    return f"{name}: same cells, other bytes (line endings or quoting)"
+
+
 class TestMain:
     @pytest.mark.parametrize("preset", sorted(REGISTRY))
     def test_dataset_regenerates_from_sidecar(self, tmp_path, preset):
@@ -487,6 +525,15 @@ class TestMain:
         assert (again / sidecar).read_text() == (first / sidecar).read_text().replace(
             str(first), str(again)
         )
+
+    @pytest.mark.parametrize("preset", sorted(CHEAP_POINTS))
+    def test_outputs_match_golden(self, tmp_path, preset):
+        # every CSV and sidecar byte of the cheap points, against tests/golden
+        written = written_outputs(preset, tmp_path)
+        golden = {path.name: path.read_bytes() for path in (GOLDEN / preset).iterdir()}
+        assert sorted(written) == sorted(golden)
+        for name, data in golden.items():
+            assert written[name] == data, first_difference(name, data, written[name])
 
     @pytest.mark.parametrize("preset", sorted(REGISTRY))
     def test_sidecar_keys(self, tmp_path, preset):
