@@ -250,7 +250,7 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-# the orders mu > 1 of the resonance table, in every sidecar and the resonances CSV
+# the orders mu > 1 of the resonance table in every sidecar and --dry-run
 _HIGHER_MU = (2, 3)
 
 
@@ -382,15 +382,6 @@ def _run_jcregime(cfg: ExperimentConfig) -> tuple[dict, dict]:
     return {"jcregime": (header, rows)}, {"n_photon_population": float(photon_distribution(rho)[m.n])}
 
 
-def _run_resonances(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    m = cfg.model
-    table = derived_quantities(m)["resonance_table"]  # the sidecar's, row for row
-    rows = [(m.n, 1, table["branch"], table["mu_1"])]
-    rows += [(m.n, mu, b, table[f"mu_{mu}_{b}"]) for mu in _HIGHER_MU for b in ("plus", "minus")]
-    header = ["n", "mu", "branch", "delta_a"]
-    return {"resonances": (header, rows)}, {}
-
-
 def _run_custom(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
     rho = steady_state(build_liouvillian(m))
@@ -455,9 +446,6 @@ REGISTRY = {
         ("j", lambda c, d: c.model.delta_n**2 + 4.0 * c.model.j**2 >= sys.float_info.min,
          "has no JC doublet splitting Omega_m where j and delta_n vanish or underflow"),
         _RELAXES,
-    )),
-    "resonances": Preset(_run_resonances, False, (
-        ("delta_n", lambda c, d: "resonance_table" in d, "has no resonant branch at delta_n = 0"),
     )),
     "custom": Preset(_run_custom, True, (_RELAXES,)),
 }

@@ -27,7 +27,9 @@ from bundlejc.cli import (
     resolved_config_text,
 )
 from bundlejc.dynamics import run_trajectories
-from bundlejc.model import GRID_CAP, dressed_state, resonance_detuning, resonance_detuning_higher
+from bundlejc.model import (
+    GRID_CAP, dressed_state, resonance_detuning, resonance_detuning_higher, resonant_branch,
+)
 from bundlejc.observables import sweep, tau_min
 
 MINIMAL = """
@@ -62,7 +64,7 @@ SCHEMA_KEYS = {section: set(keys) for section, keys in _SCHEMA.items()}
 # keys that configs and sidecars of earlier versions hold, with a value they
 # held; the [integrator] keys chose between the spectral and the adaptive
 # DOP853 propagator, which is gone.  g2tau's bundle order is now the model's
-# n, and resonances lists mu = 2, 3, as the sidecar's resonance table does
+# n, and every sidecar's resonance table lists mu = 2, 3
 REMOVED_INTEGRATOR_KEYS = [
     pytest.param("integrator", "scheme", "spectral", id="scheme"),
     pytest.param("integrator", "scheme", "adaptive", id="scheme_adaptive"),
@@ -82,7 +84,7 @@ REMOVED_KEYS = [
 
 class TestParse:
     def test_defaults_and_resonance_resolution(self):
-        cfg = parse_config(MINIMAL, "resonances")
+        cfg = parse_config(MINIMAL, "superrabi")
         m = cfg.model
         assert m.kappa == 0.0 and m.gamma == 0.0 and m.n_max == 15
         assert m.delta_a == pytest.approx(resonance_detuning(m))
@@ -90,24 +92,24 @@ class TestParse:
         assert cfg.seeds.base_seed == 12345
 
     def test_explicit_delta_a(self):
-        cfg = parse_config(MINIMAL + "delta_a = 3.5\n", "resonances")
+        cfg = parse_config(MINIMAL + "delta_a = 3.5\n", "superrabi")
         assert cfg.model.delta_a == 3.5
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"\[extras\]"):
-            parse_config(MINIMAL + "\n[extras]\nfoo = 1\n", "resonances")
+            parse_config(MINIMAL + "\n[extras]\nfoo = 1\n", "superrabi")
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="omega_c"):
-            parse_config(MINIMAL + "omega_c = 1.0\n", "resonances")
+            parse_config(MINIMAL + "omega_c = 1.0\n", "superrabi")
 
     def test_missing_required_key_named(self):
         with pytest.raises(ConfigError, match="omega_l"):
-            parse_config("[model]\nn = 2\nj = 0.3\ndelta_n = -49.5\n", "resonances")
+            parse_config("[model]\nn = 2\nj = 0.3\ndelta_n = -49.5\n", "superrabi")
 
     def test_bad_type_named(self):
         with pytest.raises(ConfigError, match=r"\[model\] n:"):
-            parse_config(MINIMAL.replace("n = 2", "n = two"), "resonances")
+            parse_config(MINIMAL.replace("n = 2", "n = two"), "superrabi")
 
     def test_bad_points(self):
         bad = DISSIPATIVE + "\n[scan]\npoints = 1\n"
@@ -116,7 +118,7 @@ class TestParse:
 
     def test_key_before_section_header_refused(self):
         with pytest.raises(ConfigError, match="config parse error: File contains no section"):
-            parse_config("n = 2\n" + MINIMAL, "resonances")
+            parse_config("n = 2\n" + MINIMAL, "superrabi")
 
     def test_removed_dt_key_named(self):
         # an old config or sidecar is refused, not reinterpreted
@@ -292,9 +294,6 @@ JC_UNDERFLOW = (
 REFUSED_MODEL_POINTS = [
     pytest.param("steadyscan", DISSIPATIVE.replace("kappa = 1.0", "kappa = 0.0"),
                  "[model] kappa = 0.0", id="dissipative_kappa"),
-    # no resonant branch, whatever delta_a
-    pytest.param("resonances", MINIMAL.replace("delta_n = -49.5", "delta_n = 0.0") + "delta_a = 1.0\n",
-                 "[model] delta_n = 0.0", id="resonances_delta_n"),
     # at j = 0 without TLS decay the driven TLS never relaxes to one steady state
     *[pytest.param(preset, J0_NO_TLS_DECAY, "[model] gamma = 0.0", id=f"{preset}_gamma")
       for preset in ("g2tau", "jcregime", "custom", "steadyscan")],
@@ -368,6 +367,13 @@ UNRELAXED_SCANS = [
       for j in (1e-8, 1e-10)],
 ]
 
+# a state that only the check on the smallest eigenvalue of rho refuses: the
+# factor's condition estimate and the trace and residual gate pass it
+NEGATIVE_EIGENVALUE = (
+    "[model]\nn = 1\nj = 38.272202562629445\nomega_l = 60.07024861835774\ndelta_n = 1e-300\n"
+    "kappa = 3.2818513990233002e-12\ngamma = 0.0\nn_max = 4\ndelta_a = 89.38925503250101\n"
+)
+
 # g_1(0) = 0 exactly (a^2 = 0 at n_max = 1), computed as a round-off negative
 NMAX1_ROUNDOFF = (
     "[model]\nn = 1\nn_max = 1\nj = 1\nomega_l = 21\ndelta_n = 1\nkappa = 10\ngamma = 1\n"
@@ -386,7 +392,6 @@ CHEAP_POINTS = {
     "trajectory": DISSIPATIVE + "\n[integrator]\nt_final = 50.0\nsample_dt = 0.5\n",
     "g2tau": DISSIPATIVE + "\n[scan]\ntau_points = 5\n",
     "jcregime": DISSIPATIVE,
-    "resonances": MINIMAL,
     "custom": DISSIPATIVE.replace("n_max = 8", "n_max = 12"),
 }
 
@@ -400,12 +405,11 @@ MEASURED_KEYS = {
     "trajectory": {"n_jumps"},
     "g2tau": {"tau_min", "g_equal_time_2"},
     "jcregime": {"n_photon_population"},
-    "resonances": set(),
     "custom": {"equal_time_correlations"},
 }
 
 # the presets that never build a Liouvillian
-NUMPY_ONLY_PRESETS = ("superrabi", "trajectory", "resonances")
+NUMPY_ONLY_PRESETS = ("superrabi", "trajectory")
 
 # run in a fresh interpreter: the stages in order, each with the scipy and
 # multiprocessing modules loaded once it is done, then which of scipy.sparse
@@ -557,45 +561,37 @@ class TestMain:
         t_final, sample_dt = integrator.getfloat("t_final"), integrator.getfloat("sample_dt")
         assert t == [f"{k * sample_dt:.8e}" for k in range(1001)] and t[-1] == f"{t_final:.8e}"
 
-    def test_resonances_end_to_end(self, tmp_path):
+    def test_resonance_table_in_sidecar_and_dry_run(self, tmp_path, capsys):
+        # the mu = 1 resonance and the mu = 2, 3 pairs of the model's n, as
+        # the sidecar and the dry run print them
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(MINIMAL)
-        assert run_cli(["resonances", "--config", cfg_file, "--out", tmp_path]) == 0
-        with open(tmp_path / "resonances.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        cfg = parse_config(MINIMAL, "resonances")
-        by_key = {(r["mu"], r["branch"]): float(r["delta_a"]) for r in rows}
-        assert by_key[("2", "plus")] == pytest.approx(
-            resonance_detuning_higher(cfg.model, 2, +1), rel=1e-8
-        )
-        from bundlejc.model import resonant_branch
-
-        assert by_key[("1", resonant_branch(cfg.model))] == pytest.approx(
-            resonance_detuning(cfg.model), rel=1e-8
-        )
-        # floats are fixed-width scientific notation
-        for r in rows:
-            assert re.fullmatch(r"-?\d\.\d{8}e[+-]\d{2,3}", r["delta_a"])
-        meta = json.loads((tmp_path / "resonances_metadata.json").read_text())
-        assert meta["preset"] == "resonances"
-        assert "resolved_config" in meta
+        assert run_cli(["superrabi", "--config", cfg_file, "--out", tmp_path]) == 0
+        meta = json.loads((tmp_path / "superrabi_metadata.json").read_text())
+        assert meta["preset"] == "superrabi"
+        assert sidecar_config(tmp_path / "superrabi_metadata.json")["model"]["n"] == "2"
+        capsys.readouterr()
+        assert run_cli(["superrabi", "--config", cfg_file, "--dry-run"]) == 0
+        printed = capsys.readouterr().out
+        assert json.loads(printed[printed.index("\n{") :]) == meta["derived"]
         table = meta["derived"]["resonance_table"]
-        assert table["mu_1"] == pytest.approx(resonance_detuning(cfg.model))
-        # every row is its entry of the sidecar's table, to the digit written
-        expected = {("1", table["branch"]): table["mu_1"]}
-        for mu in ("2", "3"):
-            for branch in ("plus", "minus"):
-                expected[(mu, branch)] = table[f"mu_{mu}_{branch}"]
-        written = {(r["mu"], r["branch"]): r["delta_a"] for r in rows}
-        assert len(rows) == len(expected) and all(r["n"] == "2" for r in rows)
-        assert written == {key: f"{value:.8e}" for key, value in expected.items()}
+        m = parse_config(MINIMAL, "superrabi").model
+        assert table["branch"] == resonant_branch(m)
+        assert table["mu_1"] == pytest.approx(resonance_detuning(m), rel=1e-8)
+        for mu in (2, 3):
+            for sign, branch in ((+1, "plus"), (-1, "minus")):
+                assert table[f"mu_{mu}_{branch}"] == pytest.approx(
+                    resonance_detuning_higher(m, mu, sign), rel=1e-8
+                )
+        # five detunings beside the branch
+        assert len(table) == 1 + 5
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(MINIMAL)
         out_dir = tmp_path / "out"
         assert run_cli(
-            ["resonances", "--config", cfg_file, "--out", out_dir, "--dry-run"]
+            ["superrabi", "--config", cfg_file, "--out", out_dir, "--dry-run"]
         ) == 0
         assert not out_dir.exists()
         printed = capsys.readouterr().out
@@ -604,11 +600,11 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(MINIMAL + "bogus = 1\n")
-        assert run_cli(["resonances", "--config", cfg_file, "--out", tmp_path]) == 1
+        assert run_cli(["superrabi", "--config", cfg_file, "--out", tmp_path]) == 1
         assert "bogus" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
-        assert run_cli(["resonances", "--config", tmp_path / "nope.ini"]) == 1
+        assert run_cli(["superrabi", "--config", tmp_path / "nope.ini"]) == 1
         assert capsys.readouterr().err.startswith("bundlejc:")
 
     def test_truncation_failure_exit_code(self, tmp_path, capsys):
@@ -643,6 +639,24 @@ class TestMain:
         for flag in (flag for flag in flags if flag != "truncation"):
             assert flag.startswith("solver: steady state refused: ")
             assert f"[model] {rates}; the smallest nonzero of these" in flag
+
+    def test_negative_eigenvalue_refused_naming_rates(self, tmp_path, capsys):
+        # custom exits 1 and writes nothing; a sweep flags the row and goes on
+        refused = "steady state refused: smallest eigenvalue of rho -6.358e-07 < -1e-12; "
+        rates = "[model] kappa = 3.2818513990233002e-12, gamma = 0.0, j = 38.272202562629445; "
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(NEGATIVE_EIGENVALUE)
+        assert run_cli(["custom", "--config", cfg_file, "--out", tmp_path / "out"]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"bundlejc: solver failure: {refused}") and rates in err
+        assert not (tmp_path / "out").exists()
+        cfg_file.write_text(NEGATIVE_EIGENVALUE + "\n[scan]\nmin = 89.38925503250101\n"
+                            "max = 89.38925503250101\npoints = 2\n")
+        assert run_cli(["steadyscan", "--config", cfg_file, "--out", tmp_path / "scan"]) == 0
+        with open(tmp_path / "scan" / "steadyscan.csv", newline="") as fh:
+            flags = [row["flag"] for row in csv.DictReader(fh)]
+        assert len(flags) == 2
+        assert all(flag.startswith(f"solver: {refused}") and rates in flag for flag in flags)
 
     def test_trajectory_determinism_bit_for_bit(self, tmp_path):
         # 50/kappa, so the record holds jumps (a 5/kappa run held none)
@@ -680,9 +694,19 @@ class TestMain:
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(MINIMAL)
         with pytest.raises(SystemExit) as exc:
-            run_cli(["resonances", "--config", cfg_file, "--out", tmp_path, flag, "2"])
+            run_cli(["superrabi", "--config", cfg_file, "--out", tmp_path, flag, "2"])
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == [cfg_file]
+
+    def test_retired_preset_refused(self, tmp_path, capsys):
+        # resonances wrote the resonance table of every sidecar and dry run
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["resonances", "--config", cfg_file, "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'resonances'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
     @pytest.mark.parametrize("line", ["bundle_n = 2", "mu_values = 2,3"])
@@ -715,13 +739,13 @@ class TestMain:
         cfg_file = tmp_path / "bom.ini"
         cfg_file.write_bytes(b"\xef\xbb\xbf" + MINIMAL.lstrip().encode())
         out_dir = tmp_path / "out"
-        args = ["resonances", "--config", cfg_file, "--out", out_dir] + ["--dry-run"] * dry_run
+        args = ["superrabi", "--config", cfg_file, "--out", out_dir] + ["--dry-run"] * dry_run
         assert run_cli(args) == 0
         assert capsys.readouterr().err == ""
         if dry_run:
             assert not out_dir.exists()
         else:
-            assert sidecar_config(out_dir / "resonances_metadata.json")["model"]["n"] == "2"
+            assert sidecar_config(out_dir / "superrabi_metadata.json")["model"]["n"] == "2"
 
     @pytest.mark.parametrize(
         "preset, section, line",
@@ -840,21 +864,22 @@ class TestMain:
     @pytest.mark.parametrize("dry_run", [False, True], ids=("run", "dry_run"))
     def test_mollow_singular_point(self, tmp_path, capsys, dry_run):
         # x = n delta_a + E_+ = 0 at j = 0: the Mollow effective model is
-        # singular; resonances leaves its entries out, and superrabi, whose
-        # analytic column needs it, names the field
+        # singular; the derived quantities leave its entries out, which custom
+        # (given decay rates) records, and superrabi, whose analytic column
+        # needs it, names the field
         text = (
             "[model]\nn = 1\nj = 0.0\nomega_l = 1.0\ndelta_n = -2.0\n"
             "delta_a = -0.3660254037844386\n\n[integrator]\nt_final = 1.0\n"
         )
         cfg_file = tmp_path / "cfg.ini"
-        cfg_file.write_text(text)
+        cfg_file.write_text(text.replace("\n\n[", "\nkappa = 1.0\ngamma = 1.0\n\n["))
         res = tmp_path / "res"
-        assert run_cli(["resonances", "--config", cfg_file, "--out", res] + ["--dry-run"] * dry_run) == 0
+        assert run_cli(["custom", "--config", cfg_file, "--out", res] + ["--dry-run"] * dry_run) == 0
         if dry_run:
             printed = capsys.readouterr().out
             derived = json.loads(printed[printed.index("\n{") :])
         else:
-            derived = json.loads((res / "resonances_metadata.json").read_text())["derived"]
+            derived = json.loads((res / "custom_metadata.json").read_text())["derived"]
         assert "omega" in derived and "omega_eff" not in derived
         refusal = assert_refused(tmp_path, capsys, "superrabi", text, "[model] delta_a", dry_run)
         assert "singular" in refusal

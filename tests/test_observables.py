@@ -337,6 +337,15 @@ class TestDelayedBundleCorrelation:
         with pytest.raises(ValueError, match="propagator"):
             g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=rho_ss)
 
+    def test_propagator_of_other_model_rejected(self, dissipative_n2, dissipative_n2_ss):
+        # rho_ss is the steady state of the propagator's own L, so only the
+        # check on the model the propagator was built at can refuse the pair
+        prop, rho_ss = dissipative_n2_ss
+        other = replace(dissipative_n2, delta_a=dissipative_n2.delta_a + 1.0)
+        named = f"propagator was built at {dissipative_n2}, not at p = {other}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            g2_bundle_delayed(other, 2, [1.5], propagator=prop, rho_ss=rho_ss)
+
     def test_state_that_is_not_stationary_rejected(self, dissipative_n2, dissipative_n2_ss):
         # the delta_a = 0 steady state against the resonant propagator gives
         # g_2(tau_min) = 2.78 in place of 0.138; its residual ||L rho|| is
