@@ -14,19 +14,17 @@ and solves the k = 0 block per point.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.linalg import matrix_power
 
-from .dynamics import (
-    TAIL_TOL,
-    LiouvillePropagator,
-    SteadyStateWorkspace,
-    _stationarity_failure,
-    build_liouvillian,
-)
+from .dynamics import TAIL_TOL, LiouvillePropagator, SteadyStateWorkspace, build_liouvillian
 from .hilbert import _check_shape, fock_annihilation
 from .model import ModelParams, dressed
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "photon_distribution",
@@ -80,6 +78,20 @@ def tau_min(N: int, kappa: float) -> float:
     return sum(1.0 / (m * kappa) for m in range(1, N + 1))
 
 
+def _stationarity_failure(kmat: sp.sparray, x: np.ndarray, trace: complex) -> str | None:
+    """The first bound that x, the k = 0 entries of an operator of trace trace,
+    fails as a steady state of the k = 0 block kmat, or None.  A K whose
+    slowest rate is below round-off of its largest passes any near-null x."""
+    if not abs(trace - 1.0) <= 1e-9:  # written so that a NaN fails too
+        return f"|Tr x - 1| = {abs(trace - 1.0):.3e} > 1e-9"
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan fail the bound
+        residual = np.linalg.norm(kmat @ x)
+    bound = 1e-9 * np.linalg.norm(kmat.data)
+    if not residual <= bound:
+        return f"residual {residual:.3e} > 1e-9 ||K||_F = {bound:.3e}"
+    return None
+
+
 def g2_bundle_delayed(
     p: ModelParams,
     N: int,
@@ -100,8 +112,8 @@ def g2_bundle_delayed(
     forms no propagated operator.
     propagator must hold the Liouvillian L of p, and rho_ss must be its steady
     state, normally steady_state(propagator.L): it may have no entry outside
-    k = 0, and it must pass the steady-state solver's own stationarity test
-    (dynamics._stationarity_failure).  One propagator serves every N and grid.
+    k = 0, and it must pass _stationarity_failure's trace and residual bounds.
+    One propagator serves every N and grid.
 
     The default grid is 200 delays from tau_min to 30/kappa.  For N >= 2 every
     delay must be finite and >= tau_min, below which the bundle correlation is

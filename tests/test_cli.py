@@ -324,6 +324,18 @@ REFUSED_MODEL_POINTS = [
     # so does 1.25 pi/|omega_eff| at omega_eff ~ 1e-300, above the smallest float
     pytest.param("superrabi", "[model]\nn = 1\nn_max = 1\nj = 1e-300\nomega_l = 42.0\n"
                  "delta_n = 1.0\n", "[model] j = 1e-300", id="superrabi_roundoff"),
+    # ModelParams' own refusals, under [model] (the property test meets them
+    # only when it draws such a value)
+    *[pytest.param("custom", DISSIPATIVE.replace(old, new), named, id=ident)
+      for old, new, named, ident in [
+          ("n = 2", "n = 0", "[model] n must be >= 1", "n_0"),
+          ("j = 0.3", "j = nan", "[model] j must be finite", "j_nan"),
+          ("gamma = 0.1", "gamma = -0.1", "[model] gamma must be >= 0: it is a decay rate",
+           "gamma_negative"),
+          ("n_max = 8", "n_max = 1", "[model] n_max=1 < n=2: the coupling term vanishes "
+           "identically", "n_max_below_n"),
+          ("n_max = 8", "n_max = 21", "[model] n_max=21 exceeds the cap 20", "n_max_cap"),
+      ]],
 ]
 
 
@@ -368,7 +380,7 @@ UNRELAXED_SCANS = [
 ]
 
 # a state that only the check on the smallest eigenvalue of rho refuses: the
-# factor's condition estimate and the trace and residual gate pass it
+# factor's condition estimate and the trace and residual bounds pass it
 NEGATIVE_EIGENVALUE = (
     "[model]\nn = 1\nj = 38.272202562629445\nomega_l = 60.07024861835774\ndelta_n = 1e-300\n"
     "kappa = 3.2818513990233002e-12\ngamma = 0.0\nn_max = 4\ndelta_a = 89.38925503250101\n"

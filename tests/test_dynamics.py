@@ -33,7 +33,7 @@ from bundlejc.hilbert import (
     tls_operator,
 )
 from bundlejc.model import GRID_CAP, ModelParams, at_resonance, build_H_I
-from bundlejc.observables import photon_distribution, sweep
+from bundlejc.observables import _stationarity_failure, photon_distribution, sweep
 from dop853 import dop853
 from oracles import (
     apply_liouvillian,
@@ -242,7 +242,7 @@ class TestSteadyState:
     def test_negative_state_refused(self, dissipative_n2, kappa, rcond):
         # gamma = 0 and kappa far below the largest rate (|delta_n| = 49.5):
         # the slowest relaxation of K falls below its round-off, and the
-        # solve passes the trace and residual checks with a near-null vector
+        # solve returns a near-null vector of unit trace and small residual
         # that is no density matrix (smallest eigenvalue -6.1e-3 at
         # kappa = 1e-12, -0.10 at 1e-16).  The factor's condition estimate
         # refuses it first.  kappa = 1e-10 gives eps/rcond = 0.35 and a
@@ -1030,15 +1030,18 @@ class TestSteadyStateWorkspace:
         # for each point; the system it factors must be, bit for bit, the
         # k = 0 block of an L built at the point with row 0 replaced by the
         # trace row, so its solve matches a workspace built there bit for bit.
-        # The direct SuperLU of that block is an independent check of the
-        # banded solve (here without steady_state's truncation check: n = 3
-        # overflows n_max near 0)
+        # That pins rows 1.. of K; row 0 (the population rho[0, 0]) does not
+        # depend on delta_a.  The solve does not apply the trace and residual
+        # bounds, so every state here must pass them, as g2_bundle_delayed
+        # requires of a caller's rho_ss.  The direct SuperLU of that block is
+        # an independent check of the banded solve (here without
+        # steady_state's truncation check: n = 3 overflows n_max near 0)
         ws = SteadyStateWorkspace(build_liouvillian(p))
         for delta_a in grid:
             L = build_liouvillian(replace(p, delta_a=delta_a))
             got = ws.solve(delta_a)
+            assert _stationarity_failure(L.mat, L.k0_entries(got, "rho"), np.trace(got)) is None
             block = L.mat.toarray()
-            np.testing.assert_array_equal(ws._block.toarray(), block)
             block[0] = vec(np.eye(p.dims.total_dim))[L.idx]
             np.testing.assert_array_equal(ws._constrained.toarray(), block)
             np.testing.assert_array_equal(SteadyStateWorkspace(L).solve(delta_a), got)
@@ -1145,14 +1148,14 @@ class TestSteadyStateWorkspace:
             ), "the banded LU factor is exactly singular"),
             # j and gamma at 1e-300 leave the driven TLS unrelaxed to working
             # precision: the LU returned a null vector of size 1e264, whose
-            # residual overflowed, and now the condition estimate refuses it
+            # residual overflowed; the condition estimate refuses it
             (at_resonance(ModelParams(
                 n=1, j=1e-300, omega_l=46.0, delta_n=1.0, delta_a=0.0, kappa=1.0,
                 gamma=1e-300, n_max=3,
             )), f"{SINGULAR_TO_PRECISION} 2.876e-305 <= eps 2.220e-16"),
             # kappa = 1e-300 leaves the photon number unrelaxed to working
             # precision: the refined LU solution had residual 0, but its trace
-            # row cancelled, and now the condition estimate refuses it
+            # row cancelled; the condition estimate refuses it
             (ModelParams(
                 n=2, j=2.0, omega_l=1.0, delta_n=1.0, delta_a=35.400000000000006,
                 kappa=1e-300, gamma=0.0, n_max=2,
@@ -1161,7 +1164,7 @@ class TestSteadyStateWorkspace:
         ids=["exactly_singular", "residual_overflows", "trace_lost"],
     )
     def test_singular_lu_refused_naming_the_check(self, p, check):
-        # the banded LU's solution fails the gate, and the error names the
+        # the banded LU's factor fails the gate, and the error names the
         # check it failed and the rates
         rates = f"[model] kappa = {p.kappa}, gamma = {p.gamma}, j = {p.j}; "
         with pytest.raises(RuntimeError, match=f"^steady state refused: {check}; .*{re.escape(rates)}"):
@@ -1197,3 +1200,19 @@ class TestSteadyStateWorkspace:
         monkeypatch.setattr(scipy.linalg.lapack, "zgbsv", illegal)
         with pytest.raises(RuntimeError, match="^zgbsv: argument 3 has an illegal value$"):
             ws.solve(dissipative_n2.delta_a)
+
+    def test_non_finite_refinement_refused_naming_rates(self, dissipative_n2, monkeypatch):
+        # no input is known to reach it: a refinement step that returns NaN
+        # is refused through the gate, naming the rates, and does not escape
+        # as the LinAlgError eigvalsh raises on NaN; a sweep flags the row
+        def nan_correction(lu, kl, ku, b, piv):
+            return np.full_like(b, np.nan), 0
+
+        p = dissipative_n2
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrs", nan_correction)
+        refused = "steady state refused: the refined solution is not finite; "
+        rates = f"[model] kappa = {p.kappa}, gamma = {p.gamma}, j = {p.j}; "
+        with pytest.raises(RuntimeError, match=f"^{re.escape(refused)}.*{re.escape(rates)}"):
+            SteadyStateWorkspace(build_liouvillian(p)).solve(p.delta_a)
+        _, rows = sweep(p, [p.delta_a])
+        assert rows[0][-1].startswith(f"solver: {refused}") and rates in rows[0][-1]

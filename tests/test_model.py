@@ -36,13 +36,13 @@ class TestParams:
         assert p.delta_sigma == p.delta_n + p.n * p.delta_a
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
             simple(n=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^kappa must be >= 0: it is a decay rate$"):
             simple(kappa=-1.0)
-        with pytest.raises(ValueError):
-            simple(n=3, n_max=2)  # coupling vanishes identically
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_max=2 < n=3: the coupling term vanishes"):
+            simple(n=3, n_max=2)
+        with pytest.raises(ValueError, match="^n_max=25 exceeds the cap 20$"):
             simple(n_max=25)  # factorial cap
 
 
@@ -228,6 +228,15 @@ class TestEffectiveMollow:
         eff = omega_eff_mollow(unitary_n3)
         assert eff.omega_eff == pytest.approx(-0.6543, abs=2e-4)
 
+    @pytest.mark.parametrize("real", [float, np.float64])
+    def test_singular_point_refused(self, real):
+        # x = n delta_a + E_+ = 0 at j = 0 zeroes the denominator.  With numpy
+        # floats the division would give inf and a warning, not an error
+        p = ModelParams(n=1, j=real(0.0), omega_l=real(1.0), delta_n=real(-2.0),
+                        delta_a=real(-0.3660254037844386), n_max=2)
+        with pytest.raises(ZeroDivisionError, match="^effective model singular: vanishing denominator$"):
+            omega_eff_mollow(p)
+
     def test_linear_in_small_j(self):
         p = at_resonance(simple(j=1e-6, omega_l=70.0, delta_n=-165.0))
         eff = omega_eff_mollow(p)
@@ -299,6 +308,13 @@ class TestJcRegime:
             n=2, j=1.0, omega_l=0.1, delta_n=-165.0, delta_a=41.268234, n_max=6
         )
         assert omega_eff_jc(p) == pytest.approx(-2.0772e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("real", [float, np.float64])
+    def test_omega_eff_jc_singular_point_refused(self, real):
+        # j = 0 and delta_a = 0 zero the denominator n delta_a delta_sigma - n! j^2
+        p = simple(j=real(0.0), delta_a=real(0.0))
+        with pytest.raises(ZeroDivisionError, match="^effective model singular: vanishing denominator$"):
+            omega_eff_jc(p)
 
     def test_omega_eff_jc_trivial_limits(self):
         p = simple(omega_l=0.0)
