@@ -427,7 +427,8 @@ class SteadyStateWorkspace:
         eps (past that, the solve is an arbitrary near-null vector, which can
         be positive, of small residual and wrong), and the Hermitian,
         unit-trace rho is finite and has no eigenvalue below -1e-12; else a
-        RuntimeError names the check and the [model] rates.  The trace and
+        RuntimeError names the check and the [model] rates.  A delta_a whose
+        square overflows is an OverflowError (_detuning_terms).  The trace and
         residual bounds that g2_bundle_delayed applies to a caller's rho_ss
         are not applied here: one refinement step on a factor with
         rcond > eps meets them (Higham, Accuracy and Stability of Numerical
@@ -623,11 +624,19 @@ def _unravel(
     return TrajectoryRecord(seed=seed, times=times, states=states, jumps=jumps)
 
 
-def _ensemble_member(*args) -> TrajectoryRecord:
-    """One member of run_trajectories: _unravel(*args), looked up when it
-    runs.  Module-level and private, so a pool pickles it by name even when
-    the public functions have been wrapped."""
-    return _unravel(*args)
+_member = None  # a run_trajectories worker's member function, set by _adopt
+
+
+def _adopt(member) -> None:
+    """Pool initializer: keep the member, inherited through the fork."""
+    global _member
+    _member = member
+
+
+def _ensemble_member(seed: int) -> TrajectoryRecord:
+    """A pool's task, one member.  Module-level and private, so the pool
+    pickles it by name even when the public functions have been wrapped."""
+    return _member(seed)
 
 
 def run_trajectories(
@@ -662,7 +671,7 @@ def run_trajectories(
         raise ValueError(f"base_seed must be >= 0; got {base_seed}")
     _check_horizon(t_final=t_final, sample_dt=sample_dt)
     norm = _check_psi0(psi0, p.dims.total_dim)
-    member = partial(_ensemble_member, _JumpPropagator(p), psi0, norm, t_final, sample_dt)
+    member = partial(_unravel, _JumpPropagator(p), psi0, norm, t_final, sample_dt)
     seeds = range(base_seed, base_seed + n_trajectories)
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(n_trajectories, len(affinity(0))) if affinity is not None else 1
@@ -672,9 +681,13 @@ def run_trajectories(
 
     # the pool's exit terminates (and joins) the workers: an interrupt
     # (Ctrl-C reaches the workers too) can kill a worker mid-member, and a
-    # pool that waited for its members would wait for that one forever
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        result = pool.map_async(member, seeds)
+    # pool that waited for its members would wait for that one forever.  The
+    # member reaches each worker through the fork, so a task is a seed: a
+    # pickled propagator (88 KB at n_max = 12) outgrew the 64 KiB pipe, and an
+    # interrupt could leave the task thread blocked mid-write, hanging the exit
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_adopt, initargs=(member,)) as pool:
+        result = pool.map_async(_ensemble_member, seeds)
         while not result.ready():
             # timed: Ctrl-C can land on a pool thread, and the caller runs
             # the handler only once its own wait returns

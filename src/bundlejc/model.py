@@ -144,7 +144,13 @@ def _detuning_terms(p: ModelParams, num, pe):
 
     num and pe are N = a^dag a and |e><e|, as matrices or as their diagonals:
     the arithmetic is elementwise, so both give the same diagonal bits.
+    Every Hamiltonian, Liouvillian and steady-state solve starts here, so a
+    rate whose square overflows (past it the solvers fill with inf and NaN) is
+    refused here, before any arithmetic: an OverflowError names the largest.
     """
+    top, rate = p.largest_rate()
+    if not float(rate) * float(rate) < math.inf:
+        raise OverflowError(f"{top} = {getattr(p, top)}: out of floating-point range")
     return p.delta_a * num + p.delta_sigma * pe
 
 

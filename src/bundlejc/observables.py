@@ -159,7 +159,7 @@ def _scan_point(ws: SteadyStateWorkspace, m_top: int, delta_a: float) -> tuple:
     nan = float("nan")
     try:
         rho = ws.solve(float(delta_a))
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, OverflowError, np.linalg.LinAlgError) as exc:
         return (delta_a, *([nan] * (m_top + 1)), nan, nan, nan, nan, f"solver: {exc}")
     pops = photon_distribution(rho)
     tail = float(pops[-1])

@@ -1,3 +1,4 @@
+import faulthandler
 import itertools
 import logging
 import math
@@ -5,6 +6,7 @@ import multiprocessing
 import os
 import re
 import signal
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -490,6 +492,22 @@ class TestMcwf:
             run_trajectories(dissipative_n2, psi0, 200.0, 10.0, n_trajectories=2, base_seed=1)
         assert multiprocessing.active_children() == []
 
+    def test_task_is_a_seed(self, dissipative_n2, monkeypatch):
+        # each worker gets the jump propagator through the fork, and a task
+        # carries only its seed: a task that pickled the propagator (88 KB
+        # here) outgrew the 64 KiB pipe, and on an interrupt the pool's task
+        # thread could block mid-write with no reader, hanging the exit
+        monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def unpicklable(self, protocol):
+            raise TypeError("the jump propagator was pickled")
+
+        monkeypatch.setattr(dynamics._JumpPropagator, "__reduce_ex__", unpicklable)
+        psi0 = basis_state(dissipative_n2.dims, 0, 0)
+        recs = run_trajectories(dissipative_n2, psi0, 5.0, 0.5, n_trajectories=2, base_seed=1)
+        assert [rec.seed for rec in recs] == [1, 2]
+        assert multiprocessing.active_children() == []
+
     def test_interrupt_stops_workers(self, dissipative_n2, monkeypatch):
         # Ctrl-C reaches every process in the group: here the worker of the
         # first member dies mid-member while the caller gets one
@@ -507,7 +525,8 @@ class TestMcwf:
         monkeypatch.setattr(dynamics, "_unravel", interrupted)
         psi0 = basis_state(dissipative_n2.dims, 0, 0)
 
-        def hung(signum, frame):
+        def hung(signum, frame):  # the stacks name the thread it waits on
+            faulthandler.dump_traceback(sys.__stderr__, all_threads=True)
             raise TimeoutError("run_trajectories still waiting 60 s after the interrupt")
 
         # a background job of a non-interactive shell starts with SIGINT
@@ -1200,6 +1219,40 @@ class TestSteadyStateWorkspace:
         monkeypatch.setattr(scipy.linalg.lapack, "zgbsv", illegal)
         with pytest.raises(RuntimeError, match="^zgbsv: argument 3 has an illegal value$"):
             ws.solve(dissipative_n2.delta_a)
+
+    @pytest.mark.parametrize(
+        "rates, named",
+        [
+            ({"kappa": 1e307}, "kappa = 1e+307"),
+            ({"j": 1e307}, "j = 1e+307"),
+            ({"gamma": 1e155}, "gamma = 1e+155"),
+            # a tie goes to the first in RATES; past it the largest is named
+            ({"j": 1e200, "omega_l": -1e200}, "j = 1e+200"),
+            ({"j": 1e200, "kappa": 1e300}, "kappa = 1e+300"),
+        ],
+        ids=["kappa", "j", "gamma", "tie", "largest"],
+    )
+    def test_out_of_range_rate_refused(self, dissipative_n2, rates, named):
+        # a rate whose square overflows is refused before any arithmetic, as
+        # a config's is: the Liouvillian once filled with inf and NaN and
+        # warned (an error under filterwarnings = error) from the Hamiltonian,
+        # _damped_generator, _kron_coo and the solve's norm
+        p = replace(dissipative_n2, **rates)
+        refused = f"^{re.escape(named)}: out of floating-point range$"
+        with pytest.raises(OverflowError, match=refused):
+            steady_state(build_liouvillian(p))
+        with pytest.raises(OverflowError, match=refused):
+            run_trajectories(p, basis_state(p.dims, 0, 0), 1.0, 0.5, n_trajectories=1, base_seed=0)
+
+    def test_out_of_range_delta_a_flagged(self, dissipative_n2):
+        # a sweep row at such a delta_a is a solver flag, and the sweep goes on
+        p = dissipative_n2
+        ws = SteadyStateWorkspace(build_liouvillian(p))
+        with pytest.raises(OverflowError, match=r"^delta_a = -1e\+307: out of floating-point range$"):
+            ws.solve(-1e307)
+        _, rows = sweep(p, [1e307, p.delta_a])
+        assert rows[0][-1] == "solver: delta_a = 1e+307: out of floating-point range"
+        assert rows[1][-1] == ""
 
     def test_non_finite_refinement_refused_naming_rates(self, dissipative_n2, monkeypatch):
         # no input is known to reach it: a refinement step that returns NaN

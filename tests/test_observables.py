@@ -334,7 +334,7 @@ class TestDelayedBundleCorrelation:
         # or mix tau_min of p with the other point's propagation
         _, rho_ss = dissipative_n2_ss
         prop = LiouvillePropagator(build_liouvillian(replace(dissipative_n2, **{field: other})))
-        with pytest.raises(ValueError, match="propagator"):
+        with pytest.raises(ValueError, match="^propagator was built at "):
             g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=rho_ss)
 
     def test_propagator_of_other_model_rejected(self, dissipative_n2, dissipative_n2_ss):
