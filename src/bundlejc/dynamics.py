@@ -5,34 +5,28 @@ The Liouvillian acts on the column-stacked vectorization of rho.  H, a and
 sigma_- all conserve k = (m - m') mod n, where m and m' are the photon
 numbers of the row and column of rho, so L is block-diagonal in k (a weak
 symmetry).  The steady state and the regression operators a^N rho_ss a^dagN
-of the delayed correlations all lie in k = 0, so build_liouvillian makes only
-the k = 0 block K, as a sparse (CSR) matrix, and every consumer refuses an
-operator with an entry in another sector.  The steady state is found by one
-banded LU of K, its unknowns ordered along the n-photon excitation ladder
-(band 2(n_max + 1)), and refused if that factor is singular to working
-precision; the spectral propagator eigendecomposes K once, as a real matrix
-in a Hermitian operator basis.  There is one steady-state solver,
-SteadyStateWorkspace: it holds the system of one K, and since delta_a moves
-only the diagonal of L, it rewrites just that diagonal (with the arithmetic
-of build_liouvillian) to solve at any delta_a.  steady_state(L) is its solve
-at the delta_a of L, then a truncation check.  H and L do not depend on time,
-so each equation of motion has one propagator, an eigendecomposition, which
-is exact at the sample times; a delayed correlation is contracted in the
-eigenbasis of K (LiouvillePropagator.expectation), never forming the
-propagated operators.
+of the delayed correlations all lie in k = 0, so only the k = 0 block K is
+assembled (_k0_triplets), and every consumer refuses an operator with an
+entry in another sector.  SteadyStateWorkspace factors K straight from its
+triplets, as a band along the n-photon excitation ladder; build_liouvillian
+sums them into a CSR matrix, which the spectral propagator eigendecomposes
+once, as a real matrix in a Hermitian operator basis.  H and L do not depend
+on time, so each equation of motion has one propagator, an
+eigendecomposition, which is exact at the sample times; a delayed
+correlation is contracted in the eigenbasis of K
+(LiouvillePropagator.expectation), never forming the propagated operators.
 
-scipy is imported only where a Liouvillian is built or factored:
-build_liouvillian (the one way to make an L; LiouvillePropagator and
-steady_state both start from one), _hermitian_basis and
-SteadyStateWorkspace.  Schrodinger propagation and the quantum-jump
-trajectories need only numpy, so a run that never builds L never loads scipy
-(about 0.3 s of start-up).  multiprocessing is imported the same way, only
-where run_trajectories starts its worker pool (about 15 ms), so a lone
-trajectory (run_trajectories with n_trajectories = 1, run in-process) and
-every Liouvillian path never load it.  The module is kept whole rather than
-split along these lines, because the benchmark tracer
-(perfbench/tracing.py) wraps the functions whose __module__ is
-bundlejc.dynamics and reads bundlejc.dynamics.LiouvillePropagator.
+scipy is imported only where K is built or factored.  The steady-state
+solve loads only scipy's LAPACK (0.21-0.30 s of start-up after numpy);
+build_liouvillian and the propagator load scipy.sparse too (12-19 ms more),
+so the g2tau, custom and jcregime presets do and steadyscan does not.
+Schrodinger propagation and the quantum-jump trajectories need only numpy.
+multiprocessing is imported only where run_trajectories starts its worker
+pool (about 15 ms), so a lone trajectory (run in-process) and every
+Liouvillian path never load it.  The module is kept whole rather than split
+along these lines, because the benchmark tracer (perfbench/tracing.py) wraps
+the functions whose __module__ is bundlejc.dynamics and reads
+bundlejc.dynamics.LiouvillePropagator.
 """
 
 from __future__ import annotations
@@ -191,13 +185,15 @@ def _damped_generator(h, decays) -> np.ndarray:
     return g
 
 
-def build_liouvillian(p: ModelParams) -> Liouvillian:
-    """L(rho) = -i[H_I, rho] + kappa D[a] rho + gamma D[sigma_-] rho, k = 0 block.
+def _k0_triplets(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """idx (as in Liouvillian) and the COO triplets (rows, cols, vals) over it
+    of the k = 0 block K of L(rho) = -i[H_I, rho] + kappa D[a] rho +
+    gamma D[sigma_-] rho; none is 0, and only a diagonal entry has two.
 
     Written as L rho = G rho + rho G^dag + sum_c rate_c C rho C^dag with
-    G = -i H_I - (1/2) sum_c rate_c C^dag C, and assembled in COO form from
-    the nonzeros of the d x d operators: vec(X rho Y) = kron(Y^T, X) vec(rho),
-    keeping the triplets whose row (and so column) lies in k = 0.
+    G = -i H_I - (1/2) sum_c rate_c C^dag C, from the nonzeros of the d x d
+    operators: vec(X rho Y) = kron(Y^T, X) vec(rho), keeping the triplets
+    whose row (and so column) lies in k = 0.
     """
     d = p.dims.total_dim
     jumps = [(rate, c) for rate, c in _decay_channels(p) if rate > 0]
@@ -208,8 +204,13 @@ def build_liouvillian(p: ModelParams) -> Liouvillian:
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
     idx = np.flatnonzero(_sector(np.arange(d * d), d, p.n) == 0)
     keep = _sector(rows, d, p.n) == 0
-    rows, cols = np.searchsorted(idx, rows[keep]), np.searchsorted(idx, cols[keep])
-    kmat = _csr_class()((vals[keep], (rows, cols)), shape=(len(idx),) * 2)
+    return idx, np.searchsorted(idx, rows[keep]), np.searchsorted(idx, cols[keep]), vals[keep]
+
+
+def build_liouvillian(p: ModelParams) -> Liouvillian:
+    """The k = 0 block of L at p: _k0_triplets summed in a CSR with no zero."""
+    idx, rows, cols, vals = _k0_triplets(p)
+    kmat = _csr_class()((vals, (rows, cols)), shape=(len(idx),) * 2)
     kmat.eliminate_zeros()
     return Liouvillian(p, kmat, idx)
 
@@ -323,39 +324,33 @@ class LiouvillePropagator:
 
 
 def steady_state(L: Liouvillian) -> np.ndarray:
-    """Unique stationary density matrix of L: SteadyStateWorkspace(L) solved
-    at the delta_a of L, with its refusals.  Raises TruncationError if the top
-    Fock level holds population TAIL_TOL or more, a check the solve skips."""
-    rho = SteadyStateWorkspace(L).solve(L.params.delta_a)
+    """Unique stationary density matrix of L: SteadyStateWorkspace(L.params)
+    solved at the delta_a of L.  Raises TruncationError if the top Fock level
+    holds population TAIL_TOL or more, a check the solve skips."""
+    rho = SteadyStateWorkspace(L.params).solve(L.params.delta_a)
     dims = L.params.dims
     i = dims.index(dims.n_max, 0)  # |n_max, g>; |n_max, e> follows
     tail = float(rho[i, i].real + rho[i + 1, i + 1].real)
     if tail >= TAIL_TOL:
-        raise TruncationError(
-            f"top Fock level holds population {tail:.3e} >= {TAIL_TOL:.1e}; "
-            "increase n_max"
-        )
+        raise TruncationError(f"top Fock level holds population {tail:.3e} >= "
+                              f"{TAIL_TOL:.1e}; increase n_max")
     return rho
 
 
-def _diagonal_positions(m: sp.csc_array, diag: np.ndarray) -> np.ndarray:
-    """Positions in m.data of the stored diagonal entries (r, r), r in diag."""
-    cols = np.repeat(np.arange(m.shape[1]), np.diff(m.indptr))
-    stored = np.flatnonzero(m.indices == cols)
-    return stored[np.searchsorted(cols[stored], diag)]
-
-
 class SteadyStateWorkspace:
-    """The steady-state system of the k = 0 block K along delta_a, built once.
+    """The steady-state system of the k = 0 block K of p along delta_a, built
+    once from _k0_triplets.
 
     delta_a enters H_I only on its diagonal, as delta_a (N + n |e><e|) (since
     delta_sigma = Delta + n delta_a), so it moves only the diagonal of L:
     L_(i,j),(i,j) = G_ii + conj(G_jj), with G = -i H_I - (1/2) sum_c rate_c
     C^dag C.  That entry is constant for a population (i = j).  The
     constrained form of K (row 0 replaced by the nonzeros of the trace row) is
-    kept in CSC with every coherence diagonal in the pattern; `solve` rewrites
-    those entries from the d diagonal values of G, with the arithmetic of
-    build_liouvillian, and factors afresh.
+    kept as its entries (_rows, _cols, _data) in CSC order, every coherence
+    diagonal among them; summed from at most two triplets each, they are the
+    entries of build_liouvillian's K bit for bit.  `solve` rewrites the
+    coherence diagonals from the d diagonal values of G, with the arithmetic
+    of build_liouvillian, and factors afresh.
 
     The unknowns are ordered once, along the excitation ladder: entry
     rho[(m, s), (m', s')] by the key 2 (m' - m)/n + s' - s.  H changes the
@@ -367,54 +362,58 @@ class SteadyStateWorkspace:
     condition estimate of the factor (zgbcon) and one refinement step.
     """
 
-    def __init__(self, L: Liouvillian):
-        import scipy.sparse as sp
-
-        p = L.params
+    def __init__(self, p: ModelParams):
         if not p.kappa > 0:
             raise ValueError(f"kappa must be > 0 for a unique steady state; got {p.kappa}")
         d = p.dims.total_dim
         self._p = p
-        self._idx = L.idx
         a = fock_annihilation(p.dims)
         self._num = np.diagonal(a.conj().T @ a)  # as build_H_I forms N: sqrt(m)^2, not m
         self._pe = np.diagonal(tls_operator("excited_projector", p.dims))
         self._decays = [
             (rate, np.diagonal(c.conj().T @ c)) for rate, c in _decay_channels(p) if rate > 0
         ]
-        k0 = L.mat.tocoo()
-        moving = np.flatnonzero(self._idx % (d + 1))  # coherences: vec index i + d j, i != j
-        self._j, self._i = np.divmod(self._idx[moving], d)
-        data = np.concatenate([k0.data, np.zeros(len(moving), dtype=complex)])
-        rows = np.concatenate([k0.row, moving])
-        cols = np.concatenate([k0.col, moving])
-        trace = vec(np.eye(d))[self._idx]  # Tr rho as a row over the k = 0 entries
-        pops = np.flatnonzero(trace)
-        kept = rows != 0  # row 0 gives way to the trace row
-        self._constrained = sp.csc_array(
-            (
-                np.r_[trace[pops], data[kept]],
-                (np.r_[np.zeros_like(pops), rows[kept]], np.r_[pops, cols[kept]]),
-            ),
-            shape=k0.shape,
-        )
-        self._diag = _diagonal_positions(self._constrained, moving)
+        self._idx, rows, cols, vals = _k0_triplets(p)
+        size = len(self._idx)
+        col, row = np.divmod(self._idx, d)  # entry e is rho[row[e], col[e]]
+        pops, moving = np.flatnonzero(row == col), np.flatnonzero(row != col)
+        self._j, self._i = col[moving], row[moving]
+        # the entries in CSC order (by column, then row): row 0 gives way to
+        # the trace row, 1 at each population, and every coherence diagonal
+        # is stored; the triplets of an entry are added in the order given
+        kept = rows != 0
+        keys = np.r_[pops * size, cols[kept] * size + rows[kept], moving * (size + 1)]
+        keys, at = np.unique(keys, return_inverse=True)
+        vals = np.r_[np.ones(len(pops)), vals[kept], np.zeros(len(moving))]
+        self._cols, self._rows = np.divmod(keys, size)
+        self._data = np.empty(len(keys), dtype=complex)
+        self._data.real, self._data.imag = np.bincount(at, vals.real), np.bincount(at, vals.imag)
+        self._diag = np.searchsorted(keys, moving * (size + 1))
+        self._starts = np.flatnonzero(np.diff(self._cols, prepend=-1))  # none is empty
 
         # the ladder ordering, by key, then m, s and s' (the trace row lies in
         # key 0): entry e of the k = 0 system is entry where[e] of the
         # reordered one, banded with kl sub- and ku superdiagonals
-        col, row = np.divmod(self._idx, d)
         (m, s), (m_col, s_col) = np.divmod(row, 2), np.divmod(col, 2)
         perm = np.lexsort((s_col, s, m, 2 * (m_col - m) // p.n + s_col - s))
         self._where = np.argsort(perm)
-        r = self._where[self._constrained.indices]
-        c = self._where[np.repeat(np.arange(len(perm)), np.diff(self._constrained.indptr))]
+        r, c = self._where[self._rows], self._where[self._cols]
         self._kl, self._ku = int(np.max(r - c)), int(np.max(c - r))
         # LAPACK band storage: A[r, c] at ab[kl + ku + r - c, c]; the top kl
         # rows of ab take the factor's fill-in
         self._band = (self._kl + self._ku + r - c, c)
-        self._rhs = np.zeros((len(perm), 1), dtype=complex)
+        self._rhs = np.zeros((size, 1), dtype=complex)
         self._rhs[self._where[0], 0] = 1.0  # row 0 is the trace row: Tr rho = 1
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """A x for the constrained system A as last written, in real arithmetic
+        and CSC order: scipy's CSC product, bit for bit."""
+        ar, ai = self._data.real, self._data.imag
+        xr, xi = x.real[self._cols], x.imag[self._cols]
+        y = np.empty(len(x), dtype=complex)
+        y.real = np.bincount(self._rows, ar * xr - ai * xi, len(x))
+        y.imag = np.bincount(self._rows, ar * xi + ai * xr, len(x))
+        return y
 
     def solve(self, delta_a: float) -> np.ndarray:
         """Steady state of L at this delta_a, with no truncation check.
@@ -439,14 +438,11 @@ class SteadyStateWorkspace:
 
         q = replace(self._p, delta_a=delta_a)
         g = _damped_generator(_detuning_terms(q, self._num, self._pe), self._decays)
-        a = self._constrained
-        a.data[self._diag] = g[self._i] + g[self._j].conj()
+        self._data[self._diag] = g[self._i] + g[self._j].conj()
 
         ab = np.zeros((2 * self._kl + self._ku + 1, len(self._rhs)), complex, order="F")
-        ab[self._band] = a.data
-        # ||A||_1, the largest column sum; no column is empty (a coherence
-        # column holds its diagonal, a population column its trace-row 1)
-        norm = np.add.reduceat(np.abs(a.data), a.indptr[:-1]).max()
+        ab[self._band] = self._data
+        norm = np.add.reduceat(np.abs(self._data), self._starts).max()  # ||A||_1
         lu, piv, x, info = zgbsv(self._kl, self._ku, ab, self._rhs, overwrite_ab=1)
         if info < 0:
             raise RuntimeError(f"zgbsv: argument {-info} has an illegal value")
@@ -463,7 +459,7 @@ class SteadyStateWorkspace:
             # from tens of percent off to within 1e-10 relative of a dense LU;
             # tails near 1e-27 it holds only to about 1e-6 relative
             r = self._rhs.copy()
-            r[self._where, 0] -= a @ x[self._where, 0]
+            r[self._where, 0] -= self._product(x[self._where, 0])
             x0 = (x + zgbtrs(lu, self._kl, self._ku, r, piv)[0])[self._where, 0]
             x = np.zeros(d * d, dtype=complex)
             x[self._idx] = x0

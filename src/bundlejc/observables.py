@@ -7,8 +7,8 @@ matrices of shape (d, d).  The equal-time g^(l)(0) is a sum over the photon
 distribution, because a^dag^l a^l is diagonal in the Fock basis.  The delayed
 g_N^(2)(tau) is a trace per delay, contracted in the eigenbasis of the k = 0
 block (LiouvillePropagator.expectation), so no propagated operator is
-formed.  A sweep builds the Liouvillian once (dynamics.SteadyStateWorkspace)
-and solves the k = 0 block per point.
+formed.  A sweep builds the steady-state system of the k = 0 block once
+(dynamics.SteadyStateWorkspace, no Liouvillian) and solves it per point.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.linalg import matrix_power
 
-from .dynamics import TAIL_TOL, LiouvillePropagator, SteadyStateWorkspace, build_liouvillian
+from .dynamics import TAIL_TOL, LiouvillePropagator, SteadyStateWorkspace
 from .hilbert import _check_shape, fock_annihilation
 from .model import ModelParams, dressed
 
@@ -60,12 +60,15 @@ def g_equal_time(rho: np.ndarray, ell: int) -> float | None:
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    pops = photon_distribution(rho)
-    n_mean = float(np.arange(len(pops)) @ pops)
-    if n_mean <= 1e-12:
-        return None
-    falling = np.array([math.perm(m, ell) for m in range(len(pops))], dtype=float)
-    return float(falling @ pops) / n_mean**ell
+    return _g_orders(photon_distribution(rho), (ell,))[0]
+
+
+def _g_orders(pops: np.ndarray, orders) -> list[float | None]:
+    """g_equal_time of rho at each order in orders, from pops = P_m of rho."""
+    n_mean, ms = float(np.arange(len(pops)) @ pops), range(len(pops))
+    falling = [np.array([math.perm(m, ell) for m in ms], dtype=float) for ell in orders]
+    return [None if n_mean <= 1e-12 else float(f @ pops) / n_mean**ell
+            for f, ell in zip(falling, orders)]
 
 
 def tau_min(N: int, kappa: float) -> float:
@@ -154,8 +157,8 @@ def g2_bundle_delayed(
 
 def _scan_point(ws: SteadyStateWorkspace, m_top: int, delta_a: float) -> tuple:
     """One steady-state evaluation; returns observables plus a failure flag.
-    g_equal_time is None for every order l >= 1 together (a vanishing mean
-    photon number), so g2, g3 and g4 are all defined or all NaN."""
+    g2, g3 and g4 come from one photon distribution, and are all defined or
+    all NaN (a vanishing mean photon number)."""
     nan = float("nan")
     try:
         rho = ws.solve(float(delta_a))
@@ -164,7 +167,7 @@ def _scan_point(ws: SteadyStateWorkspace, m_top: int, delta_a: float) -> tuple:
     pops = photon_distribution(rho)
     tail = float(pops[-1])
     flags = ["truncation"] if tail >= TAIL_TOL else []
-    gs = [g_equal_time(rho, ell) for ell in (2, 3, 4)]
+    gs = _g_orders(pops, (2, 3, 4))
     if gs[0] is None:
         gs = [nan] * 3
         flags.append("correlation_undefined")
@@ -176,8 +179,8 @@ def sweep(p: ModelParams, grid):
 
     Returns (header, rows): delta_a, P_0..P_min(3n, n_max), g2, g3, g4, the
     top-level population and a flag.  Per-point failures are recorded in the
-    trailing flag column and the sweep continues.  The Liouvillian is built
-    once, in a SteadyStateWorkspace; each point only rewrites its diagonal.
+    trailing flag column and the sweep continues.  SteadyStateWorkspace(p)
+    builds the system once, with no Liouvillian; each point rewrites its diagonal.
     """
     m_top = min(3 * p.n, p.n_max)
     header = (
@@ -185,5 +188,5 @@ def sweep(p: ModelParams, grid):
         + [f"P{k}" for k in range(m_top + 1)]
         + ["g2", "g3", "g4", "tail_population", "flag"]
     )
-    ws = SteadyStateWorkspace(build_liouvillian(p))
+    ws = SteadyStateWorkspace(p)
     return header, [_scan_point(ws, m_top, da) for da in grid]

@@ -183,7 +183,7 @@ def test_criterion_4iv_population_balance(dissipative_n2, dissipative_n3):
     details = []
     ok = True
     for p in (dissipative_n2, dissipative_n3):
-        rho = SteadyStateWorkspace(build_liouvillian(p)).solve(p.delta_a)
+        rho = SteadyStateWorkspace(p).solve(p.delta_a)
         pops = photon_distribution(rho)
         n = p.n
         lower, upper = (n - 1) * pops[n - 1], n * pops[n]
@@ -205,7 +205,7 @@ def test_criterion_5_bundle_ordering(dissipative_n2, dissipative_n3):
         for da, regime in ((p_res.delta_a, "resonant"), (0.0, "detuned")):
             p = replace(p_res, delta_a=da)
             L = build_liouvillian(p)
-            rho = SteadyStateWorkspace(L).solve(p.delta_a)
+            rho = SteadyStateWorkspace(p).solve(p.delta_a)
             prop = LiouvillePropagator(L)
             n = p.n
             t0 = tau_min(n, p.kappa)
@@ -458,7 +458,7 @@ def test_criterion_9_invariant_fuzz():
             n_max=5,
         )
         try:
-            rho = SteadyStateWorkspace(build_liouvillian(p)).solve(p.delta_a)
+            rho = SteadyStateWorkspace(p).solve(p.delta_a)
             check_density_matrix(rho)
         except Exception as exc:  # noqa: BLE001 - any invariant break counts
             failures.append(f"steady sample {i}: {exc}")

@@ -425,10 +425,13 @@ NUMPY_ONLY_PRESETS = ("superrabi", "trajectory")
 
 # run in a fresh interpreter: the stages in order, each with the scipy and
 # multiprocessing modules loaded once it is done, then which of scipy.sparse
-# and its csgraph and linalg subpackages a steadyscan run after them loaded
+# and its csgraph and linalg subpackages are loaded after a steadyscan run,
+# after a library sweep at its config, and after a g2tau run
 SCIPY_PROBE = """
 import json, sys
-from bundlejc.cli import main
+from pathlib import Path
+from bundlejc.cli import main, parse_config
+from bundlejc.observables import sweep
 
 def deferred_loaded():
     return sorted(m for m in sys.modules if m.startswith(("scipy", "multiprocessing")))
@@ -441,19 +444,29 @@ for preset, cfg in configs.items():
 for preset in numpy_only:
     assert main([preset, "--config", configs[preset], "--out", out + "/" + preset]) == 0
     seen[preset] = deferred_loaded()
+def sparse_loaded():
+    probes = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+    return [m for m in probes if m in sys.modules]
+
 assert main(["steadyscan", "--config", configs["steadyscan"], "--out", out + "/steadyscan"]) == 0
-probes = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg")
-print(json.dumps({"seen": seen, "steadyscan": [m for m in probes if m in sys.modules]}))
+sparse = {"steadyscan": sparse_loaded()}
+cfg = parse_config(Path(configs["steadyscan"]).read_text(), "steadyscan")
+sweep(cfg.model, cfg.scan.grid())
+sparse["sweep"] = sparse_loaded()
+assert main(["g2tau", "--config", configs["g2tau"], "--out", out + "/g2tau"]) == 0
+sparse["g2tau"] = sparse_loaded()
+print(json.dumps({"seen": seen, "sparse": sparse}))
 """
 
 
 def test_scipy_loads_only_where_a_liouvillian_is_built(tmp_path):
-    # every run pays at start-up for what it imports, and scipy costs about
-    # 0.3 s of it; only the code that builds or factors a Liouvillian imports
-    # scipy, so the library import, every dry run and the presets that need
-    # only eigh, the H_nh eig and closed forms load none of it.  Likewise only
-    # a parallel run_trajectories imports multiprocessing (about 15 ms), which
-    # no preset calls: the trajectory preset runs one trajectory in-process
+    # every run pays at start-up for what it imports, and scipy's LAPACK
+    # costs 0.21-0.30 s of it; only the code that builds or factors a
+    # Liouvillian imports scipy, so the library import, every dry run and the
+    # presets that need only eigh, the H_nh eig and closed forms load none of
+    # it.  Likewise only a parallel run_trajectories imports multiprocessing
+    # (about 15 ms), which no preset calls: the trajectory preset runs one
+    # trajectory in-process
     configs = {}
     for preset, text in CHEAP_POINTS.items():
         configs[preset] = str(tmp_path / f"{preset}.ini")
@@ -478,9 +491,11 @@ def test_scipy_loads_only_where_a_liouvillian_is_built(tmp_path):
     stages = ["import bundlejc.cli"]
     stages += [f"{preset} --dry-run" for preset in CHEAP_POINTS] + list(NUMPY_ONLY_PRESETS)
     assert result["seen"] == {stage: [] for stage in stages}
-    # the deferred import works: a preset that builds L does load scipy,
-    # and the steady-state solve needs neither csgraph nor sparse.linalg
-    assert result["steadyscan"] == ["scipy.sparse"]
+    # the steady-state sweep, run by the preset or by the library, factors K
+    # with scipy's LAPACK alone; g2tau builds L as a CSR, so the probe sees
+    # scipy.sparse when it is loaded, and the spectral propagator needs
+    # neither csgraph nor sparse.linalg
+    assert result["sparse"] == {"steadyscan": [], "sweep": [], "g2tau": ["scipy.sparse"]}
 
 
 # what main writes at each CHEAP_POINTS config, checked in; a change that moves

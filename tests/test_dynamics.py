@@ -251,7 +251,7 @@ class TestSteadyState:
         # smallest eigenvalue of -3.5e-15, inside the atol 1e-12 at which the
         # suite calls rho equal to its dense oracle, so it is accepted
         p = replace(dissipative_n2, kappa=kappa, gamma=0.0, delta_a=24.0)
-        ws = SteadyStateWorkspace(build_liouvillian(p))
+        ws = SteadyStateWorkspace(p)
         if rcond is None:
             assert np.linalg.eigvalsh(ws.solve(p.delta_a))[0] >= -1e-12
         else:
@@ -1007,8 +1007,16 @@ def dense_k0_steady_state(p):
     return rho / np.trace(rho)
 
 
+def constrained(ws):
+    """The workspace's constrained system as last written, dense, from its
+    stored entries."""
+    a = np.zeros((len(ws._idx),) * 2, dtype=complex)
+    a[ws._rows, ws._cols] = ws._data
+    return a
+
+
 class TestSteadyStateWorkspace:
-    """The delta_a sweep solves each point on one Liouvillian build."""
+    """The delta_a sweep solves each point on one build of K's system."""
 
     @staticmethod
     def grid(p):
@@ -1023,7 +1031,7 @@ class TestSteadyStateWorkspace:
         # every point passed the solve's gate (n = 3 overflows n_max near 0)
         assert all(row[-1] in ("", "truncation") for row in rows)
         g2 = header.index("g2")
-        ws = SteadyStateWorkspace(build_liouvillian(p))
+        ws = SteadyStateWorkspace(p)
         for delta_a, row in zip(grid, rows):
             rho = dense_k0_steady_state(replace(p, delta_a=delta_a))
             np.testing.assert_allclose(ws.solve(delta_a), rho, rtol=0, atol=1e-12)
@@ -1049,21 +1057,24 @@ class TestSteadyStateWorkspace:
         # for each point; the system it factors must be, bit for bit, the
         # k = 0 block of an L built at the point with row 0 replaced by the
         # trace row, so its solve matches a workspace built there bit for bit.
+        # The two sum K's triplets apart (the workspace in CSC order, the CSR
+        # in scipy's), so this is also the check that they hold one K, signed
+        # zeros included.
         # That pins rows 1.. of K; row 0 (the population rho[0, 0]) does not
         # depend on delta_a.  The solve does not apply the trace and residual
         # bounds, so every state here must pass them, as g2_bundle_delayed
         # requires of a caller's rho_ss.  The direct SuperLU of that block is
         # an independent check of the banded solve (here without
         # steady_state's truncation check: n = 3 overflows n_max near 0)
-        ws = SteadyStateWorkspace(build_liouvillian(p))
+        ws = SteadyStateWorkspace(p)
         for delta_a in grid:
             L = build_liouvillian(replace(p, delta_a=delta_a))
             got = ws.solve(delta_a)
             assert _stationarity_failure(L.mat, L.k0_entries(got, "rho"), np.trace(got)) is None
             block = L.mat.toarray()
             block[0] = vec(np.eye(p.dims.total_dim))[L.idx]
-            np.testing.assert_array_equal(ws._constrained.toarray(), block)
-            np.testing.assert_array_equal(SteadyStateWorkspace(L).solve(delta_a), got)
+            np.testing.assert_array_equal(constrained(ws).view(np.uint64), block.view(np.uint64))
+            np.testing.assert_array_equal(SteadyStateWorkspace(L.params).solve(delta_a), got)
             np.testing.assert_allclose(got, lu_steady_state(L), rtol=0, atol=atol)
 
     @pytest.mark.parametrize("point", ["dissipative_n2", "dissipative_n3"])
@@ -1104,9 +1115,9 @@ class TestSteadyStateWorkspace:
         # 1e-3 relative
         p = request.getfixturevalue(point)
         delta_a = p.delta_a if delta_a is None else delta_a
-        ws = SteadyStateWorkspace(build_liouvillian(p))
+        ws = SteadyStateWorkspace(p)
         got = photon_distribution(ws.solve(delta_a))
-        a = ws._constrained.toarray()
+        a = constrained(ws)
         b = np.zeros(len(a), dtype=complex)
         b[0] = 1.0
         x = np.linalg.solve(a, b)
@@ -1127,6 +1138,29 @@ class TestSteadyStateWorkspace:
         g2 = header.index("g2")
         np.testing.assert_allclose(rows[0][g2 : g2 + 3], g, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize(
+        "point, gamma", [("dissipative_n2", None), ("dissipative_n3", None), ("dissipative_n2", 0.0)],
+        ids=["n2", "n3", "n2_gamma0"],
+    )
+    def test_residual_is_scipy_csc_product_bit_for_bit(self, point, gamma, request):
+        # the refinement's residual is formed over the stored entries in real
+        # arithmetic, row sums in CSC order; it must be scipy's CSC product
+        # bit for bit (numpy's complex data * x, tried in its place, moved
+        # the custom preset's g2 in the 15th digit).  At gamma = 0 and
+        # delta_a = -Delta/n a coherence diagonal is stored as an exact 0
+        p = request.getfixturevalue(point)
+        if gamma is not None:
+            p = replace(p, gamma=gamma, delta_a=-p.delta_n / p.n)
+        ws = SteadyStateWorkspace(p)
+        rho = ws.solve(p.delta_a)
+        assert gamma is None or (ws._data == 0).any()
+        size = len(ws._idx)
+        csc = scipy.sparse.csc_array((ws._data, (ws._rows, ws._cols)), shape=(size, size))
+        np.testing.assert_array_equal(csc.indices, ws._rows)  # the same order
+        rng = np.random.default_rng(7)
+        for x in (vec(rho)[ws._idx], rng.standard_normal(size) + 1j * rng.standard_normal(size)):
+            assert ws._product(x).tobytes() == (csc @ x).tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ladder_ordering_band(self, n):
         # each stored entry of the constrained system couples two entries
@@ -1136,11 +1170,10 @@ class TestSteadyStateWorkspace:
         for n_max, gamma in itertools.product(sorted({n, 8, 12, 15, 20}), (0.0, 0.1)):
             p = ModelParams(n=n, j=0.3, omega_l=21.0, delta_n=-49.5, delta_a=0.7, kappa=1.0,
                             gamma=gamma, n_max=n_max)
-            ws = SteadyStateWorkspace(build_liouvillian(p))
+            ws = SteadyStateWorkspace(p)
             col, row = np.divmod(ws._idx, p.dims.total_dim)
             key = 2 * (col // 2 - row // 2) // n + col % 2 - row % 2
-            entries = ws._constrained.tocoo()
-            assert np.abs(key[entries.row] - key[entries.col]).max() <= 1
+            assert np.abs(key[ws._rows] - key[ws._cols]).max() <= 1
             assert ws._kl == ws._ku == 2 * (n_max + 1)
 
     @pytest.mark.parametrize("n", [1, 4])
@@ -1151,7 +1184,7 @@ class TestSteadyStateWorkspace:
         L = build_liouvillian(p)
         if n == 1:
             assert len(L.idx) == p.dims.total_dim**2
-        ws = SteadyStateWorkspace(L)
+        ws = SteadyStateWorkspace(p)
         for delta_a in (-2.0, p.delta_a, 3.0):
             rho = dense_k0_steady_state(replace(p, delta_a=delta_a))
             np.testing.assert_allclose(ws.solve(delta_a), rho, rtol=0, atol=1e-12)
@@ -1207,7 +1240,7 @@ class TestSteadyStateWorkspace:
 
     def test_non_finite_delta_a_rejected(self, dissipative_n2):
         with pytest.raises(ValueError, match="finite"):
-            SteadyStateWorkspace(build_liouvillian(dissipative_n2)).solve(float("nan"))
+            SteadyStateWorkspace(dissipative_n2).solve(float("nan"))
 
     def test_illegal_lapack_argument_raises(self, dissipative_n2, monkeypatch):
         # solve imports zgbsv when it runs; info < 0 is LAPACK's report of
@@ -1215,7 +1248,7 @@ class TestSteadyStateWorkspace:
         def illegal(kl, ku, ab, b, overwrite_ab=0):
             return ab, np.zeros(len(b), dtype=np.int32), b, -3
 
-        ws = SteadyStateWorkspace(build_liouvillian(dissipative_n2))
+        ws = SteadyStateWorkspace(dissipative_n2)
         monkeypatch.setattr(scipy.linalg.lapack, "zgbsv", illegal)
         with pytest.raises(RuntimeError, match="^zgbsv: argument 3 has an illegal value$"):
             ws.solve(dissipative_n2.delta_a)
@@ -1247,7 +1280,7 @@ class TestSteadyStateWorkspace:
     def test_out_of_range_delta_a_flagged(self, dissipative_n2):
         # a sweep row at such a delta_a is a solver flag, and the sweep goes on
         p = dissipative_n2
-        ws = SteadyStateWorkspace(build_liouvillian(p))
+        ws = SteadyStateWorkspace(p)
         with pytest.raises(OverflowError, match=r"^delta_a = -1e\+307: out of floating-point range$"):
             ws.solve(-1e307)
         _, rows = sweep(p, [1e307, p.delta_a])
@@ -1266,6 +1299,6 @@ class TestSteadyStateWorkspace:
         refused = "steady state refused: the refined solution is not finite; "
         rates = f"[model] kappa = {p.kappa}, gamma = {p.gamma}, j = {p.j}; "
         with pytest.raises(RuntimeError, match=f"^{re.escape(refused)}.*{re.escape(rates)}"):
-            SteadyStateWorkspace(build_liouvillian(p)).solve(p.delta_a)
+            SteadyStateWorkspace(p).solve(p.delta_a)
         _, rows = sweep(p, [p.delta_a])
         assert rows[0][-1].startswith(f"solver: {refused}") and rates in rows[0][-1]

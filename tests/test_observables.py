@@ -352,7 +352,7 @@ class TestDelayedBundleCorrelation:
         # 9.2e-3 ||K||_F (K the k = 0 block of L), where a true steady
         # state's is under 1e-18 ||K||_F
         prop, _ = dissipative_n2_ss
-        other = SteadyStateWorkspace(prop.L).solve(0.0)
+        other = SteadyStateWorkspace(dissipative_n2).solve(0.0)
         with pytest.raises(ValueError, match="rho_ss is not the steady state"):
             g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=other)
 
