@@ -37,7 +37,6 @@ from .dynamics import (
     TruncationError,
     _check_horizon,
     _sample_times,
-    build_liouvillian,
     run_trajectories,
     schrodinger_evolve,
     steady_state,
@@ -57,6 +56,7 @@ from .model import (
     resonant_branch,
 )
 from .observables import (
+    _g_orders,
     dressed_populations,
     g2_bundle_delayed,
     g_equal_time,
@@ -356,9 +356,8 @@ def _run_trajectory(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def _run_g2tau(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
-    L = build_liouvillian(m)
-    rho = steady_state(L)  # a TruncationError here costs no eig
-    prop = LiouvillePropagator(L)
+    rho = steady_state(m)  # a TruncationError here costs no K and no eig
+    prop = LiouvillePropagator(m)
     t_floor, t_max = tau_min(m.n, m.kappa), _g2tau_horizon(cfg)[0]
     grid_n = np.geomspace(t_floor, t_max, cfg.scan.tau_points)
     g_n = g2_bundle_delayed(m, m.n, grid_n, propagator=prop, rho_ss=rho)
@@ -377,16 +376,15 @@ def _run_jcregime(cfg: ExperimentConfig) -> tuple[dict, dict]:
     for k, mm in enumerate(eig.m_values):
         for branch, e in (("plus", eig.e_plus[k]), ("minus", eig.e_minus[k])):
             rows.append((int(mm), branch, e, eig.c_plus[k], eig.c_minus[k], eig.omega_m[k]))
-    rho = steady_state(build_liouvillian(m))
+    rho = steady_state(m)
     header = ["m", "branch", "energy", "c_plus", "c_minus", "omega_m"]
     return {"jcregime": (header, rows)}, {"n_photon_population": float(photon_distribution(rho)[m.n])}
 
 
 def _run_custom(cfg: ExperimentConfig) -> tuple[dict, dict]:
     m = cfg.model
-    rho = steady_state(build_liouvillian(m))
-    pops = photon_distribution(rho)
-    gs = {f"g{ell}": g_equal_time(rho, ell) for ell in (2, 3, 4)}  # None for all or for none
+    pops = photon_distribution(steady_state(m))
+    gs = dict(zip(("g2", "g3", "g4"), _g_orders(pops, (2, 3, 4))))  # None for all or for none
     tables = {"custom_steady_state": (["m", "P_m"], list(enumerate(pops)))}
     return tables, {"equal_time_correlations": gs}
 

@@ -16,10 +16,10 @@ eigendecomposition, which is exact at the sample times; a delayed
 correlation is contracted in the eigenbasis of K
 (LiouvillePropagator.expectation), never forming the propagated operators.
 
-scipy is imported only where K is built or factored.  The steady-state
-solve loads only scipy's LAPACK (0.21-0.30 s of start-up after numpy);
-build_liouvillian and the propagator load scipy.sparse too (12-19 ms more),
-so the g2tau, custom and jcregime presets do and steadyscan does not.
+scipy is imported only where K is built or factored.  steady_state(p) and
+the steady-state solve load only scipy's LAPACK (0.21-0.30 s of start-up
+after numpy); LiouvillePropagator(p) builds the Liouvillian and loads
+scipy.sparse too (12-19 ms more), so only the g2tau preset loads it.
 Schrodinger propagation and the quantum-jump trajectories need only numpy.
 multiprocessing is imported only where run_trajectories starts its worker
 pool (about 15 ms), so a lone trajectory (run in-process) and every
@@ -234,7 +234,8 @@ def _hermitian_basis(idx: np.ndarray, d: int) -> sp.csr_array:
 
 class LiouvillePropagator:
     """Spectral form of exp(L t) on the k = 0 sector, the one that holds the
-    steady state and every regression operator a^N rho_ss a^dagN.
+    steady state and every regression operator a^N rho_ss a^dagN, for the
+    model p (L = build_liouvillian(p)) or for a Liouvillian, used as built.
 
     The sector is closed under the adjoint and L maps Hermitian operators to
     Hermitian ones, so its block K is decomposed once, here, as the real
@@ -255,8 +256,8 @@ class LiouvillePropagator:
     complex one.
     """
 
-    def __init__(self, L: Liouvillian):
-        self.L = L
+    def __init__(self, p: ModelParams | Liouvillian):
+        self.L = L = p if isinstance(p, Liouvillian) else build_liouvillian(p)
         self._t = _hermitian_basis(L.idx, L.params.dims.total_dim)
         real_form = self._t @ L.mat @ self._t.conj().T
         imag = np.abs(real_form.data.imag).max(initial=0.0)
@@ -323,12 +324,13 @@ class LiouvillePropagator:
         return table @ k[self._half] + (table[:, : len(p)] @ k[p + 1].conj()).conj()
 
 
-def steady_state(L: Liouvillian) -> np.ndarray:
-    """Unique stationary density matrix of L: SteadyStateWorkspace(L.params)
-    solved at the delta_a of L.  Raises TruncationError if the top Fock level
-    holds population TAIL_TOL or more, a check the solve skips."""
-    rho = SteadyStateWorkspace(L.params).solve(L.params.delta_a)
-    dims = L.params.dims
+def steady_state(p: ModelParams | Liouvillian) -> np.ndarray:
+    """Unique stationary density matrix of p (of L.params, given a Liouvillian
+    L): SteadyStateWorkspace(p) solved at p.delta_a.  Raises TruncationError if
+    the top Fock level holds population TAIL_TOL or more, a check the solve skips."""
+    p = p.params if isinstance(p, Liouvillian) else p
+    rho = SteadyStateWorkspace(p).solve(p.delta_a)
+    dims = p.dims
     i = dims.index(dims.n_max, 0)  # |n_max, g>; |n_max, e> follows
     tail = float(rho[i, i].real + rho[i + 1, i + 1].real)
     if tail >= TAIL_TOL:

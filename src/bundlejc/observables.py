@@ -113,9 +113,9 @@ def g2_bundle_delayed(
     block, with m the measurement projected onto the eigenvectors once and c
     the coefficients of x from one solve, so a grid costs one exp table and
     forms no propagated operator.
-    propagator must hold the Liouvillian L of p, and rho_ss must be its steady
-    state, normally steady_state(propagator.L): it may have no entry outside
-    k = 0, and it must pass _stationarity_failure's trace and residual bounds.
+    propagator must hold the Liouvillian L of p (LiouvillePropagator(p)), and
+    rho_ss must be its steady state, normally steady_state(p): it may have no
+    entry outside k = 0, and it must pass _stationarity_failure's bounds.
     One propagator serves every N and grid.
 
     The default grid is 200 delays from tau_min to 30/kappa.  For N >= 2 every

@@ -15,7 +15,6 @@ from scipy.stats import kstest
 from bundlejc.dynamics import (
     LiouvillePropagator,
     SteadyStateWorkspace,
-    build_liouvillian,
     run_trajectories,
     steady_state,
 )
@@ -204,9 +203,8 @@ def test_criterion_5_bundle_ordering(dissipative_n2, dissipative_n3):
     for p_res in (dissipative_n2, dissipative_n3):
         for da, regime in ((p_res.delta_a, "resonant"), (0.0, "detuned")):
             p = replace(p_res, delta_a=da)
-            L = build_liouvillian(p)
             rho = SteadyStateWorkspace(p).solve(p.delta_a)
-            prop = LiouvillePropagator(L)
+            prop = LiouvillePropagator(p)
             n = p.n
             t0 = tau_min(n, p.kappa)
             short, long_ = g2_bundle_delayed(
@@ -242,7 +240,7 @@ def test_criterion_6_trajectory_consistency(dissipative_n2):
     a = fock_annihilation(p.dims)
     num = a.conj().T @ a
     times, mean, stderr = trajectory_average(recs, num)
-    prop = LiouvillePropagator(build_liouvillian(p))
+    prop = LiouvillePropagator(p)
     exact = prop.expectation(num, np.outer(psi0, psi0.conj()), times).real
     dev = np.abs(mean - exact)
     within = bool(np.all(dev <= 4.0 * np.maximum(stderr, 1e-12)))
@@ -333,14 +331,13 @@ def expected_pair_counts(p, n_first):
     """N kappa nbar int_bin g^(2)(tau) dtau per bin of PAIR_EDGES / kappa, from
     the quantum-regression g^(2)(tau) of p (trapezoid rule, 41 points a bin),
     and the same for a Poisson g^(2) = 1."""
-    L = build_liouvillian(p)
-    rho = steady_state(L)
+    rho = steady_state(p)
     pops = photon_distribution(rho)
     rate = p.kappa * float(np.arange(len(pops)) @ pops)
     edges = PAIR_EDGES / p.kappa
     taus = np.linspace(edges[:-1], edges[1:], 41, axis=1)
     g2 = g2_bundle_delayed(
-        p, 1, taus.ravel(), propagator=LiouvillePropagator(L), rho_ss=rho
+        p, 1, taus.ravel(), propagator=LiouvillePropagator(p), rho_ss=rho
     ).reshape(taus.shape)
     integral = np.sum((g2[:, 1:] + g2[:, :-1]) / 2 * np.diff(taus, axis=1), axis=1)
     return n_first * rate * integral, n_first * rate * np.diff(edges)
@@ -407,7 +404,7 @@ def test_criterion_8_jc_regime():
     spectrum_ok = bool(np.max(np.abs(dense - analytic)) < 1e-9)
 
     damped = replace(p, kappa=0.1, gamma=0.01, n_max=6)
-    rho = steady_state(build_liouvillian(damped))
+    rho = steady_state(damped)
     p_n = float(photon_distribution(rho)[p.n])
     population_ok = p_n < 1e-4
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bundlejc import cli, dynamics
 from bundlejc.cli import (
     _MAX_HORIZON_RATE,
     _SCHEMA,
@@ -426,7 +427,8 @@ NUMPY_ONLY_PRESETS = ("superrabi", "trajectory")
 # run in a fresh interpreter: the stages in order, each with the scipy and
 # multiprocessing modules loaded once it is done, then which of scipy.sparse
 # and its csgraph and linalg subpackages are loaded after a steadyscan run,
-# after a library sweep at its config, and after a g2tau run
+# after a library sweep at its config, after a custom and a jcregime run, and
+# after a g2tau run
 SCIPY_PROBE = """
 import json, sys
 from pathlib import Path
@@ -453,6 +455,9 @@ sparse = {"steadyscan": sparse_loaded()}
 cfg = parse_config(Path(configs["steadyscan"]).read_text(), "steadyscan")
 sweep(cfg.model, cfg.scan.grid())
 sparse["sweep"] = sparse_loaded()
+for preset in ("custom", "jcregime"):
+    assert main([preset, "--config", configs[preset], "--out", out + "/" + preset]) == 0
+    sparse[preset] = sparse_loaded()
 assert main(["g2tau", "--config", configs["g2tau"], "--out", out + "/g2tau"]) == 0
 sparse["g2tau"] = sparse_loaded()
 print(json.dumps({"seen": seen, "sparse": sparse}))
@@ -491,11 +496,14 @@ def test_scipy_loads_only_where_a_liouvillian_is_built(tmp_path):
     stages = ["import bundlejc.cli"]
     stages += [f"{preset} --dry-run" for preset in CHEAP_POINTS] + list(NUMPY_ONLY_PRESETS)
     assert result["seen"] == {stage: [] for stage in stages}
-    # the steady-state sweep, run by the preset or by the library, factors K
-    # with scipy's LAPACK alone; g2tau builds L as a CSR, so the probe sees
-    # scipy.sparse when it is loaded, and the spectral propagator needs
+    # the steady-state solve, run by a sweep (preset or library) or by
+    # steady_state(p) in custom and jcregime, factors K with scipy's LAPACK
+    # alone; only LiouvillePropagator(p) builds L as a CSR, so the probe sees
+    # scipy.sparse once g2tau has run, and the spectral propagator needs
     # neither csgraph nor sparse.linalg
-    assert result["sparse"] == {"steadyscan": [], "sweep": [], "g2tau": ["scipy.sparse"]}
+    assert result["sparse"] == {
+        "steadyscan": [], "sweep": [], "custom": [], "jcregime": [], "g2tau": ["scipy.sparse"],
+    }
 
 
 # what main writes at each CHEAP_POINTS config, checked in; a change that moves
@@ -634,12 +642,29 @@ class TestMain:
         assert run_cli(["superrabi", "--config", tmp_path / "nope.ini"]) == 1
         assert capsys.readouterr().err.startswith("bundlejc:")
 
-    def test_truncation_failure_exit_code(self, tmp_path, capsys):
-        # drastically undersized Fock space at a driven dissipative point
+    @pytest.mark.parametrize(
+        "preset, without_k",
+        [("custom", False), ("jcregime", False), ("g2tau", False), ("g2tau", True)],
+        ids=["custom", "jcregime", "g2tau", "g2tau-before-any-K"],
+    )
+    def test_truncation_failure_exit_code(self, tmp_path, capsys, monkeypatch, preset, without_k):
+        # drastically undersized Fock space at a driven dissipative point (the
+        # top level holds 8.918e-03): every one-point preset refuses it, and
+        # g2tau does so before it assembles K for its propagator
+        if without_k:
+            def assemble(p):
+                raise AssertionError("K assembled before the truncation check")
+
+            monkeypatch.setattr(dynamics, "build_liouvillian", assemble)
+            # a cli that imported build_liouvillian itself would call its own binding
+            monkeypatch.setattr(cli, "build_liouvillian", assemble, raising=False)
         cfg_file = tmp_path / "cfg.ini"
         cfg_file.write_text(DISSIPATIVE.replace("n_max = 8", "n_max = 2"))
-        assert run_cli(["custom", "--config", cfg_file, "--out", tmp_path]) == 1
-        assert "truncation" in capsys.readouterr().err.lower()
+        out_dir = tmp_path / "out"
+        assert run_cli([preset, "--config", cfg_file, "--out", out_dir]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("bundlejc: truncation check failed: top Fock level holds population")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("preset, config, rates", UNRELAXED_POINTS)
     def test_unrelaxed_steady_state_names_rates(self, tmp_path, capsys, preset, config, rates):

@@ -3,7 +3,6 @@ import pytest
 
 from bundlejc.dynamics import (
     LiouvillePropagator,
-    build_liouvillian,
     run_trajectories,
     steady_state,
 )
@@ -98,7 +97,7 @@ def test_dimension_mismatch_rejected(dissipative_n2):
     for psi0 in (psi, pure_density(basis_state(p.dims, 0, 0))):
         with pytest.raises(DimensionMismatchError, match="psi0 has shape"):
             run_trajectories(p, psi0, 1.0, 0.5, n_trajectories=2, base_seed=0)
-    prop = LiouvillePropagator(build_liouvillian(p))
+    prop = LiouvillePropagator(p)
     for rho in (pure_density(psi), basis_state(p.dims, 0, 0)):
         with pytest.raises(DimensionMismatchError, match="rho_ss has shape"):
             g2_bundle_delayed(p, 1, [1.0], propagator=prop, rho_ss=rho)
@@ -140,7 +139,7 @@ def test_states_are_fresh_complex_arrays(dissipative_n2):
     makers = [
         (lambda: basis_state(p.dims, 1, 0), (d,)),
         (lambda: dressed_state(p, 1, "+"), (d,)),
-        (lambda: steady_state(build_liouvillian(p)), (d, d)),
+        (lambda: steady_state(p), (d, d)),
     ]
     for make, shape in makers:
         state = make()
@@ -155,17 +154,15 @@ def test_nan_density_matrix_rejected(dissipative_n2):
     # propagates, with the steady-state solver's bounds: trace first, then
     # residual, each written so that a NaN fails it.  A NaN on the diagonal
     # fails the trace bound
-    L = build_liouvillian(dissipative_n2)
-    rho = steady_state(L)
+    prop, rho = LiouvillePropagator(dissipative_n2), steady_state(dissipative_n2)
     rho[3, 3] = np.nan
     with pytest.raises(ValueError, match=r"^rho_ss is not the steady state .*: \|Tr x - 1\| = nan"):
-        g2_bundle_delayed(dissipative_n2, 1, [1.0], propagator=LiouvillePropagator(L), rho_ss=rho)
+        g2_bundle_delayed(dissipative_n2, 1, [1.0], propagator=prop, rho_ss=rho)
 
 
 def test_nan_coherence_fails_residual_bound(dissipative_n2):
     # a NaN in a k = 0 coherence (|0,g><0,e|) leaves the trace alone
-    L = build_liouvillian(dissipative_n2)
-    rho = steady_state(L)
+    prop, rho = LiouvillePropagator(dissipative_n2), steady_state(dissipative_n2)
     rho[0, 1] = np.nan
     with pytest.raises(ValueError, match=r"^rho_ss is not the steady state .*: residual nan > 1e-9"):
-        g2_bundle_delayed(dissipative_n2, 1, [1.0], propagator=LiouvillePropagator(L), rho_ss=rho)
+        g2_bundle_delayed(dissipative_n2, 1, [1.0], propagator=prop, rho_ss=rho)

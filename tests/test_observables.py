@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from bundlejc.dynamics import (
     LiouvillePropagator,
     SteadyStateWorkspace,
-    build_liouvillian,
     steady_state,
     unvec,
 )
@@ -175,8 +174,7 @@ class TestTauMin:
 
 @pytest.fixture(scope="module")
 def dissipative_n2_ss(dissipative_n2):
-    prop = LiouvillePropagator(build_liouvillian(dissipative_n2))
-    return prop, steady_state(prop.L)
+    return LiouvillePropagator(dissipative_n2), steady_state(dissipative_n2)
 
 
 class TestDelayedBundleCorrelation:
@@ -267,8 +265,8 @@ class TestDelayedBundleCorrelation:
         p = at_resonance(ModelParams(
             n=1, j=1.0, omega_l=21.0, delta_n=1.0, delta_a=0.0, kappa=10.0, gamma=1.0, n_max=1,
         ))
-        prop = LiouvillePropagator(build_liouvillian(p))
-        rho = steady_state(prop.L)
+        prop = LiouvillePropagator(p)
+        rho = steady_state(p)
         grid = np.array([0.0, 0.1, 1.0])
         g1 = g2_bundle_delayed(p, 1, grid, propagator=prop, rho_ss=rho)
         a = fock_annihilation(p.dims)
@@ -286,8 +284,8 @@ class TestDelayedBundleCorrelation:
             delta_n=0.04614540461922445, delta_a=0.0, kappa=44.27038123075698,
             gamma=1e-300, n_max=2,
         ))
-        prop = LiouvillePropagator(build_liouvillian(p))
-        rho = steady_state(prop.L)
+        prop = LiouvillePropagator(p)
+        rho = steady_state(p)
         grid = np.geomspace(tau_min(2, p.kappa), 30.0 / p.kappa, 200)
         with pytest.raises(ValueError, match=r"^g_2\^\(2\)\(tau = ([0-9.e-]+)\) = -[0-9.]+e-0[1-3] "
                            r"is not >= -1e-06, the round-off bound$") as refusal:
@@ -310,7 +308,7 @@ class TestDelayedBundleCorrelation:
             g2_bundle_delayed(dissipative_n2, 2, [1.5, 2.0], propagator=prop, rho_ss=rho_ss)
 
     def test_requires_decay(self, unitary_n2):
-        prop = LiouvillePropagator(build_liouvillian(unitary_n2))
+        prop = LiouvillePropagator(unitary_n2)
         rho = pure_density(basis_state(unitary_n2.dims, 0, 0))
         with pytest.raises(ValueError, match="kappa"):
             g2_bundle_delayed(unitary_n2, 1, np.array([1.0]), propagator=prop, rho_ss=rho)
@@ -321,9 +319,9 @@ class TestDelayedBundleCorrelation:
             n=1, j=0.0, omega_l=0.0, delta_n=0.0, delta_a=0.0,
             kappa=1.0, gamma=0.5, n_max=3,
         )
-        prop = LiouvillePropagator(build_liouvillian(p))
+        prop = LiouvillePropagator(p)
         with pytest.raises(ValueError, match=r"^bundle occupation <a\^dag\^1 a\^1> = \S+ <= 1e-14$"):
-            g2_bundle_delayed(p, 1, np.array([1.0]), propagator=prop, rho_ss=steady_state(prop.L))
+            g2_bundle_delayed(p, 1, np.array([1.0]), propagator=prop, rho_ss=steady_state(p))
 
     @pytest.mark.parametrize("field, other", [("delta_a", 0.0), ("kappa", 2.0)])
     def test_propagator_of_other_point_rejected(
@@ -333,7 +331,7 @@ class TestDelayedBundleCorrelation:
         # that point's curve (at delta_a = 0: 4.417 at tau = 1.5, not 0.138),
         # or mix tau_min of p with the other point's propagation
         _, rho_ss = dissipative_n2_ss
-        prop = LiouvillePropagator(build_liouvillian(replace(dissipative_n2, **{field: other})))
+        prop = LiouvillePropagator(replace(dissipative_n2, **{field: other}))
         with pytest.raises(ValueError, match="^propagator was built at "):
             g2_bundle_delayed(dissipative_n2, 2, [1.5], propagator=prop, rho_ss=rho_ss)
 
